@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check ci build test vet race bench smoke throughput audit-bench metadata-bench replication-bench service-bench chaos-bench trace-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
+.PHONY: check ci build test vet fmt-check race bench bench-smoke smoke throughput audit-bench metadata-bench replication-bench service-bench chaos-bench trace-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
 
-## check: the full gate — vet, build, tests, a short race pass, a
-## fuzz burst over the wire codec, and the chaos conformance suite
-## (fault-injected session guarantees + exactly-once accounting).
-check: vet build test race fuzz-smoke chaos-conformance
+## check: the full gate — formatting, vet, build, tests, a short race
+## pass, a fuzz burst over the wire codec and the WAL reader, the chaos
+## conformance suite (fault-injected session guarantees + exactly-once
+## accounting), and the nested benchmark module's own smoke run.
+check: fmt-check vet build test race fuzz-smoke chaos-conformance bench-smoke
 
 ## ci: what .github/workflows/ci.yml runs — the full gate plus the
 ## conformance suite under the race detector, the dsmbench smoke sweep,
@@ -122,8 +123,25 @@ build:
 vet:
 	$(GO) vet ./...
 
+## fmt-check: gofmt must have nothing to say about any file in the
+## module or in the nested benchmark module.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; \
+	fi
+
 test:
 	$(GO) test ./...
+
+## bench-smoke: the repo benchmark (BENCHMARK.json) lives in bench/, a
+## module of its own compiled against this tree, so `go build ./...`
+## here never sees it. Vet and test it, then run the one workload that
+## journals for a second with tracing on: a change under internal/ that
+## stops bench/ compiling, or makes a workload fail its audit and exit
+## non-zero, fails this gate before it fails the benchmark driver.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --workload embed-wan --seed 1 --seconds 1 --trace 1
 
 ## race: race-detector pass over the library; short mode keeps the
 ## soak and wide-sweep tests out of the hot path.
@@ -139,14 +157,16 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/scenario
 
-## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec.
-## The committed seed corpus under internal/protocol/testdata/fuzz
-## replays in plain `make test`, so past crashers stay fatal; this
-## target additionally mutates for a few seconds per target.
+## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec and
+## on the WAL segment reader. The committed seed corpora under
+## internal/{protocol,durability}/testdata/fuzz replay in plain
+## `make test`, so past crashers stay fatal; this target additionally
+## mutates for a few seconds per target.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWireRequest$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireResponse$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireToken$$' -fuzztime=5s -run '^$$' ./internal/protocol
+	$(GO) test -fuzz '^FuzzRecoverSegment$$' -fuzztime=5s -run '^$$' ./internal/durability
 
 clean:
 	$(GO) clean ./...

@@ -63,7 +63,7 @@ func main() {
 	backoffMax := flag.Duration("backoff-max", 0, "reliability: retransmission backoff cap (default 20×rto)")
 	walDir := flag.String("wal-dir", "", "crash recovery: write-ahead log directory (one subdir per process)")
 	walSync := flag.Bool("wal-sync", false, "crash recovery: fsync the journal after every record")
-	snapshotEvery := flag.Int("snapshot-every", 0, "crash recovery: journal records between snapshots (default 256)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "crash recovery: journal records between snapshots (default 0: snapshot when the journal outgrows the last snapshot)")
 	heartbeat := flag.Duration("heartbeat", 0, "failure detector: probe interval (0 disables)")
 	suspectAfter := flag.Duration("suspect-after", 0, "failure detector: silence threshold (default 4×heartbeat)")
 	crash := flag.String("crash", "", "crash schedule, e.g. 1@5ms or 1@5ms,2@10ms (proc@start)")

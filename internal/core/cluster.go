@@ -291,16 +291,21 @@ func (c *Cluster) walPath(p int) string {
 // stale-duplicate filtering) is active.
 func (c *Cluster) recoveryEnabled() bool { return c.cfg.WALDir != "" }
 
-// closeWALs closes every node's journal (idempotent).
-func (c *Cluster) closeWALs() {
+// closeWALs closes every node's journal (idempotent), returning the
+// errors of those whose buffered tail did not reach the disk.
+func (c *Cluster) closeWALs() error {
+	var errs []error
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		if n.wal != nil {
-			n.wal.Close()
+			if err := n.wal.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("core: p%d journal: %w", n.id+1, err))
+			}
 			n.wal = nil
 		}
 		n.mu.Unlock()
 	}
+	return errors.Join(errs...)
 }
 
 // Node returns the i-th process handle.
@@ -512,8 +517,10 @@ func (c *Cluster) Audit() (*checker.Report, error) {
 
 // Close stops the crash orchestrator, failure detector and token loop,
 // closes the journals, drains the transport, and marks the cluster
-// closed. Close is idempotent: the first call does the teardown, later
-// calls return nil. Other operations after Close return ErrClosed.
+// closed. It returns the error of a journal whose buffered tail could
+// not be written out, joined with the transport's. Close is idempotent:
+// the first call does the teardown, later calls return nil. Other
+// operations after Close return ErrClosed.
 func (c *Cluster) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
@@ -535,12 +542,12 @@ func (c *Cluster) Close() error {
 		close(c.tokenStop)
 		<-c.tokenDone
 	}
-	c.closeWALs()
+	err := c.closeWALs()
 	// Frontier waiters must not sleep through the close.
 	for _, n := range c.nodes {
 		n.fw.wakeAll()
 	}
-	return c.tr.Close()
+	return errors.Join(err, c.tr.Close())
 }
 
 // tokenLoop circulates the token for WS-send-style protocols until

@@ -101,14 +101,22 @@ type Config struct {
 	// Cluster.Restart). Existing segments in the directory are
 	// superseded at cluster start. Requires the built-in transport.
 	WALDir string
-	// WALSync fsyncs the journal after every record — maximally durable
-	// and correspondingly slow. The default (false) lets records settle
-	// in the OS page cache, which the in-process crash model (crash =
-	// goroutine stop, not machine loss) never loses.
+	// WALSync writes and fsyncs the journal before every journaled
+	// operation returns — maximally durable and correspondingly slow.
+	// The default (false) gathers records in memory and writes them 64
+	// KiB at a time, and at every snapshot, Crash and Close, without
+	// fsync: the in-process crash model (crash = goroutine stop, not
+	// machine loss) loses nothing. A killed OS process can lose the
+	// unwritten tail, which nothing reads: a new cluster supersedes the
+	// segments it finds.
 	WALSync bool
-	// SnapshotEvery is the number of journal records between automatic
-	// snapshots; 0 defaults to 256. Snapshots rotate the WAL segment,
-	// so the interval also bounds recovery replay length.
+	// SnapshotEvery > 0 snapshots every that many journal records. The
+	// default (0) snapshots when the records journaled since the last
+	// snapshot reach its size in bytes (at least 64 KiB), which keeps
+	// the total snapshot volume linear in the journal volume and
+	// recovery within about twice the cost of reading the snapshot.
+	// Snapshots rotate the WAL segment, so either rule also bounds
+	// recovery replay length.
 	SnapshotEvery int
 
 	// HeartbeatInterval > 0 starts the heartbeat failure detector:
@@ -212,12 +220,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: observer built for %d processes, cluster has %d", c.Obs.Procs(), c.Processes)
 	}
 	return nil
-}
-
-// snapshotInterval returns SnapshotEvery with its default applied.
-func (c Config) snapshotInterval() int {
-	if c.SnapshotEvery == 0 {
-		return 256
-	}
-	return c.SnapshotEvery
 }

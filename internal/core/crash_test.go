@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +172,63 @@ func TestCrashRestartAllProtocols(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCrashRestartSizeTriggeredSnapshot runs the crash/restart cycle at
+// the default SnapshotEvery, long enough that the victim's journal
+// outgrows its snapshot and rotates at least once before the crash:
+// recovery then starts from a size-triggered snapshot plus the buffered
+// tail that Crash flushed.
+func TestCrashRestartSizeTriggeredSnapshot(t *testing.T) {
+	c, err := NewCluster(Config{
+		Processes: 4, Variables: 3, MaxDelay: 200 * time.Microsecond, Seed: 29,
+		WALDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const victim = 2
+	all := []int{0, 1, 2, 3}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// Once everything is applied the victim has journaled ~180 KiB, well
+	// past the 64 KiB floor of the size trigger.
+	crashWorkload(t, c, all, 2500, 100)
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(c.walPath(victim), "seg-00000000.wal")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("victim still journals into its first segment (stat: %v): no snapshot was triggered", err)
+	}
+	if err := c.Crash(victim); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	crashWorkload(t, c, []int{0, 1, 3}, 200, 200)
+	st, err := c.Restart(victim)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Logf("%v", st)
+	if st.Replayed == 0 {
+		t.Fatal("nothing replayed: the journal tail buffered at the crash was lost")
+	}
+	crashWorkload(t, c, all, 200, 300)
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+	rep, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Safe() || !rep.CausallyConsistent() || !rep.ExactlyOnce() ||
+		!rep.CrashConsistent() || !rep.InP() || !rep.WriteDelayOptimal() {
+		t.Fatalf("audit: %v", rep)
+	}
+	if rep.Crashes != 1 || rep.Recoveries != 1 {
+		t.Fatalf("crashes=%d recoveries=%d", rep.Crashes, rep.Recoveries)
 	}
 }
 

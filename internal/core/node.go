@@ -36,7 +36,9 @@ type Node struct {
 	pending *pendingSet
 
 	// wal is the node's journal when crash recovery is enabled; walErr
-	// latches the first journaling failure and poisons later writes.
+	// latches the first journaling failure and poisons later writes —
+	// and, when it is the journal's close at a crash that failed, the
+	// restart.
 	wal    *durability.WAL
 	walErr error
 
@@ -546,9 +548,8 @@ func (n *Node) feedLocked(u protocol.Update) bool {
 }
 
 // journalLocked appends e to the node's WAL, taking an automatic
-// snapshot when the segment outgrows the configured interval. The
-// first failure is latched; subsequent Writes surface it. Caller holds
-// n.mu.
+// snapshot when one is due. The first failure is latched; subsequent
+// Writes surface it. Caller holds n.mu.
 func (n *Node) journalLocked(e durability.Entry) {
 	if n.wal == nil || n.walErr != nil {
 		return
@@ -557,11 +558,30 @@ func (n *Node) journalLocked(e durability.Entry) {
 		n.walErr = err
 		return
 	}
-	if n.wal.Entries() >= n.c.cfg.snapshotInterval() {
+	if n.snapshotDueLocked() {
 		if err := n.wal.Snapshot(n.snapshotLocked()); err != nil {
 			n.walErr = err
 		}
 	}
+}
+
+// minSnapshotLog is the least journal volume between two size-triggered
+// snapshots, so a small state is not re-encoded every few records.
+const minSnapshotLog = 64 << 10
+
+// snapshotDueLocked is the whole when-to-snapshot rule. An explicit
+// Config.SnapshotEvery counts records. The default is the log-rewrite
+// rule: snapshot once the entries journaled since the last snapshot
+// have outgrown it (or minSnapshotLog, while the state is smaller). Each
+// snapshot then costs no more than the journaling since the previous
+// one, so the total stays linear in the volume journaled — about twice
+// the final state when the state grows with the log — and recovery reads
+// at most about twice the snapshot's size. Caller holds n.mu.
+func (n *Node) snapshotDueLocked() bool {
+	if every := n.c.cfg.SnapshotEvery; every > 0 {
+		return n.wal.Entries() >= every
+	}
+	return n.wal.LogBytes() >= max(minSnapshotLog, n.wal.SnapBytes())
 }
 
 // archiveLocked records u in the per-origin anti-entropy store. Caller

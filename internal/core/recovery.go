@@ -40,7 +40,10 @@ func (s RecoveryStats) String() string {
 // ErrDown and messages delivered to it are dropped on the floor. The
 // rest of the cluster keeps running — Quiesce excludes p, and token
 // circulation routes around it. Crash of an already-down process
-// returns ErrDown; after Close it returns ErrClosed.
+// returns ErrDown; after Close it returns ErrClosed. When the journal's
+// buffered tail cannot be written out, p is crash-stopped all the same,
+// Crash returns the error and so does every later Restart: the journal
+// holds less than p acknowledged and broadcast.
 func (c *Cluster) Crash(p int) error {
 	if p < 0 || p >= len(c.nodes) {
 		return fmt.Errorf("core: crash of process %d of %d", p, len(c.nodes))
@@ -62,11 +65,11 @@ func (c *Cluster) Crash(p int) error {
 	// p's liveness changed under the Quiesce accounting: it is exempt
 	// from now on, so a poll blocked on p's lag must re-evaluate.
 	c.acct.bump()
+	n.walErr = nil
 	if n.wal != nil {
-		n.wal.Close()
+		n.walErr = n.wal.Close()
 		n.wal = nil
 	}
-	n.walErr = nil
 	// Zero the volatile state: everything p knows must come back from
 	// disk and its peers, exactly like a real process death.
 	n.replica = nil
@@ -79,6 +82,9 @@ func (c *Cluster) Crash(p int) error {
 	// Admission waiters parked on p must observe the crash and fail
 	// over (or fail fast) instead of running out their deadline.
 	n.fw.wakeAll()
+	if n.walErr != nil {
+		return fmt.Errorf("core: crash of p%d: %w", p+1, n.walErr)
+	}
 	return nil
 }
 
@@ -110,6 +116,10 @@ func (c *Cluster) Restart(p int) (RecoveryStats, error) {
 		return st, fmt.Errorf("core: restart of p%d: not down", p+1)
 	}
 	c.mu.Unlock()
+	if n.walErr != nil {
+		n.mu.Unlock()
+		return st, fmt.Errorf("core: restart of p%d: journal incomplete since its crash: %w", p+1, n.walErr)
+	}
 
 	snapshot, entries, err := durability.Recover(c.walPath(p))
 	if err != nil {

@@ -14,6 +14,13 @@
 // on disk until the successor is durable.
 //
 // Record framing: [4B LE length][4B LE CRC32-IEEE of payload][payload].
+//
+// Appends are framed into an in-memory buffer. A syncing WAL writes and
+// fsyncs that buffer before every Append returns. A non-syncing WAL
+// group-commits: the buffer reaches the file when it holds bufferSize
+// bytes and at every Snapshot and Close, always as whole records, so a
+// process killed in between loses at most the unwritten tail and the
+// file still ends on a record boundary.
 package durability
 
 import (
@@ -37,6 +44,11 @@ const (
 	// maxRecord bounds a record's declared length so a corrupt header
 	// cannot trigger a giant allocation.
 	maxRecord = 1 << 26
+	// recordHeader is the framing overhead: length + CRC.
+	recordHeader = 8
+	// bufferSize is how many framed bytes a non-syncing WAL gathers
+	// before one write(2).
+	bufferSize = 64 << 10
 )
 
 // ErrCorrupt reports an unrecoverable journal (bad magic, corrupt
@@ -174,7 +186,12 @@ type WAL struct {
 	f       *os.File
 	gen     uint64
 	entries int
-	scratch []byte
+	// buf holds framed records not yet written to f.
+	buf []byte
+	// logBytes counts the framed entry bytes journaled since the current
+	// snapshot, snapBytes that snapshot's size.
+	logBytes  int
+	snapBytes int
 
 	// onSync, when set, observes the duration of every journal fsync —
 	// the observability layer's WAL latency histogram. Called with the
@@ -198,10 +215,16 @@ func (w *WAL) timedSync(f *os.File) error {
 	return err
 }
 
+// segPath returns the file name of generation gen in dir.
+func segPath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf(segPattern, gen))
+}
+
 // Create opens a fresh journal generation in dir (creating it if
-// needed), whose first record is the given snapshot. Older segments are
-// removed once the new one is durable, so Create both initializes a
-// brand-new journal and supersedes a recovered one.
+// needed), whose first record is the given snapshot. Older segments,
+// and temporaries a failed rotation left behind, are removed once the
+// new one is in place, so Create both initializes a brand-new journal
+// and supersedes a recovered one.
 func Create(dir string, syncEvery bool, snapshot []byte) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durability: %w", err)
@@ -218,36 +241,42 @@ func Create(dir string, syncEvery bool, snapshot []byte) (*WAL, error) {
 	if err := w.rotate(next, snapshot); err != nil {
 		return nil, err
 	}
+	for _, g := range gens {
+		os.Remove(segPath(dir, g))
+	}
+	// The pattern is fixed and valid, so Glob cannot fail.
+	stale, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal.tmp"))
+	for _, tmp := range stale {
+		os.Remove(tmp)
+	}
 	return w, nil
 }
 
-// rotate writes a new segment whose first record is snapshot, makes it
-// durable, points the WAL at it, and removes older segments.
+// rotate writes a new segment whose first record is snapshot and points
+// the WAL at it. A syncing WAL makes the segment and its directory
+// entry durable first; a non-syncing one leaves both to the page cache,
+// as it does its entries. The caller removes the superseded segments.
 func (w *WAL) rotate(gen uint64, snapshot []byte) error {
-	path := filepath.Join(w.dir, fmt.Sprintf(segPattern, gen))
+	path := segPath(w.dir, gen)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("durability: %w", err)
 	}
-	w.scratch = appendRecord(w.scratch[:0], snapshot)
-	if _, err := f.Write(append([]byte(magic), w.scratch...)); err != nil {
-		f.Close()
+	err = w.writeHead(f, snapshot)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("durability: %w", err)
 	}
-	if err := w.timedSync(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durability: %w", err)
+	if w.sync {
+		syncDir(w.dir)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durability: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("durability: %w", err)
-	}
-	syncDir(w.dir)
 	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return fmt.Errorf("durability: %w", err)
@@ -256,67 +285,118 @@ func (w *WAL) rotate(gen uint64, snapshot []byte) error {
 		w.f.Close()
 	}
 	w.f, w.gen, w.entries = nf, gen, 0
-	// Older generations are superseded; drop them so recovery replay
-	// stays bounded by one snapshot interval.
-	gens, err := listGens(w.dir)
-	if err != nil {
+	w.logBytes, w.snapBytes = 0, len(snapshot)
+	return nil
+}
+
+// writeHead writes a segment's magic and snapshot record to f, header
+// and payload separately so the snapshot is never copied.
+func (w *WAL) writeHead(f *os.File, snapshot []byte) error {
+	var head [len(magic) + recordHeader]byte
+	copy(head[:], magic)
+	putHeader(head[len(magic):], snapshot)
+	if _, err := f.Write(head[:]); err != nil {
 		return err
 	}
-	for _, g := range gens {
-		if g < gen {
-			os.Remove(filepath.Join(w.dir, fmt.Sprintf(segPattern, g)))
-		}
+	if _, err := f.Write(snapshot); err != nil {
+		return err
+	}
+	if w.sync {
+		return w.timedSync(f)
 	}
 	return nil
 }
 
-// Append journals one entry.
+// Append journals one entry. A syncing WAL has written and fsynced it
+// when Append returns; a non-syncing one has buffered it, and reports
+// a failed write on the Append, Snapshot or Close that flushes.
 func (w *WAL) Append(e Entry) error {
 	if w.f == nil {
 		return fmt.Errorf("durability: append to closed WAL")
 	}
-	w.scratch = appendRecord(w.scratch[:0], appendEntry(nil, e))
-	if _, err := w.f.Write(w.scratch); err != nil {
-		return fmt.Errorf("durability: %w", err)
-	}
+	start := len(w.buf)
+	w.buf = append(w.buf, make([]byte, recordHeader)...)
+	w.buf = appendEntry(w.buf, e)
+	putHeader(w.buf[start:], w.buf[start+recordHeader:])
+	w.entries++
+	w.logBytes += len(w.buf) - start
 	if w.sync {
+		if err := w.flush(); err != nil {
+			return err
+		}
 		if err := w.timedSync(w.f); err != nil {
 			return fmt.Errorf("durability: %w", err)
 		}
+		return nil
 	}
-	w.entries++
+	if len(w.buf) >= bufferSize {
+		return w.flush()
+	}
 	return nil
 }
 
-// Snapshot rotates to a new segment headed by the given state, resetting
-// the entry count. Callers snapshot when Entries grows past their
-// interval, bounding recovery replay.
-func (w *WAL) Snapshot(snapshot []byte) error {
-	if w.f == nil {
-		return fmt.Errorf("durability: snapshot of closed WAL")
-	}
-	return w.rotate(w.gen+1, snapshot)
-}
-
-// Entries returns the number of entries appended since the current
-// snapshot.
-func (w *WAL) Entries() int { return w.entries }
-
-// Close syncs and closes the journal. The on-disk state remains
-// recoverable.
-func (w *WAL) Close() error {
-	if w.f == nil {
+// flush writes the buffered records to the segment. After a failed or
+// short write the buffer keeps exactly the unwritten bytes, so the
+// segment never holds a byte twice.
+func (w *WAL) flush() error {
+	if len(w.buf) == 0 {
 		return nil
 	}
-	err := w.timedSync(w.f)
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
+	n, err := w.f.Write(w.buf)
+	w.buf = w.buf[:copy(w.buf, w.buf[n:])]
 	if err != nil {
 		return fmt.Errorf("durability: %w", err)
 	}
 	return nil
+}
+
+// Snapshot rotates to a new segment headed by the given state, resetting
+// the entry count. The old segment is completed first and removed only
+// once the new one is in place, so a failed rotation loses nothing.
+func (w *WAL) Snapshot(snapshot []byte) error {
+	if w.f == nil {
+		return fmt.Errorf("durability: snapshot of closed WAL")
+	}
+	if err := w.flush(); err != nil {
+		return err
+	}
+	old := w.gen
+	if err := w.rotate(old+1, snapshot); err != nil {
+		return err
+	}
+	// The superseded generation goes, so recovery replay stays bounded
+	// by one snapshot interval.
+	os.Remove(segPath(w.dir, old))
+	return nil
+}
+
+// Entries returns the number of entries appended since the current
+// snapshot. With LogBytes and SnapBytes it is what the owner decides the
+// next snapshot on.
+func (w *WAL) Entries() int { return w.entries }
+
+// LogBytes returns the framed size of those entries, written or still
+// buffered.
+func (w *WAL) LogBytes() int { return w.logBytes }
+
+// SnapBytes returns the size of the current snapshot.
+func (w *WAL) SnapBytes() int { return w.snapBytes }
+
+// Close writes out the buffered records, syncs and closes the journal.
+// The on-disk state remains recoverable.
+func (w *WAL) Close() error {
+	if w.f == nil {
+		return nil
+	}
+	err := w.flush()
+	if serr := w.timedSync(w.f); err == nil && serr != nil {
+		err = fmt.Errorf("durability: %w", serr)
+	}
+	if cerr := w.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("durability: %w", cerr)
+	}
+	w.f, w.buf = nil, nil
+	return err
 }
 
 // Recover reads the newest intact segment in dir, returning its
@@ -332,8 +412,7 @@ func Recover(dir string) (snapshot []byte, entries []Entry, err error) {
 		return nil, nil, fmt.Errorf("%w: no segments in %s", ErrCorrupt, dir)
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, fmt.Sprintf(segPattern, gens[i]))
-		snap, ents, serr := readSegment(path)
+		snap, ents, serr := readSegment(segPath(dir, gens[i]))
 		if serr == nil {
 			return snap, ents, nil
 		}
@@ -342,21 +421,30 @@ func Recover(dir string) (snapshot []byte, entries []Entry, err error) {
 	return nil, nil, fmt.Errorf("durability: no recoverable segment in %s: %w", dir, err)
 }
 
-// readSegment parses one segment file. The snapshot record must be
-// intact; entry records are read until EOF or the first torn/corrupt
-// record, which ends the (crashed) log.
+// readSegment reads and parses one segment file.
 func readSegment(path string) ([]byte, []Entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("durability: %w", err)
 	}
+	snap, entries, err := parseSegment(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w in %s", err, path)
+	}
+	return snap, entries, nil
+}
+
+// parseSegment parses a segment's bytes. The snapshot record must be
+// intact; entry records are read until the end or the first torn/corrupt
+// record, which ends the (crashed) log.
+func parseSegment(data []byte) ([]byte, []Entry, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, nil, fmt.Errorf("%w: bad magic in %s", ErrCorrupt, path)
+		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	rest := data[len(magic):]
 	snap, rest, err := readRecord(rest)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: snapshot record in %s: %v", ErrCorrupt, path, err)
+		return nil, nil, fmt.Errorf("%w: snapshot record: %v", ErrCorrupt, err)
 	}
 	var entries []Entry
 	for len(rest) > 0 {
@@ -374,31 +462,28 @@ func readSegment(path string) ([]byte, []Entry, error) {
 	return snap, entries, nil
 }
 
-// appendRecord frames payload onto dst.
-func appendRecord(dst, payload []byte) []byte {
-	var hdr [8]byte
+// putHeader frames payload into the recordHeader bytes at hdr.
+func putHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // readRecord unframes one record, returning its payload and the
 // remaining buffer.
 func readRecord(buf []byte) (payload, rest []byte, err error) {
-	if len(buf) < 8 {
+	if len(buf) < recordHeader {
 		return nil, nil, io.ErrUnexpectedEOF
 	}
 	n := binary.LittleEndian.Uint32(buf[0:])
 	sum := binary.LittleEndian.Uint32(buf[4:])
-	if n > maxRecord || uint64(len(buf)-8) < uint64(n) {
+	if n > maxRecord || uint64(len(buf)-recordHeader) < uint64(n) {
 		return nil, nil, io.ErrUnexpectedEOF
 	}
-	payload = buf[8 : 8+n]
+	payload = buf[recordHeader : recordHeader+n]
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, nil, fmt.Errorf("record CRC mismatch")
 	}
-	return payload, buf[8+n:], nil
+	return payload, buf[recordHeader+n:], nil
 }
 
 // listGens returns the segment generations present in dir, ascending.

@@ -172,15 +172,15 @@ func (r *Recorder) End(q *Req, m Meta) (total int64, retained bool) {
 	retained = q.Sampled || !m.OK || (r.threshold >= 0 && total >= r.threshold)
 	if retained {
 		rec := Record{
-			TraceID:     q.TraceID,
-			Origin:      r.origin,
-			Kind:        m.Kind,
-			Status:      m.Status,
-			Proc:        m.Proc,
-			Var:         m.Var,
-			StartUnixNs: q.startUnix,
-			TotalNs:     total,
-			Stages:      q.Stages(nil),
+			TraceID:      q.TraceID,
+			Origin:       r.origin,
+			Kind:         m.Kind,
+			Status:       m.Status,
+			Proc:         m.Proc,
+			Var:          m.Var,
+			StartUnixNs:  q.startUnix,
+			TotalNs:      total,
+			Stages:       q.Stages(nil),
 			WriteProc:    q.WriteProc,
 			WriteSeq:     q.WriteSeq,
 			Attempts:     q.Attempts,

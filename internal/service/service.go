@@ -207,11 +207,11 @@ func New(cfg Config) (*Server, error) {
 		ln = cfg.WrapListener(ln)
 	}
 	s := &Server{
-		cfg:     cfg,
-		procs:   cfg.Cluster.Processes(),
-		vars:    cfg.Cluster.Variables(),
-		ln:      ln,
-		met:     newMetrics(cfg.Metrics, cfg.Cluster.Protocol().String()),
+		cfg:   cfg,
+		procs: cfg.Cluster.Processes(),
+		vars:  cfg.Cluster.Variables(),
+		ln:    ln,
+		met:   newMetrics(cfg.Metrics, cfg.Cluster.Protocol().String()),
 		trace: reqtrace.NewRecorder(reqtrace.Config{
 			Registry:  cfg.Metrics,
 			Origin:    "server",

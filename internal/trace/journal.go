@@ -120,19 +120,25 @@ func (s *shard) chunkFor(ci int) *chunk {
 		c = s.head.Load() // hint overshot (a slower append behind us)
 	}
 	for c.idx < ci {
-		next := c.next.Load()
-		if next == nil {
-			fresh := &chunk{idx: c.idx + 1}
-			if c.next.CompareAndSwap(nil, fresh) {
-				next = fresh
-			} else {
-				next = c.next.Load()
-			}
-		}
-		c = next
+		c = c.successor()
 	}
 	s.tail.Store(c)
 	return c
+}
+
+// successor returns the chunk after c, linking a fresh one when c is
+// still the last. Appenders and Snapshot both come through here, so
+// whoever reaches a chunk boundary first creates the successor and
+// everyone else adopts it: a reader never sees a reserved slot whose
+// chunk does not exist yet.
+func (c *chunk) successor() *chunk {
+	if next := c.next.Load(); next != nil {
+		return next
+	}
+	if fresh := (&chunk{idx: c.idx + 1}); c.next.CompareAndSwap(nil, fresh) {
+		return fresh
+	}
+	return c.next.Load()
 }
 
 // Len returns the number of tickets drawn so far (appends completed or
@@ -159,7 +165,9 @@ func (j *Journal) Snapshot() *Log {
 		off := 0
 		for k := int64(0); k < counts[i]; k++ {
 			if off == chunkSize {
-				c = c.next.Load()
+				// The appender that reserved slot k may not have
+				// linked its chunk yet; link it for them.
+				c = c.successor()
 				off = 0
 			}
 			for !c.ready[off].Load() {

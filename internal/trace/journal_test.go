@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -74,41 +75,105 @@ func TestJournalConcurrent(t *testing.T) {
 
 // TestJournalSnapshotPrefix checks that consecutive snapshots of a
 // journal under concurrent appends are prefixes of one another — the
-// contract mid-run audits rely on.
+// contract mid-run audits rely on. It runs rounds on fresh journals until
+// enough snapshots have been taken while the journal was growing; how
+// many a round yields depends on how the host schedules it.
 func TestJournalSnapshotPrefix(t *testing.T) {
-	const procs = 4
+	const (
+		want   = 50   // snapshots during which appends landed
+		rounds = 5000 // give up after this many
+	)
+	overlapped, round := 0, 0
+	for ; overlapped < want && round < rounds; round++ {
+		overlapped += snapshotWhileAppending(t)
+	}
+	t.Logf("%d snapshots overlapped appends in %d rounds", overlapped, round)
+	if overlapped < want {
+		t.Fatalf("only %d snapshots overlapped appends in %d rounds, want %d", overlapped, round, want)
+	}
+}
+
+// snapshotWhileAppending snapshots a fresh journal over and over while
+// four appenders each fill several chunks of their shard, checking that
+// every snapshot extends the one before and that the last one, taken
+// after the appenders finished, is complete. The appends are bounded:
+// free-running appenders outpace a descheduled snapshotter, whose cost
+// grows with the journal, until the test is killed for memory. It
+// returns the number of snapshots during which the journal grew.
+func snapshotWhileAppending(t *testing.T) (overlapped int) {
+	t.Helper()
+	const procs, perProc = 4, 4 * chunkSize
 	j := NewJournal(procs, 1)
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	start, done := make(chan struct{}), make(chan struct{})
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			<-start
+			for i := 0; i < perProc; i++ {
 				j.Append(Event{Kind: Apply, Proc: p, Val: int64(i)})
 			}
 		}(p)
 	}
-	var prev *Log
-	for i := 0; i < 50; i++ {
+	go func() { wg.Wait(); close(done) }()
+	close(start)
+	prev := j.Snapshot()
+	for i, running := 1, true; running; i++ {
+		select {
+		case <-done:
+			running = false // one last snapshot of the complete journal
+		default:
+		}
+		before := j.Len()
 		snap := j.Snapshot()
-		if prev != nil {
-			if len(snap.Events) < len(prev.Events) {
-				t.Fatalf("snapshot %d shrank: %d < %d", i, len(snap.Events), len(prev.Events))
-			}
-			for k := range prev.Events {
-				if snap.Events[k] != prev.Events[k] {
-					t.Fatalf("snapshot %d is not an extension of its predecessor at %d", i, k)
-				}
+		if j.Len() > before {
+			overlapped++
+		}
+		if len(snap.Events) < len(prev.Events) {
+			t.Fatalf("snapshot %d shrank: %d < %d", i, len(snap.Events), len(prev.Events))
+		}
+		for k := range prev.Events {
+			if snap.Events[k] != prev.Events[k] {
+				t.Fatalf("snapshot %d is not an extension of its predecessor at %d", i, k)
 			}
 		}
 		prev = snap
 	}
-	close(stop)
-	wg.Wait()
+	if len(prev.Events) != procs*perProc {
+		t.Fatalf("final snapshot has %d events, want %d", len(prev.Events), procs*perProc)
+	}
+	return overlapped
+}
+
+// TestJournalSnapshotUnlinkedChunk pins the interleaving that used to
+// crash Snapshot: an appender has reserved the first slot of a new
+// chunk (cursor advanced) but has not linked that chunk yet. Snapshot
+// must wait for the append to finish, not dereference the missing
+// chunk.
+func TestJournalSnapshotUnlinkedChunk(t *testing.T) {
+	j := NewJournal(1, 1)
+	for i := 0; i < chunkSize; i++ {
+		j.Append(Event{Kind: Apply, Val: int64(i)})
+	}
+	// First half of Record: ticket and slot reserved, nothing linked.
+	s := &j.shards[0]
+	e := Event{Kind: Apply, Val: chunkSize, Seq: int(j.ticket.Add(1) - 1)}
+	slot := s.cursor.Add(1) - 1
+	if s.head.Load().next.Load() != nil {
+		t.Fatal("second chunk linked before any append reached it")
+	}
+	got := make(chan *Log)
+	go func() { got <- j.Snapshot() }()
+	// Snapshot reaches the boundary first and links the chunk itself;
+	// only then does the append's second half run, into that chunk.
+	for s.head.Load().next.Load() == nil {
+		runtime.Gosched()
+	}
+	c := s.chunkFor(int(slot / chunkSize))
+	c.events[0] = e
+	c.ready[0].Store(true)
+	if snap := <-got; len(snap.Events) != chunkSize+1 {
+		t.Fatalf("snapshot has %d events, want %d", len(snap.Events), chunkSize+1)
+	}
 }
