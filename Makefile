@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check ci build test vet fmt-check race bench bench-smoke smoke throughput audit-bench metadata-bench replication-bench service-bench chaos-bench trace-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
+.PHONY: check ci build test vet fmt-check race transport-stress bench bench-smoke smoke throughput audit-bench metadata-bench replication-bench service-bench chaos-bench trace-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
 
 ## check: the full gate — formatting, vet, build, tests, a short race
-## pass, a fuzz burst over the wire codec and the WAL reader, the chaos
-## conformance suite (fault-injected session guarantees + exactly-once
-## accounting), and the nested benchmark module's own smoke run.
-check: fmt-check vet build test race fuzz-smoke chaos-conformance bench-smoke
+## pass, twenty more of the transport's scheduler tests, a fuzz burst
+## over the wire codecs and the WAL reader, the chaos conformance suite
+## (fault-injected session guarantees + exactly-once accounting), and
+## the nested benchmark module's own smoke run.
+check: fmt-check vet build test race transport-stress fuzz-smoke chaos-conformance bench-smoke
 
 ## ci: what .github/workflows/ci.yml runs — the full gate plus the
 ## conformance suite under the race detector, the dsmbench smoke sweep,
@@ -148,6 +149,12 @@ bench-smoke:
 race:
 	$(GO) test -race -short ./internal/...
 
+## transport-stress: the delivery-queue, Flush/Close and reliability
+## tests twenty times under the race detector — a scheduler race that
+## needs an unlucky interleaving must not hide behind one pass (~12 s).
+transport-stress:
+	$(GO) test -race -count=20 ./internal/transport/
+
 ## bench: the experiment sweeps as runnable benchmarks.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/...
@@ -157,8 +164,9 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/scenario
 
-## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec and
-## on the WAL segment reader. The committed seed corpora under
+## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec, the
+## inter-replica update codec (plain, and the stateful delta/stab link
+## decoder) and the WAL segment reader. The committed seed corpora under
 ## internal/{protocol,durability}/testdata/fuzz replay in plain
 ## `make test`, so past crashers stay fatal; this target additionally
 ## mutates for a few seconds per target.
@@ -166,6 +174,8 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWireRequest$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireResponse$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireToken$$' -fuzztime=5s -run '^$$' ./internal/protocol
+	$(GO) test -fuzz '^FuzzDecodeUpdate$$' -fuzztime=5s -run '^$$' ./internal/protocol
+	$(GO) test -fuzz '^FuzzUpdateDecoder$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzRecoverSegment$$' -fuzztime=5s -run '^$$' ./internal/durability
 
 clean:

@@ -292,7 +292,8 @@ func (c *Cluster) walPath(p int) string {
 func (c *Cluster) recoveryEnabled() bool { return c.cfg.WALDir != "" }
 
 // closeWALs closes every node's journal (idempotent), returning the
-// errors of those whose buffered tail did not reach the disk.
+// errors of those whose buffered tail did not reach the disk, now or
+// when the node crash-stopped over it.
 func (c *Cluster) closeWALs() error {
 	var errs []error
 	for _, n := range c.nodes {
@@ -302,6 +303,8 @@ func (c *Cluster) closeWALs() error {
 				errs = append(errs, fmt.Errorf("core: p%d journal: %w", n.id+1, err))
 			}
 			n.wal = nil
+		} else if n.walErr != nil {
+			errs = append(errs, fmt.Errorf("core: p%d journal: %w", n.id+1, n.walErr))
 		}
 		n.mu.Unlock()
 	}
@@ -590,7 +593,10 @@ func (c *Cluster) tokenLoop(interval time.Duration) {
 		}
 		tb := n.replica.(protocol.TokenBatcher)
 		batch := tb.OnToken(visit)
-		n.journalLocked(durability.Entry{Kind: durability.EntryToken, Visit: visit})
+		if n.journalLocked(durability.Entry{Kind: durability.EntryToken, Visit: visit}) != nil {
+			n.mu.Unlock()
+			continue // the holder fail-stopped; the visit was never granted
+		}
 		c.appendEvent(trace.Event{Kind: trace.Token, Proc: holder, Time: c.now()})
 		if len(batch) == 0 {
 			batch = []protocol.Update{protocol.Marker(holder, visit)}

@@ -35,10 +35,11 @@ type Node struct {
 	// node is crash-stopped.
 	pending *pendingSet
 
-	// wal is the node's journal when crash recovery is enabled; walErr
-	// latches the first journaling failure and poisons later writes —
-	// and, when it is the journal's close at a crash that failed, the
-	// restart.
+	// wal is the node's journal when crash recovery is enabled. A
+	// journaling failure crash-stops the node on the spot (fail-stop: a
+	// replica must not act on state it could not make durable); walErr
+	// keeps that error, or the one from the journal's close at a crash,
+	// while the node is down, and fails its restart.
 	wal    *durability.WAL
 	walErr error
 
@@ -82,12 +83,11 @@ func (n *Node) Write(x int, v int64) error {
 		n.mu.Unlock()
 		return fmt.Errorf("write at p%d: %w", n.id+1, ErrDown)
 	}
-	if err := n.walErr; err != nil {
-		n.mu.Unlock()
-		return fmt.Errorf("core: p%d journal failed, refusing writes: %w", n.id+1, err)
-	}
 	u, broadcast := n.replica.LocalWrite(x, v)
-	n.journalLocked(durability.Entry{Kind: durability.EntryLocalWrite, Var: x, Val: v})
+	if err := n.journalLocked(durability.Entry{Kind: durability.EntryLocalWrite, Var: x, Val: v}); err != nil {
+		n.mu.Unlock()
+		return fmt.Errorf("write at p%d: %w: %w", n.id+1, ErrDown, err)
+	}
 	if broadcast {
 		n.archiveLocked(u)
 	} else {
@@ -150,7 +150,10 @@ func (n *Node) ReadMeta(x int) (int64, history.WriteID, error) {
 	// OptP-family reads mutate Write_co (read-merge); journal them or a
 	// recovered replica under-approximates its →co knowledge.
 	if n.c.cfg.Protocol.ReadMutatesState() {
-		n.journalLocked(durability.Entry{Kind: durability.EntryRead, Var: x})
+		if err := n.journalLocked(durability.Entry{Kind: durability.EntryRead, Var: x}); err != nil {
+			n.mu.Unlock()
+			return 0, history.Bottom, fmt.Errorf("read at p%d: %w: %w", n.id+1, ErrDown, err)
+		}
 	}
 	n.c.appendEvent(trace.Event{
 		Kind: trace.Return, Proc: n.id, Time: n.c.now(),
@@ -391,15 +394,19 @@ func (n *Node) receiveLocked(u protocol.Update) {
 // applyLocked installs u, recording any writing-semantics logical apply
 // first, stamping its events with now. Caller holds n.mu.
 func (n *Node) applyLocked(u protocol.Update, now int64) {
+	skipped := history.Bottom
 	if sk, ok := n.replica.(protocol.Skipper); ok {
-		if tgt := sk.SkipTarget(u); !tgt.IsBottom() {
-			n.c.appendEvent(trace.Event{
-				Kind: trace.Discard, Proc: n.id, Time: now, Write: tgt,
-			})
-		}
+		skipped = sk.SkipTarget(u)
 	}
 	n.replica.Apply(u)
-	n.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u})
+	if n.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u}) != nil {
+		return
+	}
+	if !skipped.IsBottom() {
+		n.c.appendEvent(trace.Event{
+			Kind: trace.Discard, Proc: n.id, Time: now, Write: skipped,
+		})
+	}
 	n.archiveLocked(u)
 	kind := trace.Apply
 	if u.Marker {
@@ -416,7 +423,9 @@ func (n *Node) applyLocked(u protocol.Update, now int64) {
 // write. Caller holds n.mu.
 func (n *Node) dropLocked(u protocol.Update, now int64) {
 	n.replica.Discard(u)
-	n.journalLocked(durability.Entry{Kind: durability.EntryDiscard, Update: u})
+	if n.journalLocked(durability.Entry{Kind: durability.EntryDiscard, Update: u}) != nil {
+		return
+	}
 	// Archive the dropped message too: its value was skipped here, but
 	// a recovering peer that did NOT skip it still needs the payload.
 	n.archiveLocked(u)
@@ -468,6 +477,9 @@ func (n *Node) drainLocked() {
 // head+1) of one origin queue, acting on the first actionable update.
 // It reports whether it made progress. Caller holds n.mu.
 func (n *Node) drainStepLocked(origin int, canPurge bool, res protocol.Resumer) bool {
+	if n.pending == nil {
+		return false // the last apply's journaling failed: crash-stopped
+	}
 	q := n.pending.byOrigin[origin]
 	for probe := 0; probe < 2 && probe < len(q); probe++ {
 		u := q[probe]
@@ -503,6 +515,9 @@ func (n *Node) drainStepLocked(origin int, canPurge bool, res protocol.Resumer) 
 // buffered update regardless of queue position. Reports whether it
 // acted. Caller holds n.mu.
 func (n *Node) drainScanLocked(canPurge bool, res protocol.Resumer) bool {
+	if n.pending == nil {
+		return false
+	}
 	for origin := range n.pending.byOrigin {
 		for i, u := range n.pending.byOrigin[origin] {
 			switch n.replica.Status(u) {
@@ -548,21 +563,25 @@ func (n *Node) feedLocked(u protocol.Update) bool {
 }
 
 // journalLocked appends e to the node's WAL, taking an automatic
-// snapshot when one is due. The first failure is latched; subsequent
-// Writes surface it. Caller holds n.mu.
-func (n *Node) journalLocked(e durability.Entry) {
-	if n.wal == nil || n.walErr != nil {
-		return
+// snapshot when one is due. The state change e records has been made in
+// memory already. When the journal cannot take it the node fail-stops:
+// journalLocked crash-stops it exactly as Cluster.Crash would (volatile
+// state zeroed, that change with it) and returns the error; the caller
+// must then return without touching the replica, pending or archive, and
+// without tracing the change. Caller holds n.mu.
+func (n *Node) journalLocked(e durability.Entry) error {
+	if n.wal == nil {
+		return nil
 	}
-	if err := n.wal.Append(e); err != nil {
-		n.walErr = err
-		return
+	err := n.wal.Append(e)
+	if err == nil && n.snapshotDueLocked() {
+		err = n.wal.Snapshot(n.snapshotLocked())
 	}
-	if n.snapshotDueLocked() {
-		if err := n.wal.Snapshot(n.snapshotLocked()); err != nil {
-			n.walErr = err
-		}
+	if err != nil {
+		err = fmt.Errorf("p%d journal failed: %w", n.id+1, err)
+		n.c.crashLocked(n, err)
 	}
+	return err
 }
 
 // minSnapshotLog is the least journal volume between two size-triggered

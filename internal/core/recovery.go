@@ -43,7 +43,8 @@ func (s RecoveryStats) String() string {
 // returns ErrDown; after Close it returns ErrClosed. When the journal's
 // buffered tail cannot be written out, p is crash-stopped all the same,
 // Crash returns the error and so does every later Restart: the journal
-// holds less than p acknowledged and broadcast.
+// holds less than p acknowledged and broadcast. A process whose journal
+// fails while it runs crash-stops itself the same way.
 func (c *Cluster) Crash(p int) error {
 	if p < 0 || p >= len(c.nodes) {
 		return fmt.Errorf("core: crash of process %d of %d", p, len(c.nodes))
@@ -54,38 +55,48 @@ func (c *Cluster) Crash(p int) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.mu.Lock()
-	if c.down[p] {
-		c.mu.Unlock()
+	if n.down.Load() {
 		return fmt.Errorf("core: crash of p%d: %w", p+1, ErrDown)
 	}
-	c.down[p] = true
+	c.crashLocked(n, nil)
+	if n.walErr != nil {
+		return fmt.Errorf("core: crash of p%d: %w", p+1, n.walErr)
+	}
+	return nil
+}
+
+// crashLocked crash-stops the live node n. journalErr is the journaling
+// failure that forces the stop, nil for a crash on request; either way
+// n.walErr ends up holding what the journal is missing, if anything.
+// Caller holds n.mu.
+func (c *Cluster) crashLocked(n *Node, journalErr error) {
+	c.mu.Lock()
+	c.down[n.id] = true
 	c.mu.Unlock()
 	n.down.Store(true)
-	// p's liveness changed under the Quiesce accounting: it is exempt
-	// from now on, so a poll blocked on p's lag must re-evaluate.
+	// n's liveness changed under the Quiesce accounting: it is exempt
+	// from now on, so a poll blocked on n's lag must re-evaluate.
 	c.acct.bump()
-	n.walErr = nil
+	n.walErr = journalErr
 	if n.wal != nil {
-		n.walErr = n.wal.Close()
+		// After a journaling failure Close only fails the same way again.
+		if err := n.wal.Close(); journalErr == nil {
+			n.walErr = err
+		}
 		n.wal = nil
 	}
-	// Zero the volatile state: everything p knows must come back from
+	// Zero the volatile state: everything n knows must come back from
 	// disk and its peers, exactly like a real process death.
 	n.replica = nil
 	n.pending = nil
 	n.archive = nil
 	if c.det != nil {
-		c.det.SetDown(p, true)
+		c.det.SetDown(n.id, true)
 	}
-	c.appendEvent(trace.Event{Kind: trace.Crash, Proc: p, Time: c.now()})
-	// Admission waiters parked on p must observe the crash and fail
+	c.appendEvent(trace.Event{Kind: trace.Crash, Proc: n.id, Time: c.now()})
+	// Admission waiters parked on n must observe the crash and fail
 	// over (or fail fast) instead of running out their deadline.
 	n.fw.wakeAll()
-	if n.walErr != nil {
-		return fmt.Errorf("core: crash of p%d: %w", p+1, n.walErr)
-	}
-	return nil
 }
 
 // Restart brings a crash-stopped process back: it recovers the newest

@@ -53,7 +53,7 @@ func randomStream(rng *rand.Rand, length int) []Update {
 func updatesEqual(a, b Update) bool {
 	if a.ID != b.ID || a.Var != b.Var || a.Val != b.Val || a.Prev != b.Prev ||
 		a.Round != b.Round || a.Slot != b.Slot || a.BatchSize != b.BatchSize ||
-		a.Marker != b.Marker {
+		a.Marker != b.Marker || a.ReadReq != b.ReadReq || a.ReadReply != b.ReadReply {
 		return false
 	}
 	return a.Clock.Len() == b.Clock.Len() && (a.Clock.Len() == 0 || a.Clock.Equal(b.Clock))

@@ -122,7 +122,7 @@ func FuzzWireToken(f *testing.F) {
 // deleted corpus fails loudly rather than silently weakening the fuzz
 // smoke.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzWireRequest", "FuzzWireResponse", "FuzzWireToken"} {
+	for _, target := range []string{"FuzzWireRequest", "FuzzWireResponse", "FuzzWireToken", "FuzzDecodeUpdate", "FuzzUpdateDecoder"} {
 		ents := corpusEntries(t, target)
 		if len(ents) == 0 {
 			t.Fatalf("no committed corpus for %s under testdata/fuzz", target)
@@ -202,6 +202,8 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		tokBases = append(tokBases, baseRaw)
 	}
 	writeCorpus(t, "FuzzWireToken", toks, tokBases)
+	writeCorpus(t, "FuzzDecodeUpdate", decodeUpdateSeeds(), nil)
+	writeCorpus(t, "FuzzUpdateDecoder", updateDecoderSeeds(), nil)
 }
 
 // writeCorpus writes v1 corpus files; second is nil for one-parameter

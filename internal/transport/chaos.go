@@ -159,7 +159,11 @@ type Chaos struct {
 
 	closeMu sync.RWMutex
 	closed  bool
-	held    counter // frames sleeping out a reorder burst
+
+	// holdback delays burst frames by ReorderDelay before they reach
+	// inner; nil when ReorderRate is 0. held counts what it holds.
+	holdback *delayQueue
+	held     counter
 }
 
 // NewChaos wraps inner with fault injection. obs may be nil.
@@ -170,13 +174,17 @@ func NewChaos(inner Transport, cfg ChaosConfig, obs Observer) (*Chaos, error) {
 	if cfg.ReorderRate > 0 && cfg.ReorderDelay == 0 {
 		cfg.ReorderDelay = 2 * time.Millisecond
 	}
-	return &Chaos{
+	c := &Chaos{
 		cfg:   cfg,
 		inner: inner,
 		obs:   obs,
 		start: time.Now(),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
+	}
+	if cfg.ReorderRate > 0 {
+		c.holdback = newDelayQueue(cfg.Seed, cfg.ReorderDelay, cfg.ReorderDelay, 0, &c.held, inner.Send)
+	}
+	return c, nil
 }
 
 // Register implements Transport.
@@ -203,11 +211,7 @@ func (c *Chaos) Send(m Message) {
 	}
 	if burst {
 		c.held.add(1)
-		go func() {
-			defer c.held.add(-1)
-			time.Sleep(c.cfg.ReorderDelay)
-			c.inner.Send(m)
-		}()
+		c.holdback.push(m)
 	} else {
 		c.inner.Send(m)
 	}
@@ -240,7 +244,7 @@ func (c *Chaos) Flush() {
 	c.inner.Flush()
 }
 
-// Close implements Transport.
+// Close implements Transport. Frames still held back are discarded.
 func (c *Chaos) Close() error {
 	c.closeMu.Lock()
 	if c.closed {
@@ -249,7 +253,9 @@ func (c *Chaos) Close() error {
 	}
 	c.closed = true
 	c.closeMu.Unlock()
-	c.held.wait()
+	if c.holdback != nil {
+		c.holdback.stop()
+	}
 	return c.inner.Close()
 }
 

@@ -1,0 +1,315 @@
+package transport
+
+import (
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// settleGoroutines waits for the goroutine count to fall back to base:
+// a goroutine that has closed its done channel may not have exited yet.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most the baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueueDueOrder: frames leave the queue in the order of their due
+// times, none before its due time, and none sooner than the minimum
+// delay after it was pushed.
+func TestQueueDueOrder(t *testing.T) {
+	const frames = 300
+	const min, max = 40 * time.Millisecond, 50 * time.Millisecond
+	var pending counter
+	var q *delayQueue
+	var order []int
+	var early atomic.Int64
+	due := make(map[int]time.Duration, frames)
+	ready := make(chan struct{})
+	q = newDelayQueue(1, min, max, 0, &pending, func(m Message) {
+		<-ready // due is complete; closed before the first frame can be due
+		order = append(order, m.Update.ID.Seq)
+		if time.Since(q.epoch) < due[m.Update.ID.Seq] {
+			early.Add(1)
+		}
+	})
+	start := time.Since(q.epoch)
+	pending.add(frames)
+	for i := 1; i <= frames; i++ {
+		q.push(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	end := time.Since(q.epoch)
+	q.mu.Lock()
+	for _, f := range q.heap {
+		due[f.m.Update.ID.Seq] = f.due
+	}
+	q.mu.Unlock()
+	close(ready)
+	pending.wait()
+	q.stop()
+	if len(order) != frames || len(due) != frames {
+		t.Fatalf("delivered %d of %d frames (%d were queued)", len(order), frames, len(due))
+	}
+	if !sort.SliceIsSorted(order, func(i, j int) bool { return due[order[i]] < due[order[j]] }) {
+		t.Fatal("frames left the queue out of due-time order")
+	}
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d frames delivered before their due time", n)
+	}
+	for seq, d := range due {
+		if d < start+min || d > end+max {
+			t.Fatalf("frame %d due at %v, pushed between %v and %v with delay [%v, %v]", seq, d, start, end, min, max)
+		}
+	}
+}
+
+// TestNetNeverBeforeMinDelay is the same lower bound seen from outside.
+func TestNetNeverBeforeMinDelay(t *testing.T) {
+	const min = 3 * time.Millisecond
+	n, err := New(Config{Procs: 3, MinDelay: min, MaxDelay: 5 * time.Millisecond, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var sent [200]time.Time
+	var early atomic.Int64
+	for p := 0; p < 3; p++ {
+		n.Register(p, func(m Message) {
+			if time.Since(sent[m.Update.ID.Seq]) < min {
+				early.Add(1)
+			}
+		})
+	}
+	for i := range sent {
+		sent[i] = time.Now()
+		Broadcast(n, 3, i%3, upd(i%3, i))
+	}
+	n.Flush()
+	if e := early.Load(); e != 0 {
+		t.Fatalf("%d frames arrived sooner than MinDelay after their send", e)
+	}
+}
+
+// TestNetGoroutinesDoNotScaleWithFrames: 20k frames in the air cost
+// Procs goroutines, not 20k, and Close gives those back.
+func TestNetGoroutinesDoNotScaleWithFrames(t *testing.T) {
+	const procs, frames = 8, 20_000
+	base := runtime.NumGoroutine()
+	n, err := New(Config{Procs: procs, MinDelay: time.Minute, MaxDelay: 2 * time.Minute, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	for p := 0; p < procs; p++ {
+		n.Register(p, func(Message) { delivered.Add(1) })
+	}
+	for i := 0; i < frames/(procs-1)+1; i++ {
+		Broadcast(n, procs, i%procs, upd(i%procs, i+1))
+	}
+	if q := n.Queued(); q < frames {
+		t.Fatalf("Queued() = %d, want at least %d", q, frames)
+	}
+	if g := runtime.NumGoroutine(); g > base+procs {
+		t.Fatalf("%d goroutines with %d frames in flight, want at most baseline %d + %d", g, n.Queued(), base, procs)
+	}
+	begin := time.Now()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(begin); d > 5*time.Second {
+		t.Fatalf("Close took %v with frames due in a minute", d)
+	}
+	n.Send(Message{From: 0, To: 1, Update: upd(0, 1)})
+	n.Flush() // everything queued was discarded: nothing is in flight
+	if q, d := n.Queued(), delivered.Load(); q != 0 || d != 0 {
+		t.Fatalf("after Close: %d queued, %d delivered, want 0 and 0", q, d)
+	}
+	settleGoroutines(t, base)
+}
+
+// TestFlushWaitsForHandlerReturn: Flush must outlast the handlers, not
+// merely their invocation.
+func TestFlushWaitsForHandlerReturn(t *testing.T) {
+	for _, cfg := range []Config{
+		{Procs: 3, MaxDelay: 200 * time.Microsecond, Seed: 4},
+		{Procs: 3, FIFO: true, MaxDelay: 200 * time.Microsecond, Seed: 4},
+		{Procs: 3},
+	} {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var returned atomic.Int64
+		for p := 0; p < 3; p++ {
+			n.Register(p, func(Message) {
+				time.Sleep(2 * time.Millisecond)
+				returned.Add(1)
+			})
+		}
+		for i := 1; i <= 5; i++ {
+			Broadcast(n, 3, i%3, upd(i%3, i))
+		}
+		n.Flush()
+		if got := returned.Load(); got != 10 {
+			t.Fatalf("%+v: Flush returned with %d of 10 handlers finished", cfg, got)
+		}
+		n.Close()
+	}
+}
+
+// TestHandlerMaySend: a handler that sends — to the destination whose
+// queue is running it and to another — must not deadlock, and Flush
+// covers what it sent.
+func TestHandlerMaySend(t *testing.T) {
+	for _, cfg := range []Config{
+		{Procs: 3, Seed: 5},
+		{Procs: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 5},
+		{Procs: 3, FIFO: true, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 5},
+	} {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delivered atomic.Int64
+		const hops = 6
+		for p := 0; p < 3; p++ {
+			p := p
+			n.Register(p, func(m Message) {
+				delivered.Add(1)
+				if hop := m.Update.ID.Seq; hop < hops {
+					n.Send(Message{From: (p + 1) % 3, To: p, Update: upd(0, hop+1)})
+					n.Send(Message{From: p, To: (p + 2) % 3, Update: upd(0, hop+1)})
+				}
+			})
+		}
+		for i := 0; i < 20; i++ {
+			n.Send(Message{From: 0, To: 1, Update: upd(0, 1)})
+		}
+		done := make(chan struct{})
+		go func() { n.Flush(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%+v: Flush hung with handlers that send", cfg)
+		}
+		if got, want := delivered.Load(), int64(20*(1<<hops-1)); got != want {
+			t.Fatalf("%+v: delivered %d, want %d", cfg, got, want)
+		}
+		n.Close()
+	}
+}
+
+// TestZeroDelayStillReorders: with no delay every queued frame is due at
+// once, and the random tie-break must shuffle what is queued together.
+func TestZeroDelayStillReorders(t *testing.T) {
+	n, err := New(Config{Procs: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	gate := make(chan struct{})
+	var seqs []int
+	n.Register(0, func(Message) {})
+	n.Register(1, func(m Message) {
+		<-gate // hold the first batch until the rest is queued behind it
+		seqs = append(seqs, m.Update.ID.Seq)
+	})
+	for i := 1; i <= 100; i++ {
+		n.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	close(gate)
+	n.Flush()
+	if len(seqs) != 100 {
+		t.Fatalf("delivered %d of 100", len(seqs))
+	}
+	if sort.IntsAreSorted(seqs) {
+		t.Fatal("100 frames queued together on one zero-delay link left in send order")
+	}
+}
+
+// TestDelayedFIFOPipelines: a FIFO link's delay is latency, not a
+// per-frame service time. 200 frames over one 1 ms link arrive in order
+// within a few milliseconds; sleeping out each frame's delay in turn
+// took 200 ms and more.
+func TestDelayedFIFOPipelines(t *testing.T) {
+	n, err := New(Config{Procs: 2, FIFO: true, MinDelay: time.Millisecond, MaxDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var seqs []int
+	n.Register(0, func(Message) {})
+	n.Register(1, func(m Message) { seqs = append(seqs, m.Update.ID.Seq) })
+	begin := time.Now()
+	for i := 1; i <= 200; i++ {
+		n.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	n.Flush()
+	took := time.Since(begin)
+	if len(seqs) != 200 || !sort.IntsAreSorted(seqs) {
+		t.Fatalf("FIFO link delivered %d frames, in order: %v", len(seqs), sort.IntsAreSorted(seqs))
+	}
+	if took < time.Millisecond || took > 50*time.Millisecond {
+		t.Fatalf("200 frames over a 1 ms FIFO link took %v, want between 1 ms and 50 ms", took)
+	}
+}
+
+// TestChaosReorderHoldsBack: a burst-delayed frame reaches the inner
+// transport ReorderDelay late, Flush waits for it, and Close discards
+// the ones still held without leaving the hold-back goroutine behind.
+func TestChaosReorderHoldsBack(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const hold = 5 * time.Millisecond
+	inner, err := New(Config{Procs: 2, FIFO: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := NewChaos(inner, ChaosConfig{ReorderRate: 1, ReorderDelay: hold, Seed: 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var arrived []time.Duration
+	begin := time.Now()
+	ch.Register(0, func(Message) {})
+	ch.Register(1, func(Message) {
+		mu.Lock()
+		arrived = append(arrived, time.Since(begin))
+		mu.Unlock()
+	})
+	for i := 1; i <= 50; i++ {
+		ch.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	ch.Flush()
+	mu.Lock()
+	if len(arrived) != 50 {
+		t.Fatalf("delivered %d of 50 held-back frames after Flush", len(arrived))
+	}
+	for _, d := range arrived {
+		if d < hold {
+			t.Fatalf("a frame arrived after %v, held back less than ReorderDelay %v", d, hold)
+		}
+	}
+	mu.Unlock()
+	for i := 1; i <= 50; i++ {
+		ch.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	if err := ch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ch.Flush()
+	mu.Lock()
+	if len(arrived) != 50 {
+		t.Fatalf("%d frames delivered after Close discarded them", len(arrived)-50)
+	}
+	mu.Unlock()
+	settleGoroutines(t, base)
+}

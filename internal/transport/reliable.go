@@ -58,7 +58,8 @@ func (c ReliableConfig) Validate() error {
 	return nil
 }
 
-// frame is one unacked transmission awaiting acknowledgment.
+// frame is one unacked transmission awaiting acknowledgment. The zero
+// frame (msg.Seq == 0; sequence numbers start at 1) is an empty slot.
 type frame struct {
 	msg      Message
 	deadline time.Time
@@ -68,34 +69,46 @@ type frame struct {
 
 // dedup tracks the set of delivered sequence numbers on one directed
 // link in O(out-of-order window) space: floor is the highest seq below
-// which everything was delivered; above holds the sparse tail.
+// which everything was delivered; above is a bitmap of the sparse tail,
+// bit i standing for seq floor+1+i, with n bits set.
 type dedup struct {
 	floor int
-	above map[int]bool
+	above []uint64
+	n     int
 }
 
 // seen reports whether seq was already delivered.
 func (d *dedup) seen(seq int) bool {
-	return seq <= d.floor || d.above[seq]
+	i := seq - d.floor - 1
+	return i < 0 || (i/64 < len(d.above) && d.above[i/64]>>(i%64)&1 != 0)
 }
 
-// add records seq as delivered and compacts the sparse tail.
+// add records seq as delivered and slides the window past the gapless
+// prefix, a bit at a time: the window is a word or two wide.
 func (d *dedup) add(seq int) {
 	if d.seen(seq) {
 		return
 	}
-	if d.above == nil {
-		d.above = make(map[int]bool)
+	i := seq - d.floor - 1
+	for i/64 >= len(d.above) {
+		d.above = append(d.above, 0)
 	}
-	d.above[seq] = true
-	for d.above[d.floor+1] {
+	d.above[i/64] |= 1 << (i % 64)
+	d.n++
+	for d.above[0]&1 != 0 {
+		for w := range d.above {
+			d.above[w] >>= 1
+			if w+1 < len(d.above) {
+				d.above[w] |= d.above[w+1] << 63
+			}
+		}
 		d.floor++
-		delete(d.above, d.floor)
+		d.n--
 	}
 }
 
 // size returns the sparse-tail population (0 once delivery is gapless).
-func (d *dedup) size() int { return len(d.above) }
+func (d *dedup) size() int { return d.n }
 
 // nextBackoff doubles cur, capped at max.
 func nextBackoff(cur, max time.Duration) time.Duration {
@@ -108,11 +121,59 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 
 // relLink is the reliability state of one directed link: the sender's
 // resend buffer and the receiver's dedup set.
+//
+// The resend buffer is a ring indexed by sequence number: the frame with
+// seq s, for s in [base, nextSeq], sits at ring[s&(len(ring)-1)], and an
+// empty slot in that window is a frame acknowledged ahead of an older
+// one. Everything below base is acknowledged. The ring doubles when the
+// window outgrows it, so its size follows the span between the oldest
+// unacked frame and the newest, not the number sent.
 type relLink struct {
 	mu      sync.Mutex
 	nextSeq int
-	unacked map[int]*frame
+	base    int
+	ring    []frame
+	unacked int // occupied slots
 	recv    dedup
+}
+
+// track stores f, the frame just numbered nextSeq, for retransmission.
+func (l *relLink) track(f frame) {
+	if l.nextSeq-l.base >= len(l.ring) {
+		grown := make([]frame, max(16, 2*len(l.ring)))
+		for s := l.base; s < l.nextSeq; s++ {
+			grown[s&(len(grown)-1)] = l.ring[s&(len(l.ring)-1)]
+		}
+		l.ring = grown
+	}
+	l.ring[l.nextSeq&(len(l.ring)-1)] = f
+	l.unacked++
+}
+
+// frame returns the unacked frame numbered seq, or nil.
+func (l *relLink) frame(seq int) *frame {
+	if seq < l.base || seq > l.nextSeq {
+		return nil
+	}
+	if f := &l.ring[seq&(len(l.ring)-1)]; f.msg.Seq == seq {
+		return f
+	}
+	return nil
+}
+
+// ack releases the frame numbered seq, reporting whether it was still
+// unacked.
+func (l *relLink) ack(seq int) bool {
+	f := l.frame(seq)
+	if f == nil {
+		return false
+	}
+	*f = frame{}
+	l.unacked--
+	for l.base <= l.nextSeq && l.ring[l.base&(len(l.ring)-1)].msg.Seq == 0 {
+		l.base++
+	}
+	return true
 }
 
 // Reliable restores the exactly-once reliable-channel contract over a
@@ -176,7 +237,7 @@ func NewReliable(inner Transport, cfg ReliableConfig, obs Observer) (*Reliable, 
 		r.links[i] = make([]*relLink, cfg.Procs)
 		for j := range r.links[i] {
 			if i != j {
-				r.links[i][j] = &relLink{unacked: make(map[int]*frame)}
+				r.links[i][j] = &relLink{base: 1}
 			}
 		}
 	}
@@ -235,11 +296,11 @@ func (r *Reliable) Send(m Message) {
 	l.mu.Lock()
 	l.nextSeq++
 	m.Seq = l.nextSeq
-	l.unacked[m.Seq] = &frame{
+	l.track(frame{
 		msg:      m,
 		deadline: r.cfg.Clock.Now().Add(r.jittered(r.cfg.RetransmitTimeout)),
 		backoff:  r.cfg.RetransmitTimeout,
-	}
+	})
 	l.mu.Unlock()
 	r.outstanding.add(1)
 	r.inner.Send(m)
@@ -255,8 +316,7 @@ func (r *Reliable) receive(id int, h Handler, m Message) {
 		// The ack for link from→to travels to→from.
 		l := r.links[m.To][m.From]
 		l.mu.Lock()
-		_, live := l.unacked[m.Seq]
-		delete(l.unacked, m.Seq)
+		live := l.ack(m.Seq)
 		l.mu.Unlock()
 		if live {
 			r.outstanding.add(-1)
@@ -328,8 +388,8 @@ func (r *Reliable) retransmitLoop() {
 					continue
 				}
 				l.mu.Lock()
-				for _, f := range l.unacked {
-					if now.After(f.deadline) {
+				for seq := l.base; seq <= l.nextSeq; seq++ {
+					if f := l.frame(seq); f != nil && now.After(f.deadline) {
 						f.attempts++
 						f.backoff = nextBackoff(f.backoff, r.cfg.BackoffMax)
 						f.deadline = now.Add(r.jittered(f.backoff))
@@ -378,7 +438,7 @@ func (r *Reliable) Unacked() int {
 				continue
 			}
 			l.mu.Lock()
-			total += len(l.unacked)
+			total += l.unacked
 			l.mu.Unlock()
 		}
 	}

@@ -119,6 +119,9 @@ func TestDedup(t *testing.T) {
 		{"out of order compacts on gap fill", []int{3, 1, 2}, []int{1, 2, 3}, []int{4}, 0},
 		{"gap keeps sparse tail", []int{1, 3, 5}, []int{1, 3, 5}, []int{2, 4}, 2},
 		{"replay is idempotent", []int{1, 1, 2, 2, 2}, []int{1, 2}, []int{3}, 0},
+		{"window spans words", descending(200, 2), []int{2, 64, 65, 129, 200}, []int{1, 201}, 199},
+		{"gap fill slides whole words", descending(200, 1), []int{1, 128, 200}, []int{201}, 0},
+		{"gap fill stops at the next gap", append(descending(130, 2), 132, 1), []int{130, 132}, []int{131}, 1},
 	} {
 		var d dedup
 		for _, s := range tc.add {
@@ -138,6 +141,15 @@ func TestDedup(t *testing.T) {
 			t.Errorf("%s: size = %d, want %d", tc.name, d.size(), tc.wantSize)
 		}
 	}
+}
+
+// descending returns hi, hi−1, …, lo.
+func descending(hi, lo int) []int {
+	var seqs []int
+	for s := hi; s >= lo; s-- {
+		seqs = append(seqs, s)
+	}
+	return seqs
 }
 
 // relStack builds a Reliable over a scriptedNet with a fast timeout.
@@ -293,7 +305,7 @@ func TestReliableBackoffGrowsAndCaps(t *testing.T) {
 	for {
 		l := r.links[0][1]
 		l.mu.Lock()
-		f := l.unacked[1]
+		f := l.frame(1)
 		backoff := time.Duration(0)
 		attempts := 0
 		if f != nil {
@@ -402,4 +414,59 @@ func TestReliableRetransmitFiresOnFakeClockAdvance(t *testing.T) {
 		t.Fatal("no retransmit after the clock stepped past the deadline")
 	}
 	r.Close()
+}
+
+// TestReliableRingWrapsAroundOldestUnacked: the resend ring is indexed
+// by sequence number, so one old frame left unacked pins the window
+// open while newer frames come and go. Four initial capacities' worth
+// of frames go out with the first one's acks lost: the ring must grow
+// (not overwrite the pinned slot), every other frame must be released,
+// and when the retransmission finally gets its ack through the window
+// closes completely.
+func TestReliableRingWrapsAroundOldestUnacked(t *testing.T) {
+	net := newScriptedNet(2)
+	var ackFirst atomic.Bool
+	net.drop = func(m Message, nth int) bool { return m.Ack && m.Seq == 1 && !ackFirst.Load() }
+	clk := newFakeClock()
+	r, err := NewReliable(net, ReliableConfig{Procs: 2, RetransmitTimeout: time.Millisecond, Seed: 1, Clock: clk}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var delivered atomic.Int64
+	r.Register(0, func(Message) {})
+	r.Register(1, func(Message) { delivered.Add(1) })
+	const frames = 64 // the ring starts at 16 slots
+	for i := 1; i <= frames; i++ {
+		r.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Unacked() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames unacked, want only the first", r.Unacked())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	l := r.links[0][1]
+	l.mu.Lock()
+	if f := l.frame(1); f == nil || f.msg.Update.ID.Seq != 1 || l.base != 1 || len(l.ring) < frames {
+		t.Fatalf("pinned frame %+v, base %d, ring of %d after %d sends", f, l.base, len(l.ring), frames)
+	}
+	for seq := 2; seq <= frames; seq++ {
+		if l.frame(seq) != nil {
+			t.Fatalf("frame %d still buffered after its ack", seq)
+		}
+	}
+	l.mu.Unlock()
+	ackFirst.Store(true)
+	clk.advance(10 * time.Millisecond) // past the first frame's deadline: retransmit, dup-discard, re-ack
+	r.Flush()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.unacked != 0 || l.base != frames+1 {
+		t.Fatalf("after the late ack: %d unacked, base %d, want 0 and %d", l.unacked, l.base, frames+1)
+	}
+	if got := delivered.Load(); got != frames {
+		t.Fatalf("delivered %d, want exactly %d", got, frames)
+	}
 }

@@ -13,7 +13,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,8 +42,11 @@ type Message struct {
 }
 
 // Handler consumes delivered messages at a destination process. It is
-// invoked from transport goroutines; implementations synchronize
-// internally.
+// invoked from the transport's long-lived delivery goroutines (Net runs
+// one per link or one per destination, never one per message), so
+// messages from different senders, or for different destinations, can
+// arrive concurrently; implementations synchronize internally. A
+// handler may call Send.
 type Handler func(Message)
 
 // Transport moves messages between processes.
@@ -58,7 +60,9 @@ type Transport interface {
 	// Flush blocks until every message accepted so far has been
 	// delivered.
 	Flush()
-	// Close tears the transport down, waiting for in-flight deliveries.
+	// Close tears the transport down. It returns once no handler is
+	// running and none will be invoked again; messages accepted but not
+	// yet handed to a handler may be delivered or discarded.
 	Close() error
 }
 
@@ -87,26 +91,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Net is the standard Transport implementation.
+// Net is the standard Transport implementation. It runs in one of two
+// shapes, fixed at construction. Immediate FIFO links (FIFO set, no
+// delay) are a buffered channel and a goroutine each: a hand-off is one
+// channel operation and order is the channel's. Every other mode —
+// delayed, reordering, or both — is one delayQueue per destination.
 type Net struct {
 	cfg      Config
 	handlers []atomic.Pointer[Handler]
 
-	mu  sync.Mutex // guards rng
-	rng *rand.Rand
-
-	links [][]chan Message // FIFO mode: links[from][to]
-	wg    sync.WaitGroup   // link goroutines (FIFO) or per-message (reorder)
+	links  [][]chan Message // immediate FIFO: links[from][to]
+	wg     sync.WaitGroup   // the runLink goroutines
+	queues []*delayQueue    // every other mode: queues[to]
 
 	// closeMu makes Send-vs-Close atomic: Send holds the read side from
 	// the closed check through enqueue, so no message can be accepted
-	// (inflight.Add, channel send) after Close flips closed — the window
-	// that used to allow a send on a closed link channel and a Flush
-	// hang on a leaked inflight count.
+	// (inflight.Add, channel send, queue push) after Close flips closed —
+	// the window that used to allow a send on a closed link channel and a
+	// Flush hang on a leaked inflight count.
 	closeMu sync.RWMutex
 	closed  bool
 
-	inflight counter // every accepted, not-yet-delivered message
+	inflight counter // every accepted message whose handler has not returned
 }
 
 // ErrClosed is returned by Close when called twice.
@@ -144,21 +150,29 @@ func New(cfg Config) (*Net, error) {
 	n := &Net{
 		cfg:      cfg,
 		handlers: make([]atomic.Pointer[Handler], cfg.Procs),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.FIFO {
-		n.links = make([][]chan Message, cfg.Procs)
-		for i := range n.links {
-			n.links[i] = make([]chan Message, cfg.Procs)
-			for j := range n.links[i] {
-				if i == j {
-					continue
-				}
-				ch := make(chan Message, 1024)
-				n.links[i][j] = ch
-				n.wg.Add(1)
-				go n.runLink(ch)
+	if !cfg.FIFO || cfg.MaxDelay > 0 {
+		sources := 0
+		if cfg.FIFO {
+			sources = cfg.Procs
+		}
+		n.queues = make([]*delayQueue, cfg.Procs)
+		for to := range n.queues {
+			n.queues[to] = newDelayQueue(cfg.Seed+int64(to), cfg.MinDelay, cfg.MaxDelay, sources, &n.inflight, n.deliver)
+		}
+		return n, nil
+	}
+	n.links = make([][]chan Message, cfg.Procs)
+	for i := range n.links {
+		n.links[i] = make([]chan Message, cfg.Procs)
+		for j := range n.links[i] {
+			if i == j {
+				continue
 			}
+			ch := make(chan Message, 1024)
+			n.links[i][j] = ch
+			n.wg.Add(1)
+			go n.runLink(ch)
 		}
 	}
 	return n, nil
@@ -183,20 +197,11 @@ func (n *Net) Send(m Message) {
 		return
 	}
 	n.inflight.add(1)
-	if n.cfg.FIFO {
-		n.links[m.From][m.To] <- m
+	if n.queues != nil {
+		n.queues[m.To].push(m)
 		return
 	}
-	d := n.sampleDelay()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer n.inflight.add(-1)
-		if d > 0 {
-			time.Sleep(d)
-		}
-		n.deliver(m)
-	}()
+	n.links[m.From][m.To] <- m
 }
 
 // Flush implements Transport.
@@ -213,12 +218,13 @@ func (n *Net) Close() error {
 	}
 	n.closed = true
 	n.closeMu.Unlock()
-	if n.cfg.FIFO {
-		for _, row := range n.links {
-			for _, ch := range row {
-				if ch != nil {
-					close(ch)
-				}
+	for _, q := range n.queues {
+		q.stop()
+	}
+	for _, row := range n.links {
+		for _, ch := range row {
+			if ch != nil {
+				close(ch)
 			}
 		}
 	}
@@ -226,12 +232,25 @@ func (n *Net) Close() error {
 	return nil
 }
 
+// Queued returns the number of accepted messages still waiting in the
+// transport, not yet handed to a handler — the depth a sender-side
+// backpressure policy would bound.
+func (n *Net) Queued() int {
+	total := 0
+	for _, q := range n.queues {
+		total += q.len()
+	}
+	for _, row := range n.links {
+		for _, ch := range row {
+			total += len(ch)
+		}
+	}
+	return total
+}
+
 func (n *Net) runLink(ch chan Message) {
 	defer n.wg.Done()
 	for m := range ch {
-		if d := n.sampleDelay(); d > 0 {
-			time.Sleep(d)
-		}
 		n.deliver(m)
 		n.inflight.add(-1)
 	}
@@ -243,19 +262,6 @@ func (n *Net) deliver(m Message) {
 		panic(fmt.Sprintf("transport: no handler registered for process %d", m.To))
 	}
 	(*hp)(m)
-}
-
-func (n *Net) sampleDelay() time.Duration {
-	if n.cfg.MaxDelay == 0 {
-		return 0
-	}
-	if n.cfg.MaxDelay == n.cfg.MinDelay {
-		return n.cfg.MinDelay
-	}
-	n.mu.Lock()
-	d := n.cfg.MinDelay + time.Duration(n.rng.Int63n(int64(n.cfg.MaxDelay-n.cfg.MinDelay+1)))
-	n.mu.Unlock()
-	return d
 }
 
 // Broadcaster is an optional Transport fast path: SendAll enqueues one
@@ -273,29 +279,18 @@ func (n *Net) SendAll(from int, u protocol.Update) {
 		return
 	}
 	n.inflight.add(n.cfg.Procs - 1)
-	if n.cfg.FIFO {
-		for q := 0; q < n.cfg.Procs; q++ {
+	if n.queues != nil {
+		for q, dq := range n.queues {
 			if q != from {
-				n.links[from][q] <- Message{From: from, To: q, Update: u}
+				dq.push(Message{From: from, To: q, Update: u})
 			}
 		}
 		return
 	}
 	for q := 0; q < n.cfg.Procs; q++ {
-		if q == from {
-			continue
+		if q != from {
+			n.links[from][q] <- Message{From: from, To: q, Update: u}
 		}
-		m := Message{From: from, To: q, Update: u}
-		d := n.sampleDelay()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer n.inflight.add(-1)
-			if d > 0 {
-				time.Sleep(d)
-			}
-			n.deliver(m)
-		}()
 	}
 }
 
@@ -339,29 +334,18 @@ func (n *Net) SendTo(from int, dests []int, u protocol.Update) {
 		return
 	}
 	n.inflight.add(count)
-	if n.cfg.FIFO {
+	if n.queues != nil {
 		for _, q := range dests {
 			if q != from {
-				n.links[from][q] <- Message{From: from, To: q, Update: u}
+				n.queues[q].push(Message{From: from, To: q, Update: u})
 			}
 		}
 		return
 	}
 	for _, q := range dests {
-		if q == from {
-			continue
+		if q != from {
+			n.links[from][q] <- Message{From: from, To: q, Update: u}
 		}
-		m := Message{From: from, To: q, Update: u}
-		d := n.sampleDelay()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer n.inflight.add(-1)
-			if d > 0 {
-				time.Sleep(d)
-			}
-			n.deliver(m)
-		}()
 	}
 }
 
