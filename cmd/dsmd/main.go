@@ -206,15 +206,18 @@ func run(args []string, ready func(addr string)) error {
 		fmt.Fprintf(os.Stderr, "dsmd: debug endpoints on http://%s\n", dbg.Addr())
 	}
 
+	// The handler goes in before anyone learns the address: a signal
+	// sent the moment the daemon is ready must drain it, not hit Go's
+	// default action and kill the process.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
 	fmt.Fprintf(os.Stderr, "dsmd: serving %v (%d procs, %d vars) on %s\n",
 		kind, *procs, *vars, srv.Addr())
 	if ready != nil {
 		ready(srv.Addr())
 	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 	sig := <-sigs
 	fmt.Fprintf(os.Stderr, "dsmd: %v, draining (second signal aborts)\n", sig)
 

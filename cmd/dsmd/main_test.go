@@ -73,6 +73,29 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 	}
 }
 
+// A SIGTERM sent the instant the daemon reports ready — from inside the
+// ready callback, before run has returned to its own code — must find
+// the drain handler installed. Without it Go's default action kills the
+// whole test binary.
+func TestDaemonSIGTERMAtReadyDrains(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-procs", "2", "-vars", "1"}, func(string) {
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				t.Errorf("Kill: %v", err)
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after SIGTERM at ready", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("dsmd did not exit after SIGTERM at ready")
+	}
+}
+
 // A request in a frontier wait when SIGTERM arrives is drained, not
 // dropped: its (Unavailable, after the wait times out) response is
 // flushed before the daemon exits, so the client sees a verdict rather

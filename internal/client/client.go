@@ -72,10 +72,6 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrRetryable) || errors.Is(err, ErrOverloaded)
 }
 
-// maxFrame mirrors the server's inbound bound; a response frame larger
-// than this marks a corrupt stream.
-const maxFrame = 1 << 16
-
 // Config parameterizes a Client.
 type Config struct {
 	// Addr is the dsmd address to dial.
@@ -327,7 +323,7 @@ func (c *Client) Do(outer context.Context, req protocol.Request) (protocol.Respo
 // server's echoed stage timeline folded in.
 func (c *Client) endTrace(q *reqtrace.Req, req protocol.Request, resp protocol.Response, err error) {
 	m := reqtrace.Meta{
-		Kind:   kindString(req.Kind),
+		Kind:   protocol.KindString(req.Kind),
 		Status: errClass(err),
 		OK:     err == nil,
 		Proc:   resp.Proc,
@@ -351,19 +347,6 @@ func (c *Client) endTrace(q *reqtrace.Req, req protocol.Request, resp protocol.R
 	}
 	total, _ := c.trace.End(q, m)
 	c.met.callNs.Observe(total)
-}
-
-// kindString names a request kind for trace records.
-func kindString(k uint8) string {
-	switch k {
-	case protocol.ReqPing:
-		return "ping"
-	case protocol.ReqRead:
-		return "read"
-	case protocol.ReqWrite:
-		return "write"
-	}
-	return fmt.Sprintf("kind(%d)", k)
 }
 
 // errClass labels a call outcome for trace records.
@@ -498,9 +481,7 @@ func (c *Client) doOnce(ctx context.Context, req protocol.Request, failFast bool
 
 // send frames and writes one request onto conn.
 func (c *Client) send(conn net.Conn, req protocol.Request) error {
-	payload := req.AppendBinary(make([]byte, 0, 64))
-	frame := binary.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
-	frame = append(frame, payload...)
+	frame := protocol.AppendFrame(nil, req.AppendBinary(make([]byte, 0, 64)))
 	c.wmu.Lock()
 	_, err := conn.Write(frame)
 	c.wmu.Unlock()
@@ -525,11 +506,11 @@ func (c *Client) forget(tag uint64) {
 // readLoop delivers response frames to their calls until the stream
 // dies, then hands the connection to the recovery path.
 func (c *Client) readLoop(conn net.Conn) {
-	fr := newFrameReader(conn)
+	fr := protocol.NewFrameReader(conn, protocol.MaxWireFrame)
 	var err error
 	for {
 		var frame []byte
-		if frame, err = fr.next(); err != nil {
+		if frame, err = fr.Next(); err != nil {
 			break
 		}
 		tag, perr := protocol.PeekTag(frame)
@@ -793,37 +774,4 @@ func (s *Session) Write(ctx context.Context, x int, v int64) error {
 	}
 	s.finish(resp)
 	return nil
-}
-
-// frameReader decodes uvarint-length-prefixed frames, mirroring the
-// server side.
-type frameReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
-
-// ReadByte implements io.ByteReader for binary.ReadUvarint.
-func (f *frameReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(f.r, f.buf[:]); err != nil {
-		return 0, err
-	}
-	return f.buf[0], nil
-}
-
-// next reads one frame.
-func (f *frameReader) next() ([]byte, error) {
-	n, err := binary.ReadUvarint(f)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("client: frame of %d bytes exceeds %d", n, maxFrame)
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(f.r, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }

@@ -240,6 +240,14 @@ func TestTokenReplayAndForgery(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
+	// The old token does not demand the second write, so let it reach
+	// every replica before the replay is served by any of them.
+	qctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if err := h.Cluster.Quiesce(qctx); err != nil {
+		t.Fatalf("Quiesce: %v", err)
+	}
+
 	// Replay: an older token is a weaker demand; it must be served.
 	resp, err := c.Do(ctx, protocol.Request{
 		Kind: protocol.ReqRead, Proc: -1, Var: 0, Token: old,

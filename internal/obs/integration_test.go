@@ -271,6 +271,13 @@ func TestChaosGaugesScrape(t *testing.T) {
 			t.Errorf("scrape missing %s:\n%s", family, body)
 		}
 	}
+	// The counters match the trace exactly only once nothing moves: on
+	// the live cluster a retransmit can land between scrape and log.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, body = scrape(t, srv.Addr(), "/metrics")
+	series = parseProm(t, body)
 	log := c.Log()
 	if got, want := sumFamily(series, "dsm_net_drops_total"), float64(log.NetDropCount()); got != want {
 		t.Errorf("dsm_net_drops_total = %v, post-hoc NetDropCount = %v", got, want)

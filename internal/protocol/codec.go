@@ -25,6 +25,12 @@ import (
 // ErrUpdateTruncated reports a buffer ending inside an encoded update.
 var ErrUpdateTruncated = errors.New("protocol: truncated update encoding")
 
+// MaxUpdateSize bounds one encoded update in every metadata codec mode:
+// ten integer fields, a clock header of at most four integers (tag,
+// checksum, dimension or count, floor), and at most two integers per
+// component of a clock no decoder accepts above vclock.MaxDecodeDim.
+const MaxUpdateSize = (10 + 4 + 2*vclock.MaxDecodeDim) * binary.MaxVarintLen64
+
 // AppendBinary appends the wire encoding of u to dst.
 func (u Update) AppendBinary(dst []byte) []byte {
 	return u.appendWith(dst, vclock.VC.AppendBinary)

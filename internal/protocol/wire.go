@@ -14,8 +14,9 @@ import (
 // the compact session token that carries a vclock frontier between
 // client and server.
 //
-// Frames on the socket are uvarint-length-prefixed, exactly like the
-// TCP transport's update frames; this file encodes only the payloads.
+// Frames on the socket are uvarint-length-prefixed, written by
+// AppendFrame and read by the FrameReader (frame.go) that the TCP
+// transport's update links share; this file encodes only the payloads.
 //
 // Wire format of a Request (all integers varint/uvarint):
 //
@@ -149,6 +150,19 @@ func StatusString(s uint8) string {
 	default:
 		return fmt.Sprintf("status(%d)", s)
 	}
+}
+
+// KindString names a request kind for trace records.
+func KindString(k uint8) string {
+	switch k {
+	case ReqPing:
+		return "ping"
+	case ReqRead:
+		return "read"
+	case ReqWrite:
+		return "write"
+	}
+	return fmt.Sprintf("kind(%d)", k)
 }
 
 // Wire-protocol decode errors.

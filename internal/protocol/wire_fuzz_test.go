@@ -122,7 +122,7 @@ func FuzzWireToken(f *testing.F) {
 // deleted corpus fails loudly rather than silently weakening the fuzz
 // smoke.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzWireRequest", "FuzzWireResponse", "FuzzWireToken", "FuzzDecodeUpdate", "FuzzUpdateDecoder"} {
+	for _, target := range []string{"FuzzWireRequest", "FuzzWireResponse", "FuzzWireToken", "FuzzDecodeUpdate", "FuzzUpdateDecoder", "FuzzReadFrame"} {
 		ents := corpusEntries(t, target)
 		if len(ents) == 0 {
 			t.Fatalf("no committed corpus for %s under testdata/fuzz", target)
@@ -204,11 +204,30 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	writeCorpus(t, "FuzzWireToken", toks, tokBases)
 	writeCorpus(t, "FuzzDecodeUpdate", decodeUpdateSeeds(), nil)
 	writeCorpus(t, "FuzzUpdateDecoder", updateDecoderSeeds(), nil)
+
+	var frameSeeds [][]any
+	for _, s := range readFrameSeeds() {
+		frameSeeds = append(frameSeeds, []any{s.stream, s.max})
+	}
+	writeSeeds(t, "FuzzReadFrame", frameSeeds)
 }
 
 // writeCorpus writes v1 corpus files; second is nil for one-parameter
 // targets, else parallel to first.
 func writeCorpus(t *testing.T, target string, first, second [][]byte) {
+	t.Helper()
+	seeds := make([][]any, len(first))
+	for i, data := range first {
+		seeds[i] = []any{data}
+		if second != nil {
+			seeds[i] = append(seeds[i], second[i])
+		}
+	}
+	writeSeeds(t, target, seeds)
+}
+
+// writeSeeds writes one v1 corpus file per seed, one line per argument.
+func writeSeeds(t *testing.T, target string, seeds [][]any) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.RemoveAll(dir); err != nil {
@@ -217,10 +236,14 @@ func writeCorpus(t *testing.T, target string, first, second [][]byte) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, data := range first {
-		entry := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if second != nil {
-			entry += "[]byte(" + strconv.Quote(string(second[i])) + ")\n"
+	for i, args := range seeds {
+		entry := "go test fuzz v1\n"
+		for _, a := range args {
+			if b, ok := a.([]byte); ok {
+				entry += "[]byte(" + strconv.Quote(string(b)) + ")\n"
+			} else {
+				entry += fmt.Sprintf("%T(%v)\n", a, a)
+			}
 		}
 		name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
 		if err := os.WriteFile(name, []byte(entry), 0o644); err != nil {

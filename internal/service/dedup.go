@@ -24,12 +24,20 @@ import (
 // pipeline depth, so a live retry can never be below it); across
 // sessions, an LRU cap evicts whole idle sessions.
 
-// dedupEntry is one claimed (SID, OpSeq): done closes when the claim
-// resolves, and ok reports whether resp is a cached applied write.
+// dedupEntry is one claimed (SID, OpSeq). ok reports whether resp is a
+// cached applied write; until then the claim is unresolved, and done —
+// made by the first arrival that has to wait — closes when it resolves.
 type dedupEntry struct {
 	done chan struct{}
 	resp protocol.Response
 	ok   bool
+}
+
+// resolve wakes the arrivals waiting on e, if any.
+func (e *dedupEntry) resolve() {
+	if e.done != nil {
+		close(e.done)
+	}
 }
 
 // sessionDedup is one session's window.
@@ -85,14 +93,15 @@ func (t *dedupTable) claim(sid, opSeq uint64) dedupClaim {
 		return dedupClaim{tooOld: true}
 	}
 	if e := s.entries[opSeq]; e != nil {
-		select {
-		case <-e.done:
+		if e.ok {
 			return dedupClaim{cached: true, resp: e.resp}
-		default:
-			return dedupClaim{wait: e.done}
 		}
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		return dedupClaim{wait: e.done}
 	}
-	s.entries[opSeq] = &dedupEntry{done: make(chan struct{})}
+	s.entries[opSeq] = &dedupEntry{}
 	s.pendingN++
 	return dedupClaim{owned: true}
 }
@@ -115,17 +124,39 @@ func (t *dedupTable) complete(sid, opSeq uint64, resp protocol.Response) {
 	if resp.Status == protocol.StatusOK {
 		e.resp, e.ok = resp, true
 		if opSeq >= t.window && opSeq-t.window+1 > s.floor {
-			s.floor = opSeq - t.window + 1
-			for seq := range s.entries {
-				if seq < s.floor {
-					delete(s.entries, seq)
-				}
-			}
+			s.raiseFloor(opSeq - t.window + 1)
 		}
 	} else {
 		delete(s.entries, opSeq)
 	}
-	close(e.done)
+	e.resolve()
+}
+
+// raiseFloor evicts every entry below floor. claim refuses op sequences
+// below the old floor, so the evicted keys are exactly s.floor …
+// floor-1; walking them, or the map when the jump is larger, costs
+// O(min(advance, entries)). An unresolved claim evicted here resolves:
+// its waiters retry into tooOld and its owner's complete finds nothing.
+func (s *sessionDedup) raiseFloor(floor uint64) {
+	evict := func(seq uint64) {
+		if e := s.entries[seq]; e != nil && !e.ok {
+			s.pendingN--
+			e.resolve()
+		}
+		delete(s.entries, seq)
+	}
+	if floor-s.floor <= uint64(len(s.entries)) {
+		for seq := s.floor; seq < floor; seq++ {
+			evict(seq)
+		}
+	} else {
+		for seq := range s.entries {
+			if seq < floor {
+				evict(seq)
+			}
+		}
+	}
+	s.floor = floor
 }
 
 // evictLocked makes room for one more session, dropping the

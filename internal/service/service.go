@@ -30,10 +30,8 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -51,10 +49,6 @@ var (
 	// ErrServerClosed reports an operation on a closed/draining server.
 	ErrServerClosed = errors.New("service: server closed")
 )
-
-// maxFrame bounds an inbound request frame. Requests are tens of
-// bytes; anything near the bound is a corrupt or hostile stream.
-const maxFrame = 1 << 16
 
 // maxDedupSessions caps how many sessions the exactly-once window
 // tracks; beyond it, idle sessions are evicted LRU.
@@ -329,9 +323,7 @@ type srvConn struct {
 // against base (the request's token). Write errors are dropped: a dead
 // peer surfaces in the read loop.
 func (c *srvConn) send(r protocol.Response, base vclock.VC) {
-	payload := r.AppendBinary(make([]byte, 0, 64), base)
-	frame := binary.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
-	frame = append(frame, payload...)
+	frame := protocol.AppendFrame(nil, r.AppendBinary(make([]byte, 0, 64), base))
 	c.wmu.Lock()
 	_, err := c.conn.Write(frame)
 	c.wmu.Unlock()
@@ -350,9 +342,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	sem := make(chan struct{}, s.cfg.MaxPipeline)
-	br := newFrameReader(conn)
+	fr := protocol.NewFrameReader(conn, protocol.MaxWireFrame)
 	for {
-		frame, err := br.next()
+		frame, err := fr.Next()
 		if err != nil {
 			return
 		}
@@ -414,7 +406,7 @@ func (s *Server) endTrace(q *reqtrace.Req, req protocol.Request, resp protocol.R
 		v = -1
 	}
 	s.trace.End(q, reqtrace.Meta{
-		Kind:   kindString(req.Kind),
+		Kind:   protocol.KindString(req.Kind),
 		Status: protocol.StatusString(resp.Status),
 		OK:     resp.Status == protocol.StatusOK,
 		Proc:   resp.Proc,
@@ -434,19 +426,6 @@ func stampEcho(q *reqtrace.Req, resp *protocol.Response) {
 	}
 	resp.TraceID = q.TraceID
 	resp.TraceStages = q.ServerStages(nil)
-}
-
-// kindString names a request kind for trace records.
-func kindString(k uint8) string {
-	switch k {
-	case protocol.ReqPing:
-		return "ping"
-	case protocol.ReqRead:
-		return "read"
-	case protocol.ReqWrite:
-		return "write"
-	}
-	return fmt.Sprintf("kind(%d)", k)
 }
 
 // refuse answers a request rejected before serving (drain, shedding)
@@ -773,37 +752,4 @@ func (g *drainGate) drain() <-chan struct{} {
 		return ch
 	}
 	return g.idle
-}
-
-// frameReader decodes uvarint-length-prefixed frames off a stream,
-// mirroring the TCP transport's framing.
-type frameReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
-
-// ReadByte implements io.ByteReader for binary.ReadUvarint.
-func (f *frameReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(f.r, f.buf[:]); err != nil {
-		return 0, err
-	}
-	return f.buf[0], nil
-}
-
-// next reads one frame.
-func (f *frameReader) next() ([]byte, error) {
-	n, err := binary.ReadUvarint(f)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("service: frame of %d bytes exceeds %d", n, maxFrame)
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(f.r, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }

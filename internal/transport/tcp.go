@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -123,8 +121,7 @@ func (t *TCPNet) Send(m Message) {
 	t.mu.Lock()
 	enc := t.encs[m.From][m.To]
 	payload, meta := enc.Append([]byte{byte(m.From)}, m.Update)
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	frame = append(frame, payload...)
+	frame := protocol.AppendFrame(nil, payload)
 	_, err = conn.Write(frame)
 	t.mu.Unlock()
 	t.frames.Add(1)
@@ -196,26 +193,23 @@ func (t *TCPNet) acceptLoop(p int, ln net.Listener) {
 	}
 }
 
+// maxTCPFrame bounds an inbound frame, a sender byte plus an update: a
+// larger length prefix drops the connection before anything is allocated.
+const maxTCPFrame = 1 + protocol.MaxUpdateSize
+
 // readLoop decodes frames from one inbound connection and dispatches
 // them to p's handler.
 func (t *TCPNet) readLoop(p int, conn net.Conn) {
 	defer conn.Close()
-	r := newByteReader(conn)
+	r := protocol.NewFrameReader(conn, maxTCPFrame)
 	// One decoder per inbound connection: a connection carries exactly
 	// one (sender, receiver) link, and its frames arrive in socket
 	// order, so the decoder's delta base tracks the sender's encoder in
 	// lockstep for the life of the socket.
 	dec := protocol.NewUpdateDecoder(t.mode)
 	for {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return
-		}
-		if len(buf) < 1 {
+		buf, err := r.Next()
+		if err != nil || len(buf) < 1 {
 			return
 		}
 		from := int(buf[0])
@@ -263,24 +257,3 @@ func (t *TCPNet) Close() error {
 	t.accept.Wait()
 	return nil
 }
-
-// byteReader adapts a net.Conn to io.ByteReader for ReadUvarint while
-// keeping buffered semantics minimal (one byte at a time is fine for
-// the tiny frame headers; payloads use ReadFull on the same reader).
-type byteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
-
-// ReadByte implements io.ByteReader.
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
-		return 0, err
-	}
-	return b.buf[0], nil
-}
-
-// Read implements io.Reader.
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }

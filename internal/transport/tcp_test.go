@@ -2,6 +2,11 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,6 +192,62 @@ func TestTCPFlush(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	n.Close()
+}
+
+// A peer that sends a length prefix above the largest frame any codec
+// mode emits has its connection dropped before the receiver allocates
+// what the prefix claims, and the mesh's own links keep delivering.
+func TestTCPOversizeFrameDropsConnection(t *testing.T) {
+	n, err := NewTCP(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var got atomic.Int64
+	for p := 0; p < 3; p++ {
+		n.Register(p, func(Message) { got.Add(1) })
+	}
+	waitFor := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for got.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %d of %d", got.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	upd := func(seq int) protocol.Update {
+		return protocol.Update{ID: history.WriteID{Proc: 0, Seq: seq}, Clock: vclock.VC{uint64(seq), 0, 0}}
+	}
+	n.Send(Message{From: 0, To: 1, Update: upd(1)})
+	waitFor(1)
+
+	bad, err := net.Dial("tcp", n.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	const claim = 64 << 20 // far above maxTCPFrame
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := bad.Write(binary.AppendUvarint(nil, claim)); err != nil {
+		t.Fatal(err)
+	}
+	bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = bad.Read(make([]byte, 1))
+	runtime.ReadMemStats(&after)
+	if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection with a %d-byte prefix still open: %v", claim, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > claim/8 {
+		t.Fatalf("receiver allocated %d bytes for a rejected %d-byte prefix", grew, claim)
+	}
+
+	n.Send(Message{From: 0, To: 1, Update: upd(2)})
+	n.Send(Message{From: 2, To: 1, Update: upd(3)})
+	n.Send(Message{From: 1, To: 0, Update: upd(4)})
+	waitFor(4)
 }
 
 func max(a, b int) int {
