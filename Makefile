@@ -4,7 +4,8 @@ GO ?= go
 
 ## check: the full gate — formatting, vet, build, tests, a short race
 ## pass, twenty more of the transport's scheduler tests, a fuzz burst
-## over the wire codecs, the frame reader and the WAL reader, the chaos
+## over the wire codecs, the frame reader, the WAL reader and the
+## replica state decoder, the chaos
 ## conformance suite
 ## (fault-injected session guarantees + exactly-once accounting), and
 ## the nested benchmark module's own smoke run.
@@ -167,8 +168,9 @@ fuzz:
 
 ## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec, the
 ## inter-replica update codec (plain, and the stateful delta/stab link
-## decoder), the frame reader every socket shares and the WAL segment
-## reader. The committed seed corpora under
+## decoder), the frame reader every socket shares, the WAL segment
+## reader and the replica state decoder its snapshots go through. The
+## committed seed corpora under
 ## internal/{protocol,durability}/testdata/fuzz replay in plain
 ## `make test`, so past crashers stay fatal; this target additionally
 ## mutates for a few seconds per target.
@@ -179,6 +181,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzDecodeUpdate$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzUpdateDecoder$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzReadFrame$$' -fuzztime=5s -run '^$$' ./internal/protocol
+	$(GO) test -fuzz '^FuzzRestoreState$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzRecoverSegment$$' -fuzztime=5s -run '^$$' ./internal/durability
 
 clean:

@@ -54,7 +54,7 @@
 //	                            # overhead budget. -trace-out dumps the
 //	                            # tail-sampled records for cmd/dsmtrace
 //	dsmbench -exp chaos         # live OptP over lossy/duplicating links
-//	dsmbench -exp crash         # crash-stop + WAL restart, all protocols
+//	dsmbench -exp crash         # crash-stop + WAL restart, live protocols
 //	dsmbench -json out.json     # also write the machine-readable
 //	                            # scorecard (schema dsmbench/v1)
 //	dsmbench -debug-addr :6060  # serve /metrics, expvar and pprof while

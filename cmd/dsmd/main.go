@@ -19,10 +19,14 @@
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 // requests run to completion and flush, then connections close and the
 // cluster shuts down. A second signal aborts the drain.
+//
+// A bad invocation exits 2 before any cluster or listener starts; a
+// failure after that exits 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -43,8 +47,18 @@ import (
 func main() {
 	if err := run(os.Args[1:], nil); err != nil {
 		fmt.Fprintf(os.Stderr, "dsmd: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// usageError is a bad invocation, found before anything starts.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
 }
 
 // run is main behind a testable seam: args are the CLI arguments and
@@ -53,7 +67,7 @@ func main() {
 func run(args []string, ready func(addr string)) error {
 	fs := flag.NewFlagSet("dsmd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7450", "TCP listen address")
-	proto := fs.String("protocol", "OptP", "protocol: OptP, ANBKH, WS-recv, OptP-noreadmerge, OptP-WS (WS-send is not servable)")
+	proto := fs.String("protocol", "OptP", fmt.Sprintf("protocol, one of %v (dsmbench runs the simulator-only kinds)", core.LiveKinds()))
 	procs := fs.Int("procs", 3, "number of replicated processes")
 	vars := fs.Int("vars", 16, "number of shared variables")
 	jitter := fs.Duration("jitter", 0, "max artificial inter-replica message delay")
@@ -82,30 +96,30 @@ func run(args []string, ready func(addr string)) error {
 	chaosAccept := fs.Float64("chaos-accept", 0, "fault injection: probability of killing a connection at accept")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault injection: RNG seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+		return usagef("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	kind, err := protocol.ParseKind(*proto)
+	kind, err := core.ParseLiveKind(*proto)
 	if err != nil {
-		return err
+		return usagef("-protocol: %w", err)
 	}
 	if *procs < 2 {
-		return fmt.Errorf("-procs must be at least 2, got %d", *procs)
+		return usagef("-procs must be at least 2, got %d", *procs)
 	}
 	if *vars < 1 {
-		return fmt.Errorf("-vars must be at least 1, got %d", *vars)
+		return usagef("-vars must be at least 1, got %d", *vars)
 	}
 	if *replFactor != 0 && *replFactor != *procs {
-		return fmt.Errorf("-replication-factor %d: a session may read any variable at any replica, so the serving tier requires full replication — use 0 or %d, or run partial replication offline via dsmrun", *replFactor, *procs)
+		return usagef("-replication-factor %d: a session may read any variable at any replica, so the serving tier requires full replication — use 0 or %d, or run partial replication offline via dsmrun", *replFactor, *procs)
 	}
 	if *jitter < 0 || *waitTimeout < 0 || *batchWindow < 0 || *drainTimeout < 0 {
-		return fmt.Errorf("durations must not be negative")
+		return usagef("durations must not be negative")
 	}
 	meta, err := protocol.ParseMetaMode(*metaCodec)
 	if err != nil {
-		return fmt.Errorf("-meta-codec: %w", err)
+		return usagef("-meta-codec: %w", err)
 	}
 	chaos := netchaos.Config{
 		Seed:       *chaosSeed,
@@ -116,11 +130,11 @@ func run(args []string, ready func(addr string)) error {
 		AcceptProb: *chaosAccept,
 	}
 	if err := chaos.Validate(); err != nil {
-		return err
+		return usageError{err}
 	}
 
 	if *traceRing < 0 {
-		return fmt.Errorf("-trace-ring must not be negative, got %d", *traceRing)
+		return usagef("-trace-ring must not be negative, got %d", *traceRing)
 	}
 	var reg *obs.Registry
 	if *debugAddr != "" {

@@ -238,10 +238,12 @@ func TestDaemonMetaCodecMetrics(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsBadConfig: every bad invocation is a usage error
+// (exit 2), raised before a cluster or listener starts.
 func TestDaemonRejectsBadConfig(t *testing.T) {
 	cases := [][]string{
 		{"-protocol", "nonsense"},
-		{"-protocol", "WS-send"}, // not servable: frontiers never converge
+		{"-protocol", "OptP-WS"}, // simulator-only
 		{"-procs", "1"},
 		{"-vars", "0"},
 		{"-meta-codec", "nonsense"},
@@ -250,8 +252,15 @@ func TestDaemonRejectsBadConfig(t *testing.T) {
 		{"extra-arg"},
 	}
 	for _, args := range cases {
-		if err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), nil); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), func(string) {
+			t.Errorf("run(%v) started serving", args)
+		})
+		if !errors.As(err, new(usageError)) {
+			t.Fatalf("run(%v) = %v, want a usage error", args, err)
 		}
+	}
+	err := run([]string{"-protocol", "WS-recv"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "dsmbench") {
+		t.Fatalf("simulator-only kind: %v, want an error pointing at dsmbench", err)
 	}
 }

@@ -41,7 +41,7 @@ import (
 )
 
 func main() {
-	proto := flag.String("protocol", "OptP", "protocol: OptP, ANBKH, WS-recv, WS-send, OptP-noreadmerge, PartialRep")
+	proto := flag.String("protocol", "OptP", fmt.Sprintf("protocol, one of %v (dsmbench runs the simulator-only kinds)", core.LiveKinds()))
 	procs := flag.Int("procs", 4, "number of processes")
 	vars := flag.Int("vars", 4, "number of shared variables")
 	ops := flag.Int("ops", 100, "operations per process")
@@ -77,9 +77,9 @@ func main() {
 	if flag.NArg() > 0 {
 		usage("unexpected arguments: %s", strings.Join(flag.Args(), " "))
 	}
-	kind, err := protocol.ParseKind(*proto)
+	kind, err := core.ParseLiveKind(*proto)
 	if err != nil {
-		usage("%v", err)
+		usage("-protocol: %v", err)
 	}
 	if *procs < 2 {
 		usage("-procs must be at least 2, got %d", *procs)

@@ -40,13 +40,12 @@ var (
 // serializes the observer/sink tee when live observability is
 // configured. Lock order is always Node.mu before Cluster.mu.
 type Cluster struct {
-	cfg    Config
-	tr     transport.Transport
-	codec  *transport.Codec // non-nil when cfg.Meta is enabled
-	nodes  []*Node
-	det    *transport.Detector
-	start  time.Time
-	hasTok bool
+	cfg   Config
+	tr    transport.Transport
+	codec *transport.Codec // non-nil when cfg.Meta is enabled
+	nodes []*Node
+	det   *transport.Detector
+	start time.Time
 
 	// shares is the partial-replication assignment; the zero value means
 	// full replication everywhere. readAbort unblocks forwarded reads
@@ -71,8 +70,6 @@ type Cluster struct {
 	mu   sync.Mutex
 	down []bool // crash-stopped processes (mirrors Node.down)
 
-	tokenStop chan struct{}
-	tokenDone chan struct{}
 	crashStop chan struct{}
 	crashDone chan struct{}
 }
@@ -88,30 +85,25 @@ type paddedInt64 struct {
 // issuedBy/propagatedBy/counted tallies. Instead of absolute counts it
 // tracks, per process, only the outstanding work:
 //
-//	lag[p]    = broadcast (non-marker) updates sent toward p and not yet
-//	            (logically) applied there — a Send from s adds 1 to every
-//	            lag[q], q ≠ s; an Apply/Discard at p subtracts 1. A
-//	            process's own issues cancel out of the old formula
-//	            (counted[p] and issuedBy[p] moved in lockstep), so Issue
-//	            events need no accounting at all.
-//	unsent[p] = deferred writes buffered at p awaiting the token.
+//	lag[p] = updates sent toward p and not yet applied there — a Send
+//	         from s adds 1 to every lag[q], q ≠ s, that the update is
+//	         addressed to; an Apply at p subtracts 1. A process's own
+//	         issues cancel out of the old formula (counted[p] and
+//	         issuedBy[p] moved in lockstep), so Issue events need no
+//	         accounting at all.
 //
-// The cluster is quiescent iff every live process has lag = unsent = 0.
-// gen increments on every accounting change; Quiesce reads gen, checks
-// the counters, and re-reads gen — an unchanged gen proves the zeros
-// were all true at one instant, so the poll can never report a false
+// The cluster is quiescent iff every live process has lag = 0. gen
+// increments on every accounting change; Quiesce reads gen, checks the
+// counters, and re-reads gen — an unchanged gen proves the zeros were
+// all true at one instant, so the poll can never report a false
 // quiescence from a torn multi-counter read.
 type quiesceAcct struct {
-	gen    paddedInt64
-	lag    []paddedInt64
-	unsent []paddedInt64
+	gen paddedInt64
+	lag []paddedInt64
 }
 
 func newQuiesceAcct(procs int) quiesceAcct {
-	return quiesceAcct{
-		lag:    make([]paddedInt64, procs),
-		unsent: make([]paddedInt64, procs),
-	}
+	return quiesceAcct{lag: make([]paddedInt64, procs)}
 }
 
 // bump marks an accounting change, invalidating in-flight quiescence
@@ -188,9 +180,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			r = protocol.New(cfg.Protocol, p, cfg.Processes, cfg.Variables)
 		}
 		n := &Node{c: c, id: p, replica: r, pending: newPendingSet(cfg.Processes)}
-		if _, ok := r.(protocol.TokenBatcher); ok {
-			c.hasTok = true
-		}
 		c.nodes = append(c.nodes, n)
 		tr.Register(p, n.handle)
 	}
@@ -224,15 +213,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		c.det = det
 		det.Start()
-	}
-	if c.hasTok {
-		interval := cfg.TokenInterval
-		if interval == 0 {
-			interval = time.Millisecond
-		}
-		c.tokenStop = make(chan struct{})
-		c.tokenDone = make(chan struct{})
-		go c.tokenLoop(interval)
 	}
 	if len(cfg.Crashes) > 0 {
 		c.crashStop = make(chan struct{})
@@ -394,7 +374,7 @@ func (c *Cluster) appendEvent(e trace.Event) {
 			}
 			c.acct.bump()
 		}
-	case trace.Apply, trace.Discard:
+	case trace.Apply:
 		if e.Write.Seq > 0 {
 			c.acct.lag[e.Proc].v.Add(-1)
 			c.acct.bump()
@@ -442,32 +422,21 @@ func (c *Cluster) noteNetEvent(e transport.NetEvent) {
 	})
 }
 
-// quiesced reports whether every propagated write has been (logically)
-// applied everywhere live and nothing more is coming. Crash-stopped
-// processes are exempt until they restart: their missed updates arrive
-// through catch-up, which re-enters them into the accounting. For each
-// process unsent is read before lag, matching the token loop's
-// store order (lag increments, then the unsent reset), so a zero unsent
-// proves the batch's lag increments are already visible.
+// quiesced reports whether every propagated write has been applied
+// everywhere live. Crash-stopped processes are exempt until they
+// restart: their missed updates arrive through catch-up, which
+// re-enters them into the accounting.
 func (c *Cluster) quiesced() bool {
 	for p := range c.nodes {
-		if c.nodes[p].down.Load() {
-			continue
-		}
-		if c.acct.unsent[p].v.Load() != 0 {
-			return false
-		}
-		if c.acct.lag[p].v.Load() != 0 {
+		if !c.nodes[p].down.Load() && c.acct.lag[p].v.Load() != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Quiesce blocks until every write issued so far has reached every live
-// replica (discards under writing semantics count as logical applies,
-// and writes suppressed at the sender under WS-send count as released
-// once their token turn passes), or ctx is done. Crash-stopped
+// Quiesce blocks until every write issued so far has been applied at
+// every live replica it is addressed to, or ctx is done. Crash-stopped
 // processes are excluded; Restart them first for full convergence.
 // Quiesce on a closed cluster returns ErrClosed.
 //
@@ -518,10 +487,10 @@ func (c *Cluster) Audit() (*checker.Report, error) {
 	return checker.Audit(c.Log())
 }
 
-// Close stops the crash orchestrator, failure detector and token loop,
-// closes the journals, drains the transport, and marks the cluster
-// closed. It returns the error of a journal whose buffered tail could
-// not be written out, joined with the transport's. Close is idempotent:
+// Close stops the crash orchestrator and failure detector, closes the
+// journals, drains the transport, and marks the cluster closed. It
+// returns the error of a journal whose buffered tail could not be
+// written out, joined with the transport's. Close is idempotent:
 // the first call does the teardown, later calls return nil. Other
 // operations after Close return ErrClosed.
 func (c *Cluster) Close() error {
@@ -541,110 +510,12 @@ func (c *Cluster) Close() error {
 	if c.det != nil {
 		c.det.Close()
 	}
-	if c.hasTok {
-		close(c.tokenStop)
-		<-c.tokenDone
-	}
 	err := c.closeWALs()
 	// Frontier waiters must not sleep through the close.
 	for _, n := range c.nodes {
 		n.fw.wakeAll()
 	}
 	return errors.Join(err, c.tr.Close())
-}
-
-// tokenLoop circulates the token for WS-send-style protocols until
-// Close. The rotation skips crash-stopped and suspected holders so one
-// down process cannot stall everyone's deferred writes; visits are
-// numbered by actual token grants, keeping rounds contiguous for the
-// receivers' expected-visit tracking.
-func (c *Cluster) tokenLoop(interval time.Duration) {
-	defer close(c.tokenDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	visit := 0 // next round number (increments per grant)
-	pos := 0   // rotation cursor (increments per considered holder)
-	for {
-		select {
-		case <-c.tokenStop:
-			return
-		case <-ticker.C:
-		}
-		// Pick the next live, unsuspected holder in rotation order; if
-		// none qualifies this tick, try again next tick.
-		holder := -1
-		for i := 0; i < c.cfg.Processes; i++ {
-			cand := (pos + i) % c.cfg.Processes
-			if c.nodeUp(cand) {
-				holder = cand
-				pos = cand + 1
-				break
-			}
-		}
-		if holder == -1 {
-			continue
-		}
-		n := c.nodes[holder]
-		n.mu.Lock()
-		if n.down.Load() {
-			// Crashed between the liveness check and the lock.
-			n.mu.Unlock()
-			continue
-		}
-		tb := n.replica.(protocol.TokenBatcher)
-		batch := tb.OnToken(visit)
-		if n.journalLocked(durability.Entry{Kind: durability.EntryToken, Visit: visit}) != nil {
-			n.mu.Unlock()
-			continue // the holder fail-stopped; the visit was never granted
-		}
-		c.appendEvent(trace.Event{Kind: trace.Token, Proc: holder, Time: c.now()})
-		if len(batch) == 0 {
-			batch = []protocol.Update{protocol.Marker(holder, visit)}
-		}
-		for _, u := range batch {
-			n.archiveLocked(u)
-			c.appendEvent(trace.Event{
-				Kind: trace.Send, Proc: holder, Time: c.now(),
-				Write: u.ID, Var: u.Var, Val: u.Val,
-			})
-		}
-		// Release the deferred-write count only after the batch's Send
-		// events entered the lag accounting: a Quiesce poll that sees
-		// unsent = 0 is then guaranteed to also see the batch's lag, so
-		// it cannot declare quiescence in the hand-off window.
-		c.acct.unsent[holder].v.Store(0)
-		c.acct.bump()
-		n.drainLocked()
-		n.mu.Unlock()
-		// Send outside the node lock (see Node.Write).
-		for _, u := range batch {
-			transport.Broadcast(c.tr, c.cfg.Processes, holder, u)
-		}
-		visit++
-	}
-}
-
-// nodeUp reports whether p is neither crash-stopped nor suspected.
-func (c *Cluster) nodeUp(p int) bool {
-	c.mu.Lock()
-	down := c.down[p]
-	c.mu.Unlock()
-	if down {
-		return false
-	}
-	if c.det != nil {
-		return c.det.Up(p)
-	}
-	return true
-}
-
-// noteDeferred records a write buffered at its sender awaiting the
-// token. The caller (Node.Write) invokes it before recording the Issue
-// event, so no Quiesce poll can observe the issued write without its
-// unsent obligation.
-func (c *Cluster) noteDeferred(p int) {
-	c.acct.unsent[p].v.Add(1)
-	c.acct.bump()
 }
 
 // WriteAt is shorthand for c.Node(p).Write(x, v).

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,7 +38,11 @@ func TestConfigValidate(t *testing.T) {
 		{Processes: 0, Variables: 1},
 		{Processes: 1, Variables: 0},
 		{Processes: 1, Variables: 1, MinDelay: 5, MaxDelay: 1},
-		{Processes: 1, Variables: 1, TokenInterval: -1},
+		// Kinds outside the live set run only in the simulator.
+		{Processes: 1, Variables: 1, Protocol: protocol.WSRecv},
+		{Processes: 1, Variables: 1, Protocol: protocol.WSSend},
+		{Processes: 1, Variables: 1, Protocol: protocol.OptPWS},
+		{Processes: 1, Variables: 1, Protocol: protocol.OptPNoReadMerge},
 		{Processes: 1, Variables: 1, SnapshotEvery: -1},
 		{Processes: 1, Variables: 1, HeartbeatInterval: -1},
 		{Processes: 1, Variables: 1, SuspectAfter: -1},
@@ -52,6 +58,20 @@ func TestConfigValidate(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+	// The live set is exactly LiveKinds, and a refusal points at the
+	// simulator.
+	for _, kind := range protocol.Kinds() {
+		err := Config{Processes: 1, Variables: 1, Protocol: kind}.Validate()
+		if live := slices.Contains(LiveKinds(), kind); live != (err == nil) {
+			t.Errorf("%v: live=%v, Validate = %v", kind, live, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "simulator") {
+			t.Errorf("%v: refusal does not name the simulator: %v", kind, err)
+		}
+		if k, perr := ParseLiveKind(kind.String()); (perr == nil) != (err == nil) || k != kind {
+			t.Errorf("ParseLiveKind(%q) = %v, %v; Validate = %v", kind, k, perr, err)
 		}
 	}
 }
@@ -214,8 +234,7 @@ func TestCausalChainUnderJitter(t *testing.T) {
 // Hammer test: concurrent writers/readers under reordering jitter; the
 // audit must pass and OptP must show zero unnecessary delays.
 func TestConcurrentWorkloadAudit(t *testing.T) {
-	kinds := []protocol.Kind{protocol.OptP, protocol.ANBKH, protocol.WSRecv, protocol.OptPNoReadMerge, protocol.OptPWS}
-	for _, kind := range kinds {
+	for _, kind := range LiveKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c, err := NewCluster(Config{
@@ -262,7 +281,7 @@ func TestConcurrentWorkloadAudit(t *testing.T) {
 			if kind == protocol.OptP && !rep.WriteDelayOptimal() {
 				t.Fatalf("OptP unnecessary delays: %+v", rep.Delays)
 			}
-			if kind != protocol.WSRecv && kind != protocol.OptPWS && !rep.InP() {
+			if !rep.InP() {
 				t.Fatalf("not in 𝒫: %v", rep.NotApplied)
 			}
 			if err := c.Close(); err != nil {
@@ -273,42 +292,6 @@ func TestConcurrentWorkloadAudit(t *testing.T) {
 				t.Fatalf("stats = %+v", s)
 			}
 		})
-	}
-}
-
-// WS-send on the live runtime: suppressed writes never propagate; the
-// survivors reach everyone; Quiesce accounts for suppression.
-func TestWSSendLiveCluster(t *testing.T) {
-	c, err := NewCluster(Config{
-		Processes: 3, Variables: 2, Protocol: protocol.WSSend,
-		TokenInterval: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Node(0).Write(0, 1) // will be suppressed
-	c.Node(0).Write(0, 2)
-	c.Node(1).Write(1, 3)
-	quiesce(t, c)
-	for p := 0; p < 3; p++ {
-		if v, _ := c.Node(p).Read(0); v != 2 {
-			t.Fatalf("p%d x1 = %d", p+1, v)
-		}
-		if v, _ := c.Node(p).Read(1); v != 3 {
-			t.Fatalf("p%d x2 = %d", p+1, v)
-		}
-	}
-	log := c.Log()
-	w1 := history.WriteID{Proc: 0, Seq: 1}
-	for p := 1; p < 3; p++ {
-		for _, id := range log.AppliesAt(p) {
-			if id == w1 {
-				t.Fatalf("suppressed write applied at p%d", p+1)
-			}
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

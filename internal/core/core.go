@@ -2,8 +2,8 @@
 // goroutine-hosted causally consistent distributed shared memory.
 //
 // A Cluster hosts n processes, each owning a full replica of the m
-// shared variables and running one of the implemented protocols
-// (OptP — the paper's write-delay-optimal protocol — by default).
+// shared variables and running one of the live protocols (LiveKinds;
+// OptP — the paper's write-delay-optimal protocol — by default).
 // Writes are wait-free: they apply locally and broadcast asynchronously
 // over the transport; reads are local and wait-free. The cluster
 // records a full event trace that the checker package can audit for
@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -29,14 +30,45 @@ import (
 	"repro/internal/transport"
 )
 
+// liveKinds are the protocols a Cluster runs: the members of class 𝒫
+// the live runtime builds on. ANBKH is OptP's live baseline and
+// PartialRep is Xiang–Vaidya's partial replication. The
+// writing-semantics variants fall outside 𝒫 — some of their writes are
+// never applied everywhere — and, with the read-merge ablation, run
+// only in the simulator (internal/sim, cmd/dsmbench).
+var liveKinds = []protocol.Kind{protocol.OptP, protocol.ANBKH, protocol.PartialRep}
+
+// LiveKinds lists the protocols the live runtime runs, in display order.
+func LiveKinds() []protocol.Kind { return slices.Clone(liveKinds) }
+
+// ParseLiveKind maps a protocol name to its Kind, like
+// protocol.ParseKind, and refuses the kinds that run only in the
+// simulator.
+func ParseLiveKind(s string) (protocol.Kind, error) {
+	k, err := protocol.ParseKind(s)
+	if err != nil {
+		return k, err
+	}
+	return k, checkLive(k)
+}
+
+// checkLive reports an error naming the simulator for a kind outside
+// LiveKinds.
+func checkLive(k protocol.Kind) error {
+	if slices.Contains(liveKinds, k) {
+		return nil
+	}
+	return fmt.Errorf("core: protocol %v runs only in the simulator (internal/sim, dsmbench); the live runtime runs %v", k, liveKinds)
+}
+
 // Config parameterizes a Cluster.
 type Config struct {
 	// Processes is the number of replicated processes (n ≥ 1).
 	Processes int
 	// Variables is the number of shared memory locations (m ≥ 1).
 	Variables int
-	// Protocol selects the consistency protocol; the zero value is
-	// OptP, the paper's optimal protocol.
+	// Protocol selects the consistency protocol, one of LiveKinds; the
+	// zero value is OptP, the paper's optimal protocol.
 	Protocol protocol.Kind
 
 	// ShareSets, when non-nil, engages partial replication: ShareSets[x]
@@ -90,10 +122,6 @@ type Config struct {
 	// codec runs on the real sockets instead.
 	Meta protocol.MetaMode
 
-	// TokenInterval is the wall-clock period of token circulation for
-	// token-based protocols (WS-send); 0 defaults to 1ms.
-	TokenInterval time.Duration
-
 	// WALDir enables crash recovery: each process journals its local
 	// operations and applied updates to a write-ahead log under
 	// WALDir/node<i>, with periodic full-state snapshots, so it can be
@@ -121,9 +149,8 @@ type Config struct {
 
 	// HeartbeatInterval > 0 starts the heartbeat failure detector:
 	// every interval each live process probes every peer, and silence
-	// beyond SuspectAfter raises a Suspect trace event. Token
-	// circulation skips suspected holders. Requires the built-in
-	// transport.
+	// beyond SuspectAfter raises a Suspect trace event. Requires the
+	// built-in transport.
 	HeartbeatInterval time.Duration
 	// SuspectAfter is the detector's silence threshold; 0 defaults to
 	// 4×HeartbeatInterval.
@@ -167,6 +194,9 @@ func (c Config) Validate() error {
 	if c.Variables < 1 {
 		return fmt.Errorf("core: Variables = %d", c.Variables)
 	}
+	if err := checkLive(c.Protocol); err != nil {
+		return err
+	}
 	if c.MinDelay < 0 || c.MaxDelay < c.MinDelay {
 		return fmt.Errorf("core: delay range [%v, %v]", c.MinDelay, c.MaxDelay)
 	}
@@ -183,9 +213,6 @@ func (c Config) Validate() error {
 		if c.WALDir != "" || len(c.Crashes) > 0 {
 			return fmt.Errorf("core: partial replication (ShareSets) does not compose with crash recovery")
 		}
-	}
-	if c.TokenInterval < 0 {
-		return fmt.Errorf("core: TokenInterval = %v", c.TokenInterval)
 	}
 	if err := c.Chaos.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

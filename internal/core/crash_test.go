@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/history"
 	"repro/internal/protocol"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -47,18 +45,14 @@ func crashWorkload(t *testing.T, c *Cluster, procs []int, ops int, seed int64) {
 }
 
 // TestCrashRestartAllProtocols is the crash/restart property test: for
-// every protocol kind (with chaos layered on for OptP), run a workload,
+// every live protocol kind (with chaos layered on for OptP), run a workload,
 // crash-stop one process mid-run, keep the survivors working, restart
 // the crashed process from its journal, run more load, quiesce, and
 // demand the full audit: causal consistency, no lost acknowledged
 // writes, exactly-once application, crash-model consistency — and for
 // OptP, zero unnecessary delays even across the restart.
 func TestCrashRestartAllProtocols(t *testing.T) {
-	kinds := []protocol.Kind{
-		protocol.OptP, protocol.ANBKH, protocol.WSRecv,
-		protocol.WSSend, protocol.OptPNoReadMerge, protocol.OptPWS,
-	}
-	for _, kind := range kinds {
+	for _, kind := range LiveKinds() {
 		for _, chaos := range []bool{false, true} {
 			if chaos && kind != protocol.OptP {
 				continue
@@ -74,7 +68,6 @@ func TestCrashRestartAllProtocols(t *testing.T) {
 					Processes: 4, Variables: 3, Protocol: kind,
 					MaxDelay: 500 * time.Microsecond, Seed: 23,
 					WALDir: t.TempDir(), SnapshotEvery: 16,
-					TokenInterval: 200 * time.Microsecond,
 				}
 				if chaos {
 					cfg.Chaos = transport.ChaosConfig{
@@ -134,33 +127,10 @@ func TestCrashRestartAllProtocols(t *testing.T) {
 				if rep.Crashes != 1 || rep.Recoveries != 1 {
 					t.Fatalf("crashes=%d recoveries=%d", rep.Crashes, rep.Recoveries)
 				}
-				// No acknowledged write may be lost: every propagated write
-				// must be at least logically applied at every process,
-				// including the restarted one. Writing-semantics kinds
-				// legitimately skip installing overwritten values (Logical
-				// entries), and WS-send never propagates writes suppressed at
-				// their sender (fine at peers, as long as the origin itself
-				// kept them); everything else must be fully in 𝒫.
-				switch kind {
-				case protocol.WSRecv, protocol.WSSend, protocol.OptPWS:
-					propagated := make(map[history.WriteID]bool)
-					for _, e := range c.Log().Events {
-						if e.Kind == trace.Send && e.Write.Seq > 0 {
-							propagated[e.Write] = true
-						}
-					}
-					for _, m := range rep.NotApplied {
-						if m.Logical {
-							continue
-						}
-						if propagated[m.Write] || m.Proc == m.Write.Proc {
-							t.Fatalf("lost write: %v", m)
-						}
-					}
-				default:
-					if !rep.InP() {
-						t.Fatalf("lost writes: %v", rep.NotApplied)
-					}
+				// No acknowledged write may be lost: every write must be
+				// applied at every process, including the restarted one.
+				if !rep.InP() {
+					t.Fatalf("lost writes: %v", rep.NotApplied)
 				}
 				if kind == protocol.OptP && !rep.WriteDelayOptimal() {
 					for _, d := range rep.Delays {
@@ -383,56 +353,5 @@ func TestHeartbeatSuspectAlive(t *testing.T) {
 	waitFor("alive events", func() bool { return c.Log().AliveCount() > 0 })
 	if s := c.Stats(); s.Crashes != 1 || s.Recoveries != 1 || s.Suspects == 0 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-// TestWSSendTokenSkipsDown: with the token holder crashed, circulation
-// must route around it so the survivors' deferred writes still
-// propagate and Quiesce terminates.
-func TestWSSendTokenSkipsDown(t *testing.T) {
-	c, err := NewCluster(Config{
-		Processes: 3, Variables: 2, Protocol: protocol.WSSend,
-		TokenInterval: 200 * time.Microsecond, WALDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Crash(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Node(1).Write(0, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Node(2).Write(1, 22); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.Quiesce(ctx); err != nil {
-		t.Fatalf("quiesce with holder down: %v", err)
-	}
-	for p := 1; p < 3; p++ {
-		if v, _ := c.Node(p).Read(0); v != 11 {
-			t.Fatalf("p%d x1 = %d", p+1, v)
-		}
-		if v, _ := c.Node(p).Read(1); v != 22 {
-			t.Fatalf("p%d x2 = %d", p+1, v)
-		}
-	}
-	// Bring p1 back: it recovers the missed batches via catch-up.
-	if _, err := c.Restart(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Quiesce(ctx); err != nil {
-		t.Fatalf("quiesce after restart: %v", err)
-	}
-	if v, _ := c.Node(0).Read(0); v != 11 {
-		t.Fatalf("recovered x1 = %d", v)
-	}
-	// Crash/Recover counts surface in the trace.
-	log := c.Log()
-	if log.CrashCount() != 1 || log.RecoverCount() != 1 {
-		t.Fatalf("crash=%d recover=%d", log.CrashCount(), log.RecoverCount())
 	}
 }

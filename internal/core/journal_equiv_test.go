@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/checker"
-	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
@@ -28,12 +27,12 @@ func (s *serialLog) Record(e trace.Event) {
 }
 
 // TestJournalMergeObservationallyIdentical runs a concurrent workload
-// under every protocol kind and checks that the lazily-merged journal
+// under every live protocol kind and checks that the lazily-merged journal
 // log is observationally identical to the same run recorded serially
 // under a global order (the attached sink): identical event sequences,
 // identical checker verdicts, identical stats.
 func TestJournalMergeObservationallyIdentical(t *testing.T) {
-	for _, kind := range protocol.Kinds() {
+	for _, kind := range LiveKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
@@ -41,8 +40,7 @@ func TestJournalMergeObservationallyIdentical(t *testing.T) {
 			c, err := NewCluster(Config{
 				Processes: 3, Variables: 2, Protocol: kind,
 				FIFO: true, MaxDelay: 200 * time.Microsecond, Seed: int64(kind) + 1,
-				TokenInterval: 200 * time.Microsecond,
-				Sink:          sink,
+				Sink: sink,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -74,10 +72,8 @@ func TestJournalMergeObservationallyIdentical(t *testing.T) {
 			if err := c.Quiesce(ctx); err != nil {
 				t.Fatal(err)
 			}
-			// Stop the token loop and drain the transport before reading
-			// the sink: WS-send keeps announcing empty token rounds after
-			// quiescence, and those marker events would race the reads
-			// below (Close is idempotent with the deferred one).
+			// Drain the transport before reading the sink (Close is
+			// idempotent with the deferred one).
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -19,14 +19,14 @@ func metaSeeds() int64 {
 
 // TestMetaCodecChaosEquivalence is the live half of the codec's
 // correctness contract: with the codec recoding every link under
-// message loss and duplication, every protocol must still quiesce and
+// message loss and duplication, every live protocol must still quiesce and
 // pass the full audit — the codec must be invisible to the protocol
 // layer. (The simulator's test asserts exact event equality; a live
 // cluster is scheduled by the Go runtime, so here the invariant is the
 // audit verdict.)
 func TestMetaCodecChaosEquivalence(t *testing.T) {
 	const procs, vars, ops = 3, 3, 25
-	for _, kind := range protocol.Kinds() {
+	for _, kind := range LiveKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			modes := []protocol.MetaMode{protocol.MetaAuto}
@@ -43,7 +43,6 @@ func TestMetaCodecChaosEquivalence(t *testing.T) {
 							LossRate: 0.2, DupRate: 0.1, Seed: seed * 31,
 						},
 						RetransmitTimeout: 300 * time.Microsecond,
-						TokenInterval:     200 * time.Microsecond,
 					})
 					if err != nil {
 						t.Fatal(err)

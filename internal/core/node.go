@@ -83,30 +83,22 @@ func (n *Node) Write(x int, v int64) error {
 		n.mu.Unlock()
 		return fmt.Errorf("write at p%d: %w", n.id+1, ErrDown)
 	}
-	u, broadcast := n.replica.LocalWrite(x, v)
+	// Every live kind propagates each write at once.
+	u, _ := n.replica.LocalWrite(x, v)
 	if err := n.journalLocked(durability.Entry{Kind: durability.EntryLocalWrite, Var: x, Val: v}); err != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("write at p%d: %w: %w", n.id+1, ErrDown, err)
 	}
-	if broadcast {
-		n.archiveLocked(u)
-	} else {
-		// Count the deferred write before its Issue becomes visible:
-		// a Quiesce poll must never see the write without the unsent
-		// obligation that keeps the cluster non-quiescent.
-		n.c.noteDeferred(n.id)
-	}
+	n.archiveLocked(u)
 	now := n.c.now()
 	n.c.appendEvent(trace.Event{
 		Kind: trace.Issue, Proc: n.id, Time: now,
 		Write: u.ID, Var: x, Val: v,
 	})
-	if broadcast {
-		n.c.appendEvent(trace.Event{
-			Kind: trace.Send, Proc: n.id, Time: now,
-			Write: u.ID, Var: x, Val: v,
-		})
-	}
+	n.c.appendEvent(trace.Event{
+		Kind: trace.Send, Proc: n.id, Time: now,
+		Write: u.ID, Var: x, Val: v,
+	})
 	// The local apply advanced this replica's frontier; wake admission
 	// waiters it satisfied.
 	n.wakeFrontierLocked()
@@ -114,12 +106,10 @@ func (n *Node) Write(x int, v int64) error {
 	// Broadcast outside the node lock: a full FIFO link must never
 	// block a holder of n.mu that a delivery goroutine is waiting for.
 	// Under partial replication only the share-set gets the update.
-	if broadcast {
-		if n.c.shares.IsZero() {
-			transport.Broadcast(n.c.tr, n.c.cfg.Processes, n.id, u)
-		} else {
-			transport.Multicast(n.c.tr, n.id, n.c.shares.Replicas(x), u)
-		}
+	if n.c.shares.IsZero() {
+		transport.Broadcast(n.c.tr, n.c.cfg.Processes, n.id, u)
+	} else {
+		transport.Multicast(n.c.tr, n.id, n.c.shares.Replicas(x), u)
 	}
 	return nil
 }
@@ -216,9 +206,9 @@ func (n *Node) Clock() []uint64 {
 }
 
 // Frontier returns a copy of the replica's applied-writes vector:
-// component j counts writes issued by p_j applied (or logically
-// applied) here. The serving tier derives session tokens from it. On
-// a crash-stopped node it returns nil.
+// component j counts writes issued by p_j applied here. The serving
+// tier derives session tokens from it. On a crash-stopped node it
+// returns nil.
 func (n *Node) Frontier() vclock.VC {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -351,9 +341,9 @@ func (n *Node) completeReadLocked(u protocol.Update) {
 }
 
 // receiveLocked runs the receipt state machine for one update: record
-// the receipt, then buffer, apply, or discard. Both the transport path
-// (handle) and anti-entropy catch-up (feedLocked) funnel through it.
-// Caller holds n.mu.
+// the receipt, then buffer or apply. Both the transport path (handle)
+// and anti-entropy catch-up (feedLocked) funnel through it. Caller
+// holds n.mu.
 func (n *Node) receiveLocked(u protocol.Update) {
 	st := n.replica.Status(u)
 	if st == protocol.Blocked && n.c.recoveryEnabled() {
@@ -372,65 +362,28 @@ func (n *Node) receiveLocked(u protocol.Update) {
 	// order authority is the journal ticket, and sampling the clock once
 	// per message keeps nanotime off the per-event cost.
 	now := n.c.now()
-	kind := trace.Receipt
-	if u.Marker {
-		kind = trace.Token
-	}
 	n.c.appendEvent(trace.Event{
-		Kind: kind, Proc: n.id, Time: now,
+		Kind: trace.Receipt, Proc: n.id, Time: now,
 		Write: u.ID, Var: u.Var, Val: u.Val,
 		Buffered: st == protocol.Blocked,
 	})
-	switch st {
-	case protocol.Blocked:
+	if st == protocol.Blocked {
 		n.pending.add(u)
-	case protocol.Deliverable:
+	} else {
 		n.applyLocked(u, now)
-	case protocol.Discardable:
-		n.dropLocked(u, now)
 	}
 }
 
-// applyLocked installs u, recording any writing-semantics logical apply
-// first, stamping its events with now. Caller holds n.mu.
+// applyLocked installs u, stamping its events with now. Caller holds
+// n.mu.
 func (n *Node) applyLocked(u protocol.Update, now int64) {
-	skipped := history.Bottom
-	if sk, ok := n.replica.(protocol.Skipper); ok {
-		skipped = sk.SkipTarget(u)
-	}
 	n.replica.Apply(u)
 	if n.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u}) != nil {
 		return
 	}
-	if !skipped.IsBottom() {
-		n.c.appendEvent(trace.Event{
-			Kind: trace.Discard, Proc: n.id, Time: now, Write: skipped,
-		})
-	}
-	n.archiveLocked(u)
-	kind := trace.Apply
-	if u.Marker {
-		kind = trace.Token
-	}
-	n.c.appendEvent(trace.Event{
-		Kind: kind, Proc: n.id, Time: now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-	})
-	n.wakeFrontierLocked()
-}
-
-// dropLocked discards the late message of an already logically-applied
-// write. Caller holds n.mu.
-func (n *Node) dropLocked(u protocol.Update, now int64) {
-	n.replica.Discard(u)
-	if n.journalLocked(durability.Entry{Kind: durability.EntryDiscard, Update: u}) != nil {
-		return
-	}
-	// Archive the dropped message too: its value was skipped here, but
-	// a recovering peer that did NOT skip it still needs the payload.
 	n.archiveLocked(u)
 	n.c.appendEvent(trace.Event{
-		Kind: trace.Drop, Proc: n.id, Time: now,
+		Kind: trace.Apply, Proc: n.id, Time: now,
 		Write: u.ID, Var: u.Var, Val: u.Val,
 	})
 	n.wakeFrontierLocked()
@@ -439,19 +392,20 @@ func (n *Node) dropLocked(u protocol.Update, now int64) {
 // drainLocked applies buffered updates until a fixpoint. Caller holds
 // n.mu.
 //
-// The pending set keeps each origin's updates sorted by delivery key,
-// and every protocol delivers (or discards / purges) an origin's
-// updates in that order: OptP/ANBKH require Apply[from] = seq−1, WSSend
-// consumes (round, slot) contiguously, and the writing-semantics skip
-// case — an update deliverable over its still-buffered predecessor —
-// only ever jumps the immediately preceding update from the same
-// origin. So examining the head and head+1 of each origin queue finds
-// every actionable update, re-checking an update only when some state
+// The pending set keeps each origin's updates sorted by sequence
+// number, and every live protocol applies (or purges) an origin's
+// writes in that order: OptP and ANBKH require Apply[from] = seq−1, and
+// PartialRep the next position on the (from, here) edge. PartialRep's
+// forwarded-read requests and replies share the origin queues with the
+// writes (their negative seqs sort first) and wait on other origins'
+// writes, so a blocked head can hide an actionable update behind it.
+// Examining the head and head+1 of each origin queue finds the
+// actionable updates, re-checking an update only when some state
 // advance could have unblocked it, instead of the old rescan of the
 // whole buffer after every apply. A final full scan at the fixpoint
-// guards the invariant: it is expected to find nothing and exists so a
-// future protocol with a wilder delivery order degrades to the old
-// behaviour instead of wedging.
+// catches whatever sits deeper: it usually finds nothing and keeps a
+// queue from wedging behind a head that waits longer than its
+// successors.
 func (n *Node) drainLocked() {
 	purge := n.c.recoveryEnabled()
 	res, canResume := n.replica.(protocol.Resumer)
@@ -473,39 +427,17 @@ func (n *Node) drainLocked() {
 	}
 }
 
-// drainStepLocked probes the head (and, for the same-origin skip case,
-// head+1) of one origin queue, acting on the first actionable update.
-// It reports whether it made progress. Caller holds n.mu.
+// drainStepLocked probes the head and head+1 of one origin queue,
+// acting on the first actionable update. It reports whether it made
+// progress. Caller holds n.mu.
 func (n *Node) drainStepLocked(origin int, canPurge bool, res protocol.Resumer) bool {
 	if n.pending == nil {
 		return false // the last apply's journaling failed: crash-stopped
 	}
 	q := n.pending.byOrigin[origin]
 	for probe := 0; probe < 2 && probe < len(q); probe++ {
-		u := q[probe]
-		switch n.replica.Status(u) {
-		case protocol.Deliverable:
-			n.pending.removeAt(origin, probe)
-			switch {
-			case u.ReadReq:
-				n.serveReadLocked(u, true)
-			case u.ReadReply:
-				n.completeReadLocked(u)
-			default:
-				n.applyLocked(u, n.c.now())
-			}
+		if n.actLocked(origin, probe, canPurge, res) {
 			return true
-		case protocol.Discardable:
-			n.pending.removeAt(origin, probe)
-			n.dropLocked(u, n.c.now())
-			return true
-		case protocol.Blocked:
-			// A buffered copy can go stale when catch-up installs
-			// the same write first; evict it or it rots here.
-			if canPurge && !res.NeedsUpdate(u) {
-				n.pending.removeAt(origin, probe)
-				return true
-			}
 		}
 	}
 	return false
@@ -518,31 +450,38 @@ func (n *Node) drainScanLocked(canPurge bool, res protocol.Resumer) bool {
 	if n.pending == nil {
 		return false
 	}
-	for origin := range n.pending.byOrigin {
-		for i, u := range n.pending.byOrigin[origin] {
-			switch n.replica.Status(u) {
-			case protocol.Deliverable:
-				n.pending.removeAt(origin, i)
-				switch {
-				case u.ReadReq:
-					n.serveReadLocked(u, true)
-				case u.ReadReply:
-					n.completeReadLocked(u)
-				default:
-					n.applyLocked(u, n.c.now())
-				}
+	for origin, q := range n.pending.byOrigin {
+		for i := range q {
+			if n.actLocked(origin, i, canPurge, res) {
 				return true
-			case protocol.Discardable:
-				n.pending.removeAt(origin, i)
-				n.dropLocked(u, n.c.now())
-				return true
-			case protocol.Blocked:
-				if canPurge && !res.NeedsUpdate(u) {
-					n.pending.removeAt(origin, i)
-					return true
-				}
 			}
 		}
+	}
+	return false
+}
+
+// actLocked acts on the update at position i of origin's pending queue
+// if it is actionable: a deliverable write is applied, a deliverable
+// forwarded-read message is served or handed to its reader, and a copy
+// that catch-up already installed is evicted (it would rot here
+// otherwise). It reports whether it acted. Caller holds n.mu.
+func (n *Node) actLocked(origin, i int, canPurge bool, res protocol.Resumer) bool {
+	u := n.pending.byOrigin[origin][i]
+	switch {
+	case n.replica.Status(u) == protocol.Deliverable:
+		n.pending.removeAt(origin, i)
+		switch {
+		case u.ReadReq:
+			n.serveReadLocked(u, true)
+		case u.ReadReply:
+			n.completeReadLocked(u)
+		default:
+			n.applyLocked(u, n.c.now())
+		}
+		return true
+	case canPurge && !res.NeedsUpdate(u):
+		n.pending.removeAt(origin, i)
+		return true
 	}
 	return false
 }

@@ -10,18 +10,16 @@ import (
 // pendingSet is the node's buffer of blocked (write-delayed) updates,
 // replacing the old flat slice whose duplicate checks and drain loop
 // rescanned every entry per message. Updates are held per origin,
-// sorted by their delivery key, with a write-ID index on the side:
+// sorted by ID.Seq, with a write-ID index on the side:
 //
 //   - duplicate detection (receiveLocked, feedLocked) is one map probe;
-//   - drain examines only each origin's queue head (plus one slot for
-//     the writing-semantics skip case) instead of the whole buffer,
-//     because every protocol consumes an origin's updates in key order.
+//   - drain examines only each origin's queue head and head+1 instead of
+//     the whole buffer, because every live protocol applies an origin's
+//     writes in issue (seq) order (see drainLocked).
 //
-// The delivery key is (Round, Slot, ID.Seq): WSSend orders its token
-// batches by (round, slot) — both zero for every other protocol — and
-// the broadcast protocols deliver each origin's writes in issue (seq)
-// order. Updates from the same origin never tie: seqs are unique per
-// origin and marker rounds are unique per visit.
+// Updates from the same origin never tie: write seqs are unique per
+// origin, and PartialRep's forwarded-read messages carry a distinct
+// negative seq per request.
 type pendingSet struct {
 	byOrigin [][]protocol.Update
 	index    map[history.WriteID]struct{}
@@ -34,24 +32,13 @@ func newPendingSet(procs int) *pendingSet {
 	}
 }
 
-// updateLess orders two same-origin updates by delivery key.
-func updateLess(a, b protocol.Update) bool {
-	if a.Round != b.Round {
-		return a.Round < b.Round
-	}
-	if a.Slot != b.Slot {
-		return a.Slot < b.Slot
-	}
-	return a.ID.Seq < b.ID.Seq
-}
-
-// add inserts u into its origin queue at the key-ordered position.
+// add inserts u into its origin queue at the seq-ordered position.
 // Arrivals are FIFO per origin in the common case, so the insert point
 // is almost always the end.
 func (ps *pendingSet) add(u protocol.Update) {
 	origin := u.From()
 	q := ps.byOrigin[origin]
-	i := sort.Search(len(q), func(k int) bool { return updateLess(u, q[k]) })
+	i := sort.Search(len(q), func(k int) bool { return u.ID.Seq < q[k].ID.Seq })
 	q = append(q, protocol.Update{})
 	copy(q[i+1:], q[i:])
 	q[i] = u
@@ -85,7 +72,7 @@ func (ps *pendingSet) removeAt(origin, i int) {
 }
 
 // flatten returns every buffered update in deterministic order (origin
-// ascending, then delivery-key order) — the order snapshots encode, so
+// ascending, then seq order) — the order snapshots encode, so
 // an export→restore→export round trip is byte-identical.
 func (ps *pendingSet) flatten() []protocol.Update {
 	if ps == nil {

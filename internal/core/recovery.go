@@ -38,9 +38,9 @@ func (s RecoveryStats) String() string {
 // Crash crash-stops process p: its journal is closed, its in-memory
 // replica state is zeroed, and from now on its operations return
 // ErrDown and messages delivered to it are dropped on the floor. The
-// rest of the cluster keeps running — Quiesce excludes p, and token
-// circulation routes around it. Crash of an already-down process
-// returns ErrDown; after Close it returns ErrClosed. When the journal's
+// rest of the cluster keeps running, and Quiesce excludes p. Crash of
+// an already-down process returns ErrDown; after Close it returns
+// ErrClosed. When the journal's
 // buffered tail cannot be written out, p is crash-stopped all the same,
 // Crash returns the error and so does every later Restart: the journal
 // holds less than p acknowledged and broadcast. A process whose journal
@@ -198,10 +198,8 @@ func (c *Cluster) Down(p int) bool {
 func (n *Node) replayLocked(e durability.Entry) error {
 	switch e.Kind {
 	case durability.EntryLocalWrite:
-		u, broadcast := n.replica.LocalWrite(e.Var, e.Val)
-		if broadcast {
-			n.archiveLocked(u)
-		}
+		u, _ := n.replica.LocalWrite(e.Var, e.Val)
+		n.archiveLocked(u)
 	case durability.EntryRead:
 		n.replica.Read(e.Var)
 	case durability.EntryApply:
@@ -210,24 +208,6 @@ func (n *Node) replayLocked(e durability.Entry) error {
 		}
 		n.replica.Apply(e.Update)
 		n.archiveLocked(e.Update)
-	case durability.EntryDiscard:
-		if got := n.replica.Status(e.Update); got != protocol.Discardable {
-			return fmt.Errorf("replaying discard of %v: status %v", e.Update.ID, got)
-		}
-		n.replica.Discard(e.Update)
-		n.archiveLocked(e.Update)
-	case durability.EntryToken:
-		tb, ok := n.replica.(protocol.TokenBatcher)
-		if !ok {
-			return fmt.Errorf("token entry for non-token protocol")
-		}
-		batch := tb.OnToken(e.Visit)
-		if len(batch) == 0 {
-			batch = []protocol.Update{protocol.Marker(n.id, e.Visit)}
-		}
-		for _, u := range batch {
-			n.archiveLocked(u)
-		}
 	default:
 		return fmt.Errorf("unknown journal entry kind %d", e.Kind)
 	}
@@ -361,11 +341,7 @@ func (n *Node) snapshotLocked() []byte {
 // (freshly constructed) replica, pending buffer and archive. Caller
 // holds n.mu.
 func (n *Node) restoreSnapshotLocked(data []byte) error {
-	sc, ok := n.replica.(protocol.StateCodec)
-	if !ok {
-		return fmt.Errorf("protocol %v does not support state recovery", n.c.cfg.Protocol)
-	}
-	off, err := sc.RestoreState(data)
+	off, err := n.replica.(protocol.StateCodec).RestoreState(data)
 	if err != nil {
 		return err
 	}

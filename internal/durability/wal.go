@@ -6,8 +6,8 @@
 // segment begins with a magic header and a snapshot record — an opaque
 // encoding of the replica's complete protocol state at rotation time —
 // followed by one record per journaled operation (local write, state-
-// mutating read, remote apply/discard, token visit). Recovery reads the
-// newest intact segment: restore the snapshot, replay the entries. A
+// mutating read, remote apply). Recovery reads the newest intact
+// segment: restore the snapshot, replay the entries. A
 // torn tail (the record being written when the crash hit) is detected
 // by length/CRC framing and discarded; a segment whose snapshot itself
 // is torn is skipped in favor of its predecessor, which rotation keeps
@@ -61,7 +61,9 @@ type EntryKind uint8
 
 // Journal entry kinds. The zero value is reserved: record payloads
 // starting with 0 cannot be confused with entries (and the snapshot
-// record is positional, never tagged).
+// record is positional, never tagged). Tags 4 and 5 belonged to kinds
+// since retired (a writing-semantics discard, a token visit) and stay
+// unassigned, so a payload carrying one fails to decode.
 const (
 	// EntryLocalWrite journals a local write w(Var)=Val.
 	EntryLocalWrite EntryKind = 1 + iota
@@ -69,11 +71,6 @@ const (
 	EntryRead
 	// EntryApply journals a remote update applied here.
 	EntryApply
-	// EntryDiscard journals a writing-semantics discard of Update.
-	EntryDiscard
-	// EntryToken journals a token visit consumed here (WS-send), so
-	// replay re-drains the same pending batch.
-	EntryToken
 )
 
 // String implements fmt.Stringer.
@@ -85,10 +82,6 @@ func (k EntryKind) String() string {
 		return "read"
 	case EntryApply:
 		return "apply"
-	case EntryDiscard:
-		return "discard"
-	case EntryToken:
-		return "token"
 	default:
 		return fmt.Sprintf("EntryKind(%d)", int(k))
 	}
@@ -101,9 +94,7 @@ type Entry struct {
 	// EntryRead uses Var only.
 	Var int
 	Val int64
-	// Visit is the token visit number for EntryToken.
-	Visit int
-	// Update is the full remote update for EntryApply / EntryDiscard.
+	// Update is the full remote update for EntryApply.
 	Update protocol.Update
 }
 
@@ -116,10 +107,8 @@ func appendEntry(dst []byte, e Entry) []byte {
 		dst = binary.AppendVarint(dst, e.Val)
 	case EntryRead:
 		dst = binary.AppendVarint(dst, int64(e.Var))
-	case EntryApply, EntryDiscard:
+	case EntryApply:
 		dst = e.Update.AppendBinary(dst)
-	case EntryToken:
-		dst = binary.AppendVarint(dst, int64(e.Visit))
 	}
 	return dst
 }
@@ -157,18 +146,12 @@ func decodeEntry(buf []byte) (Entry, error) {
 			return e, err
 		}
 		e.Var = int(x)
-	case EntryApply, EntryDiscard:
+	case EntryApply:
 		u, n, err := protocol.DecodeUpdate(rest)
 		if err != nil {
 			return e, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		e.Update, rest = u, rest[n:]
-	case EntryToken:
-		v, err := readV()
-		if err != nil {
-			return e, err
-		}
-		e.Visit = int(v)
 	default:
 		return e, fmt.Errorf("%w: unknown entry kind %d", ErrCorrupt, buf[0])
 	}

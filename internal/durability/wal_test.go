@@ -3,6 +3,7 @@ package durability
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,14 +22,10 @@ func sampleEntries() []Entry {
 		Clock: vclock.New(3), Round: 4, Slot: 1, BatchSize: 2,
 	}
 	u.Clock.Set(1, 3)
-	marker := protocol.Marker(2, 9)
 	return []Entry{
 		{Kind: EntryLocalWrite, Var: 1, Val: -42},
 		{Kind: EntryRead, Var: 0},
 		{Kind: EntryApply, Update: u},
-		{Kind: EntryDiscard, Update: u},
-		{Kind: EntryApply, Update: marker},
-		{Kind: EntryToken, Visit: 17},
 	}
 }
 
@@ -48,8 +45,7 @@ func TestEntryRoundTrip(t *testing.T) {
 // sameEntry compares the fields the codec carries.
 func sameEntry(a, b Entry) bool {
 	return a.Kind == b.Kind && a.Var == b.Var && a.Val == b.Val &&
-		a.Visit == b.Visit && a.Update.ID == b.Update.ID &&
-		a.Update.Val == b.Update.Val && a.Update.Marker == b.Update.Marker &&
+		a.Update.ID == b.Update.ID && a.Update.Val == b.Update.Val &&
 		a.Update.Round == b.Update.Round && a.Update.Clock.Equal(b.Update.Clock)
 }
 
@@ -71,23 +67,27 @@ func segmentImage(snapshot []byte, entries []Entry) []byte {
 	return img
 }
 
-// TestEntryDecodeErrors: empty, unknown-kind, truncated and
-// trailing-byte payloads are all rejected.
+// TestEntryDecodeErrors: empty, unknown-kind, retired-kind, truncated
+// and trailing-byte payloads are all rejected as corrupt.
 func TestEntryDecodeErrors(t *testing.T) {
-	if _, err := decodeEntry(nil); err == nil {
-		t.Fatal("empty payload accepted")
-	}
-	if _, err := decodeEntry([]byte{0xEE}); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
 	full := appendEntry(nil, Entry{Kind: EntryLocalWrite, Var: 3, Val: 1 << 40})
-	for cut := 1; cut < len(full); cut++ {
-		if _, err := decodeEntry(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+	apply := appendEntry(nil, sampleEntries()[2])
+	cases := map[string][]byte{
+		"empty":          nil,
+		"unknown kind":   {0xEE},
+		"trailing bytes": append(full[:len(full):len(full)], 0),
+		// Tags 4 and 5 were a writing-semantics discard (an update
+		// payload) and a token visit (a varint); both kinds are retired.
+		"retired tag 4": append([]byte{4}, apply[1:]...),
+		"retired tag 5": {5, 0x22},
 	}
-	if _, err := decodeEntry(append(full, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	for cut := 1; cut < len(full); cut++ {
+		cases[fmt.Sprintf("truncated at %d", cut)] = full[:cut]
+	}
+	for name, payload := range cases {
+		if _, err := decodeEntry(payload); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
@@ -97,8 +97,6 @@ func TestEntryKindString(t *testing.T) {
 		EntryLocalWrite: "local-write",
 		EntryRead:       "read",
 		EntryApply:      "apply",
-		EntryDiscard:    "discard",
-		EntryToken:      "token",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -433,7 +431,7 @@ func TestRecoverEveryCutPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sampleEntries()[:3]
+	before := sampleEntries()
 	for _, e := range before {
 		w.Append(e)
 	}
@@ -503,9 +501,11 @@ func TestRecoverEveryCutPoint(t *testing.T) {
 }
 
 // TestGoldenSegment pins the on-disk format: testdata/golden holds a
-// segment written before appends were buffered. It must recover as it
-// always did, and the same operations must still produce the same
-// bytes, syncing or not.
+// segment written before appends were buffered. Its first three entry
+// records, one per kind, must recover as they always did, and the same
+// operations must still produce the same bytes, syncing or not. The
+// record after them is tagged 4, a retired kind: it fails to decode and
+// so ends the log, as a torn tail would.
 func TestGoldenSegment(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "seg-00000001.wal"))
 	if err != nil {
@@ -546,8 +546,11 @@ func TestGoldenSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, golden) {
-			t.Errorf("sync=%v: segment differs from the golden one:\n got %x\nwant %x", syncEvery, got, golden)
+		if !bytes.HasPrefix(golden, got) {
+			t.Fatalf("sync=%v: segment is not a prefix of the golden one:\n got %x\nwant %x", syncEvery, got, golden)
+		}
+		if rest := golden[len(got):]; len(rest) <= recordHeader || rest[recordHeader] != 4 {
+			t.Fatalf("sync=%v: golden segment continues with %x, want a record tagged 4", syncEvery, rest)
 		}
 	}
 }

@@ -10,16 +10,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 // CrashRecovery is E-crash: the live cluster under crash-stop failures
-// with durable recovery. For every protocol (plus OptP with transport
-// chaos layered on) a workload runs, one process is crash-stopped
-// mid-run while the survivors keep going, then restarted from its
+// with durable recovery. For OptP (with and without transport chaos)
+// and ANBKH a workload runs, one process is crash-stopped mid-run
+// while the survivors keep going, then restarted from its
 // write-ahead log and caught up via anti-entropy; more load follows
 // and the run must quiesce and pass the full audit — causal
 // consistency, no lost acknowledged writes, exactly-once application,
@@ -47,10 +46,6 @@ func CrashRecovery() (Result, error) {
 		{protocol.OptP, false},
 		{protocol.OptP, true},
 		{protocol.ANBKH, false},
-		{protocol.WSRecv, false},
-		{protocol.WSSend, false},
-		{protocol.OptPNoReadMerge, false},
-		{protocol.OptPWS, false},
 	}
 	for _, v := range variants {
 		name := v.kind.String()
@@ -86,7 +81,6 @@ func crashRun(kind protocol.Kind, chaos bool, procs, vars, ops int) (st trace.Ru
 		Processes: procs, Variables: vars, Protocol: kind,
 		MaxDelay: 200 * time.Microsecond, Seed: 42,
 		WALDir: walDir, SnapshotEvery: 32,
-		TokenInterval:     200 * time.Microsecond,
 		HeartbeatInterval: time.Millisecond,
 	}
 	if chaos {
@@ -146,25 +140,12 @@ func crashRun(kind protocol.Kind, chaos bool, procs, vars, ops int) (st trace.Ru
 	if !rep.Safe() || !rep.CausallyConsistent() || !rep.ExactlyOnce() || !rep.CrashConsistent() {
 		return st, rec, 0, fmt.Errorf("audit failed: %v", rep)
 	}
-	// No lost acknowledged writes: every non-logical missing apply must
-	// be a write its sender suppressed before ever propagating (WS-send).
-	propagated := make(map[history.WriteID]bool)
-	log := c.Log()
-	for _, e := range log.Events {
-		if e.Kind == trace.Send && e.Write.Seq > 0 {
-			propagated[e.Write] = true
-		}
-	}
-	for _, m := range rep.NotApplied {
-		if m.Logical {
-			continue
-		}
-		if propagated[m.Write] || m.Proc == m.Write.Proc {
-			return st, rec, 0, fmt.Errorf("lost write: %v", m)
-		}
+	// No lost acknowledged writes: every write is applied everywhere.
+	if !rep.InP() {
+		return st, rec, 0, fmt.Errorf("lost writes: %v", rep.NotApplied)
 	}
 	if kind == protocol.OptP && !rep.WriteDelayOptimal() {
 		return st, rec, 0, fmt.Errorf("%d unnecessary OptP delays", rep.UnnecessaryDelays)
 	}
-	return log.Stats(kind.String()), rec, rep.UnnecessaryDelays, nil
+	return c.Stats(), rec, rep.UnnecessaryDelays, nil
 }

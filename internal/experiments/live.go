@@ -21,7 +21,7 @@ func Throughput(procs, opsPerProc int) (Result, error) {
 		Desc:   fmt.Sprintf("live-cluster throughput (%d procs × %d ops, immediate transport)", procs, opsPerProc),
 		Header: []string{"protocol", "writes/s", "reads/s", "quiesce"},
 	}
-	for _, kind := range []protocol.Kind{protocol.OptP, protocol.ANBKH, protocol.WSRecv} {
+	for _, kind := range []protocol.Kind{protocol.OptP, protocol.ANBKH} {
 		c, err := core.NewCluster(core.Config{
 			Processes: procs, Variables: 8, Protocol: kind, FIFO: true,
 		})

@@ -4,33 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/history"
 	"repro/internal/vclock"
 )
 
-// Crash-recovery state codec. Every replica in this package can export
-// its complete control and data state as a self-delimiting byte string
-// and restore it into a freshly constructed replica of the same kind
-// and shape. The format follows the update codec's varint idiom:
+// Crash-recovery state codec. The replicas the live runtime can recover
+// — OptP and its read-merge ablation, ANBKH, PartialRep — export their
+// complete control and data state as a self-delimiting byte string and
+// restore it into a freshly constructed replica of the same kind and
+// shape. The writing-semantics replicas run only in the simulator and
+// have no codec of their own (OptP-WS inherits OptP's through
+// embedding, which leaves out its skip set). The format follows the
+// update codec's varint idiom:
 //
 //	kind               — uvarint, must match the restoring replica
 //	n                  — uvarint process count (shape check)
 //	<kind-specific>    — vectors via the vclock codec, memory as
-//	                     (val, writer) pairs, sets sorted for a
-//	                     deterministic encoding
+//	                     (val, writer) pairs
 //
 // Determinism matters: the durability layer compares re-encoded
-// snapshots in tests, and sorted set encodings make export → restore →
-// export a byte-identical round trip.
+// snapshots in tests, and export → restore → export is a byte-identical
+// round trip.
 
 // ErrStateCorrupt reports a state encoding that is truncated, of the
 // wrong kind, or shaped for a different cluster.
 var ErrStateCorrupt = errors.New("protocol: corrupt replica state")
 
-// StateCodec is implemented by every replica in this package: full
-// protocol-state export/import for crash recovery.
+// StateCodec is full protocol-state export/import for crash recovery.
 type StateCodec interface {
 	// AppendState appends the replica's complete state encoding to dst.
 	AppendState(dst []byte) []byte
@@ -40,22 +41,22 @@ type StateCodec interface {
 	RestoreState(data []byte) (int, error)
 }
 
-// Resumer is implemented by every replica in this package: it drives
+// Resumer is implemented by the replicas with a StateCodec: it drives
 // anti-entropy catch-up after a restart. NeedsUpdate reports whether
-// the replica still needs u delivered — i.e. u has been neither applied
-// nor logically applied here and is not a stale duplicate. Feeding a
-// replica every update for which NeedsUpdate is true (plus ordinary
-// drain) converges it with the rest of the cluster.
+// the replica still needs u delivered — i.e. u has not been applied
+// here and is not a stale duplicate. Feeding a replica every update for
+// which NeedsUpdate is true (plus ordinary drain) converges it with the
+// rest of the cluster.
 type Resumer interface {
 	NeedsUpdate(u Update) bool
 }
 
-// ReadMutatesState reports whether Read changes control state for this
-// kind — OptP's read-merge folds LastWriteOn into Write_co, and
-// PartialRep's folds LastOn (or a forwarded reply) into its edge
-// matrix — and hence whether reads must be journaled for crash
-// recovery to reconstruct the exact →co knowledge.
-func (k Kind) ReadMutatesState() bool { return k == OptP || k == OptPWS || k == PartialRep }
+// ReadMutatesState reports, for the kinds with a StateCodec, whether
+// Read changes control state — OptP's read-merge folds LastWriteOn into
+// Write_co, and PartialRep's folds LastOn (or a forwarded reply) into
+// its edge matrix — and hence whether reads must be journaled for
+// crash recovery to reconstruct the exact →co knowledge.
+func (k Kind) ReadMutatesState() bool { return k == OptP || k == PartialRep }
 
 // ExportState is a convenience wrapper asserting the StateCodec
 // interface on r.
@@ -78,25 +79,6 @@ func appendMem(dst []byte, vals []int64, writers []history.WriteID) []byte {
 	for i := range vals {
 		dst = binary.AppendVarint(dst, vals[i])
 		dst = appendWriteID(dst, writers[i])
-	}
-	return dst
-}
-
-// appendIDSet encodes a WriteID set sorted by (Proc, Seq).
-func appendIDSet(dst []byte, set map[history.WriteID]bool) []byte {
-	ids := make([]history.WriteID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Proc != ids[j].Proc {
-			return ids[i].Proc < ids[j].Proc
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = appendWriteID(dst, id)
 	}
 	return dst
 }
@@ -167,19 +149,6 @@ func (r *stateReader) writeID() history.WriteID {
 	return history.WriteID{Proc: int(p), Seq: int(s)}
 }
 
-func (r *stateReader) update() Update {
-	if r.err != nil {
-		return Update{}
-	}
-	u, k, err := DecodeUpdate(r.buf[r.off:])
-	if err != nil {
-		r.fail(fmt.Errorf("%w: %v", ErrStateCorrupt, err))
-		return Update{}
-	}
-	r.off += k
-	return u
-}
-
 // mem decodes a store encoded by appendMem into vals/writers in place.
 func (r *stateReader) mem(vals []int64, writers []history.WriteID) {
 	m := r.uvarint()
@@ -196,16 +165,6 @@ func (r *stateReader) mem(vals []int64, writers []history.WriteID) {
 	}
 }
 
-// idSet decodes a set encoded by appendIDSet.
-func (r *stateReader) idSet() map[history.WriteID]bool {
-	k := r.uvarint()
-	set := make(map[history.WriteID]bool, k)
-	for i := uint64(0); i < k && r.err == nil; i++ {
-		set[r.writeID()] = true
-	}
-	return set
-}
-
 // header checks the leading kind tag and process count against the
 // restoring replica.
 func (r *stateReader) header(kind Kind, n int) {
@@ -220,7 +179,10 @@ func (r *stateReader) header(kind Kind, n int) {
 // ---------------------------------------------------------------------
 // OptP (and its read-merge ablation)
 
-func (r *optp) appendBody(dst []byte) []byte {
+// AppendState implements StateCodec.
+func (r *optp) AppendState(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(r.Kind()))
+	dst = binary.AppendUvarint(dst, uint64(r.n))
 	dst = r.apply.AppendBinary(dst)
 	dst = r.writeCo.AppendBinary(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(r.lastOn)))
@@ -230,7 +192,10 @@ func (r *optp) appendBody(dst []byte) []byte {
 	return appendMem(dst, r.vals, r.writers)
 }
 
-func (r *optp) restoreBody(sr *stateReader) {
+// RestoreState implements StateCodec.
+func (r *optp) RestoreState(data []byte) (int, error) {
+	sr := &stateReader{buf: data}
+	sr.header(r.Kind(), r.n)
 	apply := sr.vc(r.n)
 	writeCo := sr.vc(r.n)
 	nv := sr.uvarint()
@@ -245,31 +210,17 @@ func (r *optp) restoreBody(sr *stateReader) {
 	writers := make([]history.WriteID, len(r.writers))
 	sr.mem(vals, writers)
 	if sr.err != nil {
-		return
+		return sr.off, sr.err
 	}
 	r.apply, r.writeCo, r.lastOn = apply, writeCo, lastOn
 	r.vals, r.writers = vals, writers
-}
-
-// AppendState implements StateCodec.
-func (r *optp) AppendState(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.Kind()))
-	dst = binary.AppendUvarint(dst, uint64(r.n))
-	return r.appendBody(dst)
-}
-
-// RestoreState implements StateCodec.
-func (r *optp) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(r.Kind(), r.n)
-	r.restoreBody(sr)
-	return sr.off, sr.err
+	return sr.off, nil
 }
 
 // NeedsUpdate implements Resumer: the update is needed iff its sequence
 // number exceeds the writes of its issuer applied here.
 func (r *optp) NeedsUpdate(u Update) bool {
-	return !u.Marker && uint64(u.ID.Seq) > r.apply.Get(u.From())
+	return uint64(u.ID.Seq) > r.apply.Get(u.From())
 }
 
 // ---------------------------------------------------------------------
@@ -300,158 +251,7 @@ func (r *anbkh) RestoreState(data []byte) (int, error) {
 
 // NeedsUpdate implements Resumer.
 func (r *anbkh) NeedsUpdate(u Update) bool {
-	return !u.Marker && uint64(u.ID.Seq) > r.vt.Get(u.From())
-}
-
-// ---------------------------------------------------------------------
-// WSRecv
-
-// AppendState implements StateCodec.
-func (r *wsrecv) AppendState(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(WSRecv))
-	dst = binary.AppendUvarint(dst, uint64(r.n))
-	dst = r.vt.AppendBinary(dst)
-	dst = binary.AppendUvarint(dst, uint64(r.skips))
-	dst = appendIDSet(dst, r.skipped)
-	return appendMem(dst, r.vals, r.writers)
-}
-
-// RestoreState implements StateCodec.
-func (r *wsrecv) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(WSRecv, r.n)
-	vt := sr.vc(r.n)
-	skips := sr.uvarint()
-	skipped := sr.idSet()
-	vals := make([]int64, len(r.vals))
-	writers := make([]history.WriteID, len(r.writers))
-	sr.mem(vals, writers)
-	if sr.err != nil {
-		return sr.off, sr.err
-	}
-	r.vt, r.skips, r.skipped = vt, int(skips), skipped
-	r.vals, r.writers = vals, writers
-	return sr.off, nil
-}
-
-// NeedsUpdate implements Resumer. A skipped-but-undiscarded write is
-// NOT needed: it was logically applied (vt covers it) and its late
-// message is bookkeeping, not state the replica is missing.
-func (r *wsrecv) NeedsUpdate(u Update) bool {
-	return !u.Marker && uint64(u.ID.Seq) > r.vt.Get(u.From())
-}
-
-// ---------------------------------------------------------------------
-// WSSend
-
-// AppendState implements StateCodec.
-func (r *wssend) AppendState(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(WSSend))
-	dst = binary.AppendUvarint(dst, uint64(r.n))
-	dst = r.applied.AppendBinary(dst)
-	dst = binary.AppendUvarint(dst, uint64(r.issued))
-	dst = binary.AppendUvarint(dst, uint64(r.suppressed))
-	dst = binary.AppendUvarint(dst, uint64(r.expectedVisit))
-	dst = binary.AppendUvarint(dst, uint64(r.nextSlot))
-	visits := make([]int, 0, len(r.selfVisits))
-	for v := range r.selfVisits {
-		visits = append(visits, v)
-	}
-	sort.Ints(visits)
-	dst = binary.AppendUvarint(dst, uint64(len(visits)))
-	for _, v := range visits {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	queued := make([]Update, 0, len(r.pending))
-	for _, u := range r.pending {
-		queued = append(queued, u)
-	}
-	sort.Slice(queued, func(i, j int) bool { return queued[i].ID.Seq < queued[j].ID.Seq })
-	dst = binary.AppendUvarint(dst, uint64(len(queued)))
-	for _, u := range queued {
-		dst = u.AppendBinary(dst)
-	}
-	return appendMem(dst, r.vals, r.writers)
-}
-
-// RestoreState implements StateCodec.
-func (r *wssend) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(WSSend, r.n)
-	applied := sr.vc(r.n)
-	issued := sr.uvarint()
-	suppressed := sr.uvarint()
-	expectedVisit := sr.uvarint()
-	nextSlot := sr.uvarint()
-	nv := sr.uvarint()
-	selfVisits := make(map[int]bool, nv)
-	for i := uint64(0); i < nv && sr.err == nil; i++ {
-		selfVisits[int(sr.uvarint())] = true
-	}
-	nq := sr.uvarint()
-	pending := make(map[int]Update, nq)
-	for i := uint64(0); i < nq && sr.err == nil; i++ {
-		u := sr.update()
-		pending[u.Var] = u
-	}
-	vals := make([]int64, len(r.vals))
-	writers := make([]history.WriteID, len(r.writers))
-	sr.mem(vals, writers)
-	if sr.err != nil {
-		return sr.off, sr.err
-	}
-	r.applied = applied
-	r.issued, r.suppressed = int(issued), int(suppressed)
-	r.expectedVisit, r.nextSlot = int(expectedVisit), int(nextSlot)
-	r.selfVisits, r.pending = selfVisits, pending
-	r.vals, r.writers = vals, writers
-	return sr.off, nil
-}
-
-// NeedsUpdate implements Resumer. Apply counts cannot drive the filter
-// here — sender-side suppression leaves permanent gaps in issue
-// sequences — so the token total order does: a batch update is needed
-// iff its (round, slot) has not yet been consumed, and a marker iff its
-// round is still awaited. Own-origin updates are never needed (the
-// replica consumed its own visits at OnToken time).
-func (r *wssend) NeedsUpdate(u Update) bool {
-	if u.From() == r.id {
-		return false
-	}
-	if u.Marker {
-		return u.Round >= r.expectedVisit
-	}
-	if u.Round != r.expectedVisit {
-		return u.Round > r.expectedVisit
-	}
-	return u.Slot >= r.nextSlot
-}
-
-// ---------------------------------------------------------------------
-// OptP-WS
-
-// AppendState implements StateCodec, shadowing the embedded optp's so
-// the skip bookkeeping rides along.
-func (r *optpws) AppendState(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(OptPWS))
-	dst = binary.AppendUvarint(dst, uint64(r.n))
-	dst = r.optp.appendBody(dst)
-	dst = binary.AppendUvarint(dst, uint64(r.skips))
-	return appendIDSet(dst, r.skipped)
-}
-
-// RestoreState implements StateCodec.
-func (r *optpws) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(OptPWS, r.n)
-	r.optp.restoreBody(sr)
-	skips := sr.uvarint()
-	skipped := sr.idSet()
-	if sr.err != nil {
-		return sr.off, sr.err
-	}
-	r.skips, r.skipped = int(skips), skipped
-	return sr.off, nil
+	return uint64(u.ID.Seq) > r.vt.Get(u.From())
 }
 
 // ---------------------------------------------------------------------
@@ -508,7 +308,7 @@ func (r *partialrep) RestoreState(data []byte) (int, error) {
 // is beyond what has been applied. Read-forwarding messages are
 // transient — never replayed into a restarted replica.
 func (r *partialrep) NeedsUpdate(u Update) bool {
-	if u.Marker || u.ReadReq || u.ReadReply {
+	if u.ReadReq || u.ReadReply {
 		return false
 	}
 	if !r.shares.Replicates(r.id, u.Var) {

@@ -2,20 +2,25 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
 
+// codecKinds are the kinds whose replicas carry a state codec: the ones
+// the live runtime recovers, plus OptP's read-merge ablation, which
+// shares OptP's replica type.
+var codecKinds = []Kind{OptP, ANBKH, OptPNoReadMerge, PartialRep}
+
 // miniEngine drives n replicas of one kind through a workload without
-// the live runtime: per-replica inbox queues, a pending buffer drained
-// to fixpoint, and token circulation for WSSend. It exists to put
-// replicas into richly populated states (buffered updates, skips,
-// suppressed writes, mid-round batches) for the codec tests.
+// the live runtime: per-replica inbox queues and a pending buffer
+// drained to fixpoint. It exists to put replicas into richly populated
+// states (concurrent writes, merged reads, partly delivered streams)
+// for the codec tests.
 type miniEngine struct {
 	reps    []Replica
 	inbox   [][]Update
 	pending [][]Update
-	visit   int
 	all     []Update // every update ever broadcast (probe set)
 }
 
@@ -30,41 +35,18 @@ func newMiniEngine(kind Kind, n, m int) *miniEngine {
 	return e
 }
 
-func (e *miniEngine) broadcast(from int, u Update) {
+func (e *miniEngine) write(p, x int, v int64) {
+	u, _ := e.reps[p].LocalWrite(x, v)
 	e.all = append(e.all, u)
-	for p := range e.reps {
-		if p != from {
-			e.inbox[p] = append(e.inbox[p], u)
+	for q := range e.reps {
+		if q != p {
+			e.inbox[q] = append(e.inbox[q], u)
 		}
 	}
 }
 
-func (e *miniEngine) write(p, x int, v int64) {
-	u, ok := e.reps[p].LocalWrite(x, v)
-	if ok {
-		e.broadcast(p, u)
-	}
-}
-
-func (e *miniEngine) token() {
-	tb, ok := e.reps[e.visit%len(e.reps)].(TokenBatcher)
-	if !ok {
-		return
-	}
-	holder := e.visit % len(e.reps)
-	batch := tb.OnToken(e.visit)
-	if len(batch) == 0 {
-		batch = []Update{Marker(holder, e.visit)}
-	}
-	for _, u := range batch {
-		e.broadcast(holder, u)
-	}
-	e.visit++
-}
-
 // deliver moves k inbox updates of process p into the protocol, leaving
-// blocked ones in the pending buffer (so snapshots can catch them
-// there).
+// blocked ones in the pending buffer.
 func (e *miniEngine) deliver(p, k int) {
 	for ; k > 0 && len(e.inbox[p]) > 0; k-- {
 		u := e.inbox[p][0]
@@ -74,14 +56,10 @@ func (e *miniEngine) deliver(p, k int) {
 	for progressed := true; progressed; {
 		progressed = false
 		for i, u := range e.pending[p] {
-			switch e.reps[p].Status(u) {
-			case Deliverable:
-				e.reps[p].Apply(u)
-			case Discardable:
-				e.reps[p].Discard(u)
-			default:
+			if e.reps[p].Status(u) != Deliverable {
 				continue
 			}
+			e.reps[p].Apply(u)
 			e.pending[p] = append(e.pending[p][:i], e.pending[p][i+1:]...)
 			progressed = true
 			break
@@ -119,14 +97,14 @@ func checkEquivalent(t *testing.T, kind Kind, want, got Replica, probes []Update
 	}
 }
 
-// TestStateRoundTripAllKinds drives every protocol through a seeded
-// workload and, at several points per replica, exports the state,
-// restores it into a fresh replica, and demands full behavioral
-// equivalence plus deterministic re-encoding (restored state re-exports
-// to the identical bytes).
+// TestStateRoundTripAllKinds drives every kind with a state codec
+// through a seeded workload and, at several points per replica, exports
+// the state, restores it into a fresh replica, and demands full
+// behavioral equivalence plus deterministic re-encoding (restored state
+// re-exports to the identical bytes).
 func TestStateRoundTripAllKinds(t *testing.T) {
 	const n, m, steps = 3, 3, 120
-	for _, kind := range Kinds() {
+	for _, kind := range codecKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
@@ -150,26 +128,21 @@ func TestStateRoundTripAllKinds(t *testing.T) {
 			}
 			for i := 0; i < steps; i++ {
 				p := rng.Intn(n)
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0, 1:
 					e.write(p, rng.Intn(m), int64(i+1))
 				case 2:
 					e.reps[p].Read(rng.Intn(m))
 				case 3:
 					e.deliver(p, 1+rng.Intn(2))
-				case 4:
-					e.token()
 				}
 				if i%17 == 0 {
 					check()
 				}
 			}
-			// Drain everything and check the converged states too.
-			for r := 0; r < 4*n; r++ {
-				e.token()
-				for p := 0; p < n; p++ {
-					e.deliver(p, len(e.inbox[p]))
-				}
+			// Deliver everything and check the converged states too.
+			for p := 0; p < n; p++ {
+				e.deliver(p, len(e.inbox[p]))
 			}
 			check()
 		})
@@ -179,7 +152,7 @@ func TestStateRoundTripAllKinds(t *testing.T) {
 // TestStateRestoreErrors: truncation, kind mismatch and shape mismatch
 // must surface ErrStateCorrupt-style errors, never panics.
 func TestStateRestoreErrors(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range codecKinds {
 		r := New(kind, 0, 3, 2)
 		r.LocalWrite(0, 7)
 		data := ExportState(r)
@@ -191,7 +164,7 @@ func TestStateRestoreErrors(t *testing.T) {
 			}
 		}
 		// A different kind's encoding must be rejected by the tag.
-		for _, other := range Kinds() {
+		for _, other := range codecKinds {
 			if other == kind {
 				continue
 			}
@@ -210,34 +183,82 @@ func TestStateRestoreErrors(t *testing.T) {
 
 // TestReadMutatesState pins down which kinds journal reads.
 func TestReadMutatesState(t *testing.T) {
-	want := map[Kind]bool{
-		OptP: true, OptPWS: true, PartialRep: true,
-		ANBKH: false, WSRecv: false, WSSend: false, OptPNoReadMerge: false,
-	}
-	for _, kind := range Kinds() {
+	want := map[Kind]bool{OptP: true, PartialRep: true, ANBKH: false, OptPNoReadMerge: false}
+	for _, kind := range codecKinds {
 		if got := kind.ReadMutatesState(); got != want[kind] {
 			t.Errorf("%v.ReadMutatesState() = %v, want %v", kind, got, want[kind])
 		}
 	}
 }
 
-// TestNeedsUpdateFresh: a fresh replica needs every peer write and no
-// marker from round 0 onward is refused before its time.
+// TestNeedsUpdateFresh: a fresh replica needs every peer write.
 func TestNeedsUpdateFresh(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range codecKinds {
 		r := New(kind, 0, 3, 2).(Resumer)
-		peer := New(kind, 1, 3, 2)
-		u, ok := peer.LocalWrite(0, 5)
-		if !ok {
-			// WSSend defers; pull the write out with a token visit.
-			batch := peer.(TokenBatcher).OnToken(0)
-			if len(batch) != 1 {
-				t.Fatalf("%v: token batch = %d updates", kind, len(batch))
-			}
-			u = batch[0]
-		}
+		u, _ := New(kind, 1, 3, 2).LocalWrite(0, 5)
 		if !r.NeedsUpdate(u) {
 			t.Errorf("%v: fresh replica refuses %v", kind, u)
 		}
 	}
+}
+
+// The state decoder reads what a journal segment's snapshot record
+// holds, so it meets the fuzzing bar of the other disk and socket
+// decoders. Every input is restored into a replica of each codec kind
+// at one fixed shape.
+const fuzzStateProcs, fuzzStateVars = 3, 2
+
+// restoreStateSeeds are exported states of every codec kind at the
+// fuzzing shape, fresh and after a short run of concurrent writes,
+// merged reads and partial deliveries, plus the shared junk inputs.
+func restoreStateSeeds() [][]byte {
+	var seeds [][]byte
+	for _, kind := range codecKinds {
+		e := newMiniEngine(kind, fuzzStateProcs, fuzzStateVars)
+		seeds = append(seeds, ExportState(e.reps[0]))
+		e.write(0, 0, 7)
+		e.deliver(1, 1)
+		e.reps[1].Read(0)
+		e.write(1, 1, -3)
+		e.write(2, 0, 1<<40)
+		e.deliver(2, 1)
+		e.deliver(0, 2)
+		for _, r := range e.reps {
+			seeds = append(seeds, ExportState(r))
+		}
+	}
+	return append(seeds, fuzzJunk...)
+}
+
+// FuzzRestoreState: any input either fails with ErrStateCorrupt or
+// restores a state whose export restores again, consuming every byte,
+// and re-exports to the same bytes. The seed corpus is under
+// testdata/fuzz/FuzzRestoreState.
+func FuzzRestoreState(f *testing.F) {
+	for _, s := range restoreStateSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, kind := range codecKinds {
+			r := New(kind, 0, fuzzStateProcs, fuzzStateVars)
+			n, err := r.(StateCodec).RestoreState(data)
+			if err != nil {
+				if !errors.Is(err, ErrStateCorrupt) {
+					t.Fatalf("%v: error %v does not wrap ErrStateCorrupt", kind, err)
+				}
+				continue
+			}
+			if n <= 0 || n > len(data) {
+				t.Fatalf("%v: consumed %d of %d bytes", kind, n, len(data))
+			}
+			enc := ExportState(r)
+			again := New(kind, 0, fuzzStateProcs, fuzzStateVars)
+			if n2, err := again.(StateCodec).RestoreState(enc); err != nil || n2 != len(enc) {
+				t.Fatalf("%v: re-decode of %x: %v (consumed %d of %d)", kind, enc, err, n2, len(enc))
+			}
+			if enc2 := ExportState(again); !bytes.Equal(enc2, enc) {
+				t.Fatalf("%v: re-export %x, want %x", kind, enc2, enc)
+			}
+		}
+	})
 }

@@ -40,7 +40,7 @@ func encodeStream(mode MetaMode, us []Update) []byte {
 	return buf
 }
 
-// fuzzJunk is shared by both targets' seeds.
+// fuzzJunk is shared by the decoder targets' seeds.
 var fuzzJunk = [][]byte{
 	{},
 	{0x00},

@@ -122,7 +122,7 @@ func FuzzWireToken(f *testing.F) {
 // deleted corpus fails loudly rather than silently weakening the fuzz
 // smoke.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzWireRequest", "FuzzWireResponse", "FuzzWireToken", "FuzzDecodeUpdate", "FuzzUpdateDecoder", "FuzzReadFrame"} {
+	for _, target := range []string{"FuzzWireRequest", "FuzzWireResponse", "FuzzWireToken", "FuzzDecodeUpdate", "FuzzUpdateDecoder", "FuzzReadFrame", "FuzzRestoreState"} {
 		ents := corpusEntries(t, target)
 		if len(ents) == 0 {
 			t.Fatalf("no committed corpus for %s under testdata/fuzz", target)
@@ -204,6 +204,7 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	writeCorpus(t, "FuzzWireToken", toks, tokBases)
 	writeCorpus(t, "FuzzDecodeUpdate", decodeUpdateSeeds(), nil)
 	writeCorpus(t, "FuzzUpdateDecoder", updateDecoderSeeds(), nil)
+	writeCorpus(t, "FuzzRestoreState", restoreStateSeeds(), nil)
 
 	var frameSeeds [][]any
 	for _, s := range readFrameSeeds() {

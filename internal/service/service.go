@@ -57,10 +57,8 @@ const maxDedupSessions = 4096
 // Config parameterizes a Server.
 type Config struct {
 	// Cluster is the replicated store the server fronts. Required; the
-	// server does not close it. WSSend clusters are rejected: their
-	// sender-suppressed writes make apply frontiers non-convergent, so
-	// token admission could block forever (see
-	// protocol.FrontierDominator).
+	// server does not close it. It must replicate every variable at
+	// every process.
 	Cluster *core.Cluster
 
 	// Addr is the TCP listen address; empty means "127.0.0.1:0".
@@ -181,9 +179,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("service: Config.Cluster is required")
-	}
-	if cfg.Cluster.Protocol() == protocol.WSSend {
-		return nil, fmt.Errorf("service: %v clusters are not servable: suppressed writes keep apply frontiers from converging, so session tokens could block forever", protocol.WSSend)
 	}
 	if cfg.Cluster.PartiallyReplicated() {
 		return nil, fmt.Errorf("service: partially replicated clusters are not servable: a session may read any variable at any replica, and the serving tier's frontier waits assume every replica applies every write")

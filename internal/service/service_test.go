@@ -75,17 +75,6 @@ func TestPingReadWrite(t *testing.T) {
 	}
 }
 
-func TestWSSendClustersRejected(t *testing.T) {
-	cl, err := core.NewCluster(core.Config{Processes: 2, Variables: 1, Protocol: protocol.WSSend})
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer cl.Close()
-	if _, err := service.New(service.Config{Cluster: cl}); err == nil {
-		t.Fatal("service.New accepted a WSSend cluster; its apply frontiers never converge")
-	}
-}
-
 func TestPartiallyReplicatedClustersRejected(t *testing.T) {
 	cl, err := core.NewCluster(core.Config{
 		Processes: 2, Variables: 2, Protocol: protocol.PartialRep,

@@ -16,14 +16,11 @@ import (
 // audited history must come out causally consistent either way. This
 // property runs the same concurrent session workload through an
 // unbatched server (MaxBatch 1: every write is its own cluster op) and
-// a batched+coalescing one, across protocol kinds and seeds, and
-// demands the checker's verdict be identical — consistent — for both.
+// a batched+coalescing one, across the live protocol kinds and seeds,
+// and demands the checker's verdict be identical — consistent — for
+// both.
 func TestBatchedVerdictMatchesUnbatched(t *testing.T) {
-	kinds := []protocol.Kind{
-		protocol.OptP, protocol.ANBKH, protocol.WSRecv,
-		protocol.OptPNoReadMerge, protocol.OptPWS,
-	}
-	for _, kind := range kinds {
+	for _, kind := range core.LiveKinds() {
 		for _, seed := range []int64{1, 42} {
 			for _, batched := range []bool{false, true} {
 				name := fmt.Sprintf("%v/seed=%d/batched=%v", kind, seed, batched)
