@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check ci build test vet fmt-check race transport-stress bench bench-smoke smoke throughput audit-bench metadata-bench replication-bench service-bench chaos-bench trace-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
+.PHONY: check ci build test vet fmt-check race transport-stress core-stress bench bench-smoke smoke throughput audit-bench metadata-bench replication-bench service-bench chaos-bench trace-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
 
 ## check: the full gate — formatting, vet, build, tests, a short race
-## pass, twenty more of the transport's scheduler tests, a fuzz burst
+## pass, twenty more of the transport's scheduler tests and twenty of
+## the live cluster's chaos and crash/restart properties, a fuzz burst
 ## over the wire codecs, the frame reader, the WAL reader and the
 ## replica state decoder, the chaos
 ## conformance suite
 ## (fault-injected session guarantees + exactly-once accounting), and
 ## the nested benchmark module's own smoke run.
-check: fmt-check vet build test race transport-stress fuzz-smoke chaos-conformance bench-smoke
+check: fmt-check vet build test race transport-stress core-stress fuzz-smoke chaos-conformance bench-smoke
 
 ## ci: what .github/workflows/ci.yml runs — the full gate plus the
 ## conformance suite under the race detector, the dsmbench smoke sweep,
@@ -156,6 +157,14 @@ race:
 ## needs an unlucky interleaving must not hide behind one pass (~12 s).
 transport-stress:
 	$(GO) test -race -count=20 ./internal/transport/
+
+## core-stress: the live cluster's chaos and crash/restart property
+## tests twenty times under the race detector, every live protocol
+## kind: each run audits the whole journal right after Quiesce, so a
+## trace event lost to an unlucky interleaving fails it (~14 s on 2
+## CPUs).
+core-stress:
+	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols' ./internal/core
 
 ## bench: the experiment sweeps as runnable benchmarks.
 bench:

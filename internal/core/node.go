@@ -58,7 +58,8 @@ type Node struct {
 	readWaiters map[int]chan readReply
 
 	// outbox collects read replies produced while holding mu; handle
-	// sends them after unlocking, so a full FIFO link can never block a
+	// sends them after unlocking, so a Send that blocks (TCPNet's socket
+	// write, when the peer's receive buffer is full) can never stall a
 	// lock holder a delivery goroutine is waiting on. Guarded by mu.
 	outbox []outMsg
 }
@@ -103,8 +104,9 @@ func (n *Node) Write(x int, v int64) error {
 	// waiters it satisfied.
 	n.wakeFrontierLocked()
 	n.mu.Unlock()
-	// Broadcast outside the node lock: a full FIFO link must never
-	// block a holder of n.mu that a delivery goroutine is waiting for.
+	// Broadcast outside the node lock: a blocking Send (TCPNet's socket
+	// write) must never stall a holder of n.mu that a delivery goroutine
+	// is waiting for.
 	// Under partial replication only the share-set gets the update.
 	if n.c.shares.IsZero() {
 		transport.Broadcast(n.c.tr, n.c.cfg.Processes, n.id, u)

@@ -25,12 +25,14 @@ import (
 // message causality, exactly what Log.Append's global lock used to
 // guarantee.
 //
-// Mid-run snapshots additionally truncate at the first missing ticket:
-// tickets are dense, so a gap means some append is still in flight, and
-// every event after the gap might causally depend on the missing one.
-// Cutting there makes every Snapshot a true prefix of the final log,
-// preserving the old "mid-run audits see a prefix" contract. After
-// Quiesce/Close there are no in-flight appends and nothing is cut.
+// A Snapshot holds exactly the tickets drawn before it began: it waits
+// for any of them whose append is still in flight, and leaves out every
+// later one. Tickets are dense, so the result is a true prefix of the
+// final log with no gap, preserving the old "mid-run audits see a
+// prefix" contract. Waiting rather than cutting at a gap matters even
+// after Quiesce: chaos-stack events (retransmits, duplicate discards)
+// are still being appended then, and one preempted between its ticket
+// and its slot must not cut the Apply events drawn after it.
 type Journal struct {
 	numProcs  int
 	numVars   int
@@ -145,48 +147,52 @@ func (c *chunk) successor() *chunk {
 // in flight).
 func (j *Journal) Len() int { return int(j.ticket.Load()) }
 
-// Snapshot merges the shards into a Log ordered by ticket. Events whose
-// append is still in flight are waited for briefly (the publish is a
-// handful of instructions after the reservation); if the collected
-// tickets have a gap — an append that reserved a ticket but has not yet
-// reached its shard — the log is truncated at the gap so the result is
-// a causally-closed prefix of the run. Seq is renumbered densely.
+// Snapshot merges the shards into a Log ordered by ticket, holding
+// exactly the tickets drawn before the call: the events 0..T-1, where T
+// is the ticket count when Snapshot begins. It waits, yielding, for any
+// of them whose append is still in flight (the slot reservation and the
+// publish are a handful of instructions after the ticket), and skips
+// events with later tickets. The result is a causally-closed prefix of
+// the run, indistinguishable from a log built by Log.Append.
 func (j *Journal) Snapshot() *Log {
-	total := 0
-	counts := make([]int64, len(j.shards))
-	for i := range j.shards {
-		counts[i] = j.shards[i].cursor.Load()
-		total += int(counts[i])
+	drawn := int(j.ticket.Load())
+	events := make([]Event, 0, drawn)
+	type position struct {
+		c    *chunk
+		off  int
+		next int64 // slot to read next
 	}
-	events := make([]Event, 0, total)
+	pos := make([]position, len(j.shards))
 	for i := range j.shards {
-		s := &j.shards[i]
-		c := s.head.Load()
-		off := 0
-		for k := int64(0); k < counts[i]; k++ {
-			if off == chunkSize {
-				// The appender that reserved slot k may not have
-				// linked its chunk yet; link it for them.
-				c = c.successor()
-				off = 0
+		pos[i].c = j.shards[i].head.Load()
+	}
+	for {
+		for i := range j.shards {
+			s, p := &j.shards[i], &pos[i]
+			for end := s.cursor.Load(); p.next < end; p.next++ {
+				if p.off == chunkSize {
+					// The appender that reserved this slot may not
+					// have linked its chunk yet; link it for them.
+					p.c = p.c.successor()
+					p.off = 0
+				}
+				for !p.c.ready[p.off].Load() {
+					runtime.Gosched()
+				}
+				if e := p.c.events[p.off]; e.Seq < drawn {
+					events = append(events, e)
+				}
+				p.off++
 			}
-			for !c.ready[off].Load() {
-				runtime.Gosched()
-			}
-			events = append(events, c.events[off])
-			off++
 		}
-	}
-	sort.Slice(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
-	// Truncate at the first ticket gap and renumber densely so the
-	// result is indistinguishable from a log built by Log.Append.
-	for i := range events {
-		if events[i].Seq != i {
-			events = events[:i]
+		if len(events) == drawn {
 			break
 		}
-		events[i].Seq = i
+		// A ticket below drawn has no slot yet: its appender was
+		// preempted between the two. Let it run, then read on.
+		runtime.Gosched()
 	}
+	sort.Slice(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
 	l := NewLog(j.numProcs, j.numVars)
 	l.Events = events
 	l.ShareSets = j.shareSets

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestJournalSequential checks that a single-goroutine journal is
@@ -175,5 +176,39 @@ func TestJournalSnapshotUnlinkedChunk(t *testing.T) {
 	c.ready[0].Store(true)
 	if snap := <-got; len(snap.Events) != chunkSize+1 {
 		t.Fatalf("snapshot has %d events, want %d", len(snap.Events), chunkSize+1)
+	}
+}
+
+// TestJournalSnapshotTicketGap pins the interleaving behind the
+// "liveness hole after Quiesce": an appender has drawn its ticket but
+// not yet reserved its slot, and a later append has completed. Snapshot
+// must wait for the stalled append, not cut the log at its ticket and
+// lose the later event with it.
+func TestJournalSnapshotTicketGap(t *testing.T) {
+	j := NewJournal(2, 1)
+	j.Append(Event{Kind: Issue, Proc: 0})
+	// First step of Record only: the ticket is drawn, no slot reserved.
+	stalled := Event{Kind: Retransmit, Proc: 1, Seq: int(j.ticket.Add(1) - 1)}
+	j.Append(Event{Kind: Apply, Proc: 0})
+	got := make(chan *Log, 1)
+	go func() { got <- j.Snapshot() }()
+	select {
+	case snap := <-got:
+		t.Fatalf("Snapshot returned %d events while ticket %d was unpublished", len(snap.Events), stalled.Seq)
+	case <-time.After(50 * time.Millisecond):
+	}
+	s := &j.shards[stalled.Proc]
+	slot := s.cursor.Add(1) - 1
+	c := s.chunkFor(int(slot / chunkSize))
+	c.events[slot%chunkSize] = stalled
+	c.ready[slot%chunkSize].Store(true)
+	snap := <-got
+	if len(snap.Events) != 3 {
+		t.Fatalf("snapshot has %d events, want 3", len(snap.Events))
+	}
+	for i, kind := range []EventKind{Issue, Retransmit, Apply} {
+		if e := snap.Events[i]; e.Seq != i || e.Kind != kind {
+			t.Fatalf("event %d is %v with Seq %d, want %v with Seq %d", i, e.Kind, e.Seq, kind, i)
+		}
 	}
 }

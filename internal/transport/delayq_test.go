@@ -99,40 +99,67 @@ func TestNetNeverBeforeMinDelay(t *testing.T) {
 }
 
 // TestNetGoroutinesDoNotScaleWithFrames: 20k frames in the air cost
-// Procs goroutines, not 20k, and Close gives those back.
+// Procs goroutines — not one per frame, and on immediate FIFO links not
+// one per link — and Close gives those back.
 func TestNetGoroutinesDoNotScaleWithFrames(t *testing.T) {
 	const procs, frames = 8, 20_000
-	base := runtime.NumGoroutine()
-	n, err := New(Config{Procs: procs, MinDelay: time.Minute, MaxDelay: 2 * time.Minute, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, cfg := range []Config{
+		{Procs: procs, MinDelay: time.Minute, MaxDelay: 2 * time.Minute, Seed: 3},
+		{Procs: procs, FIFO: true},
+	} {
+		base := runtime.NumGoroutine()
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Immediate links deliver at once, so their frames stay queued
+		// only behind handlers that have not returned.
+		gate := make(chan struct{})
+		var entered, delivered atomic.Int64
+		for p := 0; p < procs; p++ {
+			n.Register(p, func(Message) {
+				entered.Add(1)
+				<-gate
+				delivered.Add(1)
+			})
+		}
+		if cfg.MaxDelay == 0 {
+			for p := 0; p < procs; p++ {
+				n.Send(Message{From: (p + 1) % procs, To: p, Update: upd((p+1)%procs, 0)})
+			}
+			for entered.Load() < procs {
+				runtime.Gosched()
+			}
+		}
+		queued := 0
+		for i := 0; queued < frames; i++ {
+			Broadcast(n, procs, i%procs, upd(i%procs, i+1))
+			queued += procs - 1
+		}
+		if q := n.Queued(); q != queued {
+			t.Fatalf("%+v: Queued() = %d, want %d", cfg, q, queued)
+		}
+		if g := runtime.NumGoroutine(); g > base+procs {
+			t.Fatalf("%+v: %d goroutines with %d frames in flight, want at most baseline %d + %d", cfg, g, queued, base, procs)
+		}
+		close(gate)
+		begin := time.Now()
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(begin); d > 5*time.Second {
+			t.Fatalf("%+v: Close took %v with %d frames queued", cfg, d, queued)
+		}
+		n.Send(Message{From: 0, To: 1, Update: upd(0, 1)})
+		n.Flush() // everything still queued was discarded: nothing is in flight
+		if q := n.Queued(); q != 0 {
+			t.Fatalf("%+v: %d queued after Close", cfg, q)
+		}
+		if d := delivered.Load(); cfg.MaxDelay > 0 && d != 0 {
+			t.Fatalf("%+v: %d frames due in a minute were delivered", cfg, d)
+		}
+		settleGoroutines(t, base)
 	}
-	var delivered atomic.Int64
-	for p := 0; p < procs; p++ {
-		n.Register(p, func(Message) { delivered.Add(1) })
-	}
-	for i := 0; i < frames/(procs-1)+1; i++ {
-		Broadcast(n, procs, i%procs, upd(i%procs, i+1))
-	}
-	if q := n.Queued(); q < frames {
-		t.Fatalf("Queued() = %d, want at least %d", q, frames)
-	}
-	if g := runtime.NumGoroutine(); g > base+procs {
-		t.Fatalf("%d goroutines with %d frames in flight, want at most baseline %d + %d", g, n.Queued(), base, procs)
-	}
-	begin := time.Now()
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(begin); d > 5*time.Second {
-		t.Fatalf("Close took %v with frames due in a minute", d)
-	}
-	n.Send(Message{From: 0, To: 1, Update: upd(0, 1)})
-	n.Flush() // everything queued was discarded: nothing is in flight
-	if q, d := n.Queued(), delivered.Load(); q != 0 || d != 0 {
-		t.Fatalf("after Close: %d queued, %d delivered, want 0 and 0", q, d)
-	}
-	settleGoroutines(t, base)
 }
 
 // TestFlushWaitsForHandlerReturn: Flush must outlast the handlers, not
@@ -142,6 +169,7 @@ func TestFlushWaitsForHandlerReturn(t *testing.T) {
 		{Procs: 3, MaxDelay: 200 * time.Microsecond, Seed: 4},
 		{Procs: 3, FIFO: true, MaxDelay: 200 * time.Microsecond, Seed: 4},
 		{Procs: 3},
+		{Procs: 3, FIFO: true},
 	} {
 		n, err := New(cfg)
 		if err != nil {
@@ -173,6 +201,7 @@ func TestHandlerMaySend(t *testing.T) {
 		{Procs: 3, Seed: 5},
 		{Procs: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 5},
 		{Procs: 3, FIFO: true, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 5},
+		{Procs: 3, FIFO: true},
 	} {
 		n, err := New(cfg)
 		if err != nil {

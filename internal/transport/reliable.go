@@ -340,9 +340,10 @@ func (r *Reliable) receive(id int, h Handler, m Message) {
 	r.sendAck(Message{From: m.To, To: m.From, Seq: m.Seq, Ack: true})
 }
 
-// sendAck enqueues an ack without ever blocking a delivery goroutine
-// (two handlers blocked acking each other over full FIFO links would
-// deadlock). A full queue drops the ack; retransmission re-triggers it.
+// sendAck enqueues an ack without ever blocking a delivery goroutine:
+// the inner transport's Send may block (TCPNet's does, on a full socket
+// buffer), and two handlers blocked acking each other that way would
+// deadlock. A full queue drops the ack; retransmission re-triggers it.
 func (r *Reliable) sendAck(m Message) {
 	select {
 	case r.ackq <- m:

@@ -43,10 +43,9 @@ type Message struct {
 
 // Handler consumes delivered messages at a destination process. It is
 // invoked from the transport's long-lived delivery goroutines (Net runs
-// one per link or one per destination, never one per message), so
-// messages from different senders, or for different destinations, can
-// arrive concurrently; implementations synchronize internally. A
-// handler may call Send.
+// one per destination, never one per link or per message), so messages
+// for different destinations can arrive concurrently; implementations
+// synchronize internally. A handler may call Send.
 type Handler func(Message)
 
 // Transport moves messages between processes.
@@ -91,24 +90,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Net is the standard Transport implementation. It runs in one of two
-// shapes, fixed at construction. Immediate FIFO links (FIFO set, no
-// delay) are a buffered channel and a goroutine each: a hand-off is one
-// channel operation and order is the channel's. Every other mode —
-// delayed, reordering, or both — is one delayQueue per destination.
+// Net is the standard Transport implementation: one queue and one
+// delivery goroutine per destination, in one of two shapes fixed at
+// construction. Immediate FIFO links (FIFO set, no delay) are a lane:
+// frames leave in arrival order. Every other mode — delayed,
+// reordering, or both — is a delayQueue. Send never blocks in either.
 type Net struct {
 	cfg      Config
 	handlers []atomic.Pointer[Handler]
-
-	links  [][]chan Message // immediate FIFO: links[from][to]
-	wg     sync.WaitGroup   // the runLink goroutines
-	queues []*delayQueue    // every other mode: queues[to]
+	queues   []queue // queues[to]
 
 	// closeMu makes Send-vs-Close atomic: Send holds the read side from
 	// the closed check through enqueue, so no message can be accepted
-	// (inflight.Add, channel send, queue push) after Close flips closed —
-	// the window that used to allow a send on a closed link channel and a
-	// Flush hang on a leaked inflight count.
+	// (inflight.Add, queue push) after Close flips closed: a push into a
+	// stopped queue would leak its inflight count and hang Flush.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -117,6 +112,18 @@ type Net struct {
 
 // ErrClosed is returned by Close when called twice.
 var ErrClosed = errors.New("transport: already closed")
+
+// queue is one destination's delivery queue, a lane or a delayQueue;
+// both keep the contract of DESIGN §8. push never blocks, and the frame
+// is already counted in inflight, which the queue lowers only after the
+// handler has returned for it (or stop discarded it). stop discards
+// what is queued, lets a batch already taken finish, and returns once
+// the queue's goroutine has exited. len counts the frames not yet taken.
+type queue interface {
+	push(m Message)
+	stop()
+	len() int
+}
 
 // counter is a Flush-safe in-flight counter. Unlike sync.WaitGroup it
 // allows add to race wait through zero — exactly what happens when a
@@ -150,29 +157,17 @@ func New(cfg Config) (*Net, error) {
 	n := &Net{
 		cfg:      cfg,
 		handlers: make([]atomic.Pointer[Handler], cfg.Procs),
+		queues:   make([]queue, cfg.Procs),
 	}
-	if !cfg.FIFO || cfg.MaxDelay > 0 {
-		sources := 0
-		if cfg.FIFO {
-			sources = cfg.Procs
-		}
-		n.queues = make([]*delayQueue, cfg.Procs)
-		for to := range n.queues {
+	sources := 0
+	if cfg.FIFO {
+		sources = cfg.Procs
+	}
+	for to := range n.queues {
+		if cfg.FIFO && cfg.MaxDelay == 0 {
+			n.queues[to] = newLane(&n.inflight, n.deliver)
+		} else {
 			n.queues[to] = newDelayQueue(cfg.Seed+int64(to), cfg.MinDelay, cfg.MaxDelay, sources, &n.inflight, n.deliver)
-		}
-		return n, nil
-	}
-	n.links = make([][]chan Message, cfg.Procs)
-	for i := range n.links {
-		n.links[i] = make([]chan Message, cfg.Procs)
-		for j := range n.links[i] {
-			if i == j {
-				continue
-			}
-			ch := make(chan Message, 1024)
-			n.links[i][j] = ch
-			n.wg.Add(1)
-			go n.runLink(ch)
 		}
 	}
 	return n, nil
@@ -197,11 +192,7 @@ func (n *Net) Send(m Message) {
 		return
 	}
 	n.inflight.add(1)
-	if n.queues != nil {
-		n.queues[m.To].push(m)
-		return
-	}
-	n.links[m.From][m.To] <- m
+	n.queues[m.To].push(m)
 }
 
 // Flush implements Transport.
@@ -221,14 +212,6 @@ func (n *Net) Close() error {
 	for _, q := range n.queues {
 		q.stop()
 	}
-	for _, row := range n.links {
-		for _, ch := range row {
-			if ch != nil {
-				close(ch)
-			}
-		}
-	}
-	n.wg.Wait()
 	return nil
 }
 
@@ -240,20 +223,7 @@ func (n *Net) Queued() int {
 	for _, q := range n.queues {
 		total += q.len()
 	}
-	for _, row := range n.links {
-		for _, ch := range row {
-			total += len(ch)
-		}
-	}
 	return total
-}
-
-func (n *Net) runLink(ch chan Message) {
-	defer n.wg.Done()
-	for m := range ch {
-		n.deliver(m)
-		n.inflight.add(-1)
-	}
 }
 
 func (n *Net) deliver(m Message) {
@@ -279,17 +249,9 @@ func (n *Net) SendAll(from int, u protocol.Update) {
 		return
 	}
 	n.inflight.add(n.cfg.Procs - 1)
-	if n.queues != nil {
-		for q, dq := range n.queues {
-			if q != from {
-				dq.push(Message{From: from, To: q, Update: u})
-			}
-		}
-		return
-	}
-	for q := 0; q < n.cfg.Procs; q++ {
+	for q, dq := range n.queues {
 		if q != from {
-			n.links[from][q] <- Message{From: from, To: q, Update: u}
+			dq.push(Message{From: from, To: q, Update: u})
 		}
 	}
 }
@@ -334,17 +296,9 @@ func (n *Net) SendTo(from int, dests []int, u protocol.Update) {
 		return
 	}
 	n.inflight.add(count)
-	if n.queues != nil {
-		for _, q := range dests {
-			if q != from {
-				n.queues[q].push(Message{From: from, To: q, Update: u})
-			}
-		}
-		return
-	}
 	for _, q := range dests {
 		if q != from {
-			n.links[from][q] <- Message{From: from, To: q, Update: u}
+			n.queues[q].push(Message{From: from, To: q, Update: u})
 		}
 	}
 }
