@@ -267,9 +267,9 @@ func BenchmarkLiveRead(b *testing.B) {
 // writer/reader goroutine per process hammering a live OptP cluster
 // over the immediate FIFO transport (3 writes : 1 read), with the final
 // Quiesce inside the timed region so every propagated update's receipt
-// and apply is paid for. BENCH_throughput.json commits its before/after
-// numbers; CI reruns it via `dsmbench -exp throughput-smoke` and fails
-// on >20% ops/sec regression.
+// and apply is paid for. EXPERIMENTS.md E6b records its before/after
+// numbers; bench/'s embed-fifo workload measures the same hot path end
+// to end.
 func benchClusterThroughput(b *testing.B, procs int) {
 	c, err := core.NewCluster(core.Config{
 		Processes: procs, Variables: 16, Protocol: protocol.OptP, FIFO: true,

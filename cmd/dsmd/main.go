@@ -1,7 +1,7 @@
 // Command dsmd is the long-running serving tier: a TCP daemon fronting
 // a live causal-memory cluster with the tagged, pipelined wire
-// protocol of internal/service. Clients (internal/client, dsmbench
-// -exp service) connect, multiplex sessions over one socket, and carry
+// protocol of internal/service. Clients (internal/client) connect,
+// multiplex sessions over one socket, and carry
 // their causal past in per-session tokens, so read-your-writes and
 // monotonic-reads hold across replica switches, reconnects and — with
 // -wal-dir — server restarts.

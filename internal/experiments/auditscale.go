@@ -11,10 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// AuditScaleName identifies the audit-scale scorecard experiment in
-// dsmbench/v1 documents; CheckAuditRegression matches baseline and
-// current results by it.
-const AuditScaleName = "E-audit-scale"
+// auditScaleName identifies the audit-scale experiment in dsmbench/v1
+// documents.
+const auditScaleName = "E-audit-scale"
 
 // auditRefEnv, when set to an op count, raises the size ceiling up to
 // which AuditScale also times the dense reference audit. The default
@@ -29,7 +28,9 @@ const auditRefEnv = "DSMBENCH_AUDIT_REF"
 // times the vector-frontier checker.Audit (best of three), and — up to
 // the reference ceiling — the dense checker.AuditReference, reporting
 // the speedup. extraOps > 100k appends one more rung to the 1k/10k/100k
-// ladder, which is how the committed baseline gets its 1M row.
+// ladder, which is how the committed baseline gets its 1M row. The gate
+// lets audit-ms rise at most 20% at any shared trace size, and the
+// delay count — the checker's verdict on a fixed trace — not at all.
 func AuditScale(extraOps int) (Result, error) {
 	sizes := []int{1_000, 10_000, 100_000}
 	if extraOps > sizes[len(sizes)-1] {
@@ -48,9 +49,10 @@ func AuditScale(extraOps int) (Result, error) {
 
 func auditScale(sizes []int, refCeiling int) (Result, error) {
 	r := Result{
-		Name:   AuditScaleName,
+		Name:   auditScaleName,
 		Desc:   fmt.Sprintf("offline audit scaling, vector-frontier vs dense reference (4 procs, reference ≤ %d ops)", refCeiling),
 		Header: []string{"ops", "events", "writes", "delays", "audit-ms", "ref-ms", "speedup"},
+		Gate:   &Gate{Key: []string{"ops"}, MaxRise: map[string]float64{"audit-ms": 0.2, "delays": 0}},
 	}
 	for _, ops := range sizes {
 		log, err := workload.AuditTrace(workload.AuditTraceConfig{
@@ -62,16 +64,16 @@ func auditScale(sizes []int, refCeiling int) (Result, error) {
 		var rep *checker.Report
 		fast, err := bestOf(3, func() (*checker.Report, error) { return checker.Audit(log) }, &rep)
 		if err != nil {
-			return r, fmt.Errorf("experiments: %s at %d ops: %w", AuditScaleName, ops, err)
+			return r, fmt.Errorf("experiments: %s at %d ops: %w", auditScaleName, ops, err)
 		}
 		if !rep.Safe() || !rep.CausallyConsistent() || !rep.InP() {
-			return r, fmt.Errorf("experiments: %s at %d ops: synthetic trace audits dirty: %v", AuditScaleName, ops, rep)
+			return r, fmt.Errorf("experiments: %s at %d ops: synthetic trace audits dirty: %v", auditScaleName, ops, rep)
 		}
 		refMS, speedup := "-", "-"
 		if ops <= refCeiling {
 			ref, err := bestOf(1, func() (*checker.Report, error) { return checker.AuditReference(log) }, nil)
 			if err != nil {
-				return r, fmt.Errorf("experiments: %s reference at %d ops: %w", AuditScaleName, ops, err)
+				return r, fmt.Errorf("experiments: %s reference at %d ops: %w", auditScaleName, ops, err)
 			}
 			refMS = fmt.Sprintf("%.3f", float64(ref)/1e6)
 			speedup = fmt.Sprintf("%.1fx", float64(ref)/float64(fast))
@@ -114,71 +116,4 @@ func bestOf(reps int, fn func() (*checker.Report, error), out **checker.Report) 
 		}
 	}
 	return best, nil
-}
-
-// CheckAuditRegression compares the audit-ms column of the audit-scale
-// experiment in current against the committed baseline scorecard and
-// reports an error if any trace size regressed (got slower) by more
-// than tolerance (0.2 = 20%). Rows present in only one of the two
-// documents are ignored, so extending the ladder doesn't break the
-// gate. Improvements never fail.
-func CheckAuditRegression(current []Result, baseline Scorecard, tolerance float64) error {
-	base, err := auditMillis(baseline.Experiments)
-	if err != nil {
-		return fmt.Errorf("experiments: baseline scorecard: %w", err)
-	}
-	if len(base) == 0 {
-		return fmt.Errorf("experiments: baseline scorecard has no %s rows", AuditScaleName)
-	}
-	cur, err := auditMillis(current)
-	if err != nil {
-		return err
-	}
-	if len(cur) == 0 {
-		return fmt.Errorf("experiments: current results have no %s rows", AuditScaleName)
-	}
-	for ops, want := range base {
-		got, ok := cur[ops]
-		if !ok {
-			continue
-		}
-		if ceiling := want * (1 + tolerance); got > ceiling {
-			return fmt.Errorf("experiments: audit regression at %s ops: %.3f ms > %.3f (baseline %.3f + %.0f%% tolerance)",
-				ops, got, ceiling, want, tolerance*100)
-		}
-	}
-	return nil
-}
-
-// auditMillis extracts ops → audit-ms from an audit-scale result.
-func auditMillis(results []Result) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, r := range results {
-		if r.Name != AuditScaleName {
-			continue
-		}
-		opsCol, msCol := -1, -1
-		for i, h := range r.Header {
-			switch h {
-			case "ops":
-				opsCol = i
-			case "audit-ms":
-				msCol = i
-			}
-		}
-		if opsCol < 0 || msCol < 0 {
-			return nil, fmt.Errorf("experiments: %s table lacks ops/audit-ms columns (header %v)", r.Name, r.Header)
-		}
-		for _, row := range r.Rows {
-			if len(row) <= opsCol || len(row) <= msCol {
-				continue
-			}
-			v, err := strconv.ParseFloat(row[msCol], 64)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s audit-ms cell %q: %w", r.Name, row[msCol], err)
-			}
-			out[row[opsCol]] = v
-		}
-	}
-	return out, nil
 }

@@ -10,7 +10,7 @@ func TestAuditScaleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != AuditScaleName {
+	if r.Name != auditScaleName {
 		t.Fatalf("name = %q", r.Name)
 	}
 	if len(r.Rows) != 2 {
@@ -27,38 +27,5 @@ func TestAuditScaleShape(t *testing.T) {
 	}
 	if r.Rows[1][5] != "-" || r.Rows[1][6] != "-" {
 		t.Fatalf("900-op row should skip the reference: %v", r.Rows[1])
-	}
-}
-
-func TestCheckAuditRegression(t *testing.T) {
-	mk := func(ms string) []Result {
-		return []Result{{
-			Name:   AuditScaleName,
-			Header: []string{"ops", "events", "writes", "delays", "audit-ms", "ref-ms", "speedup"},
-			Rows:   [][]string{{"1000", "4000", "500", "70", ms, "-", "-"}},
-		}}
-	}
-	baseline := Scorecard{Schema: ScorecardSchema, Experiments: mk("10.000")}
-
-	if err := CheckAuditRegression(mk("11.000"), baseline, 0.2); err != nil {
-		t.Fatalf("within tolerance: %v", err)
-	}
-	if err := CheckAuditRegression(mk("5.000"), baseline, 0.2); err != nil {
-		t.Fatalf("improvement must pass: %v", err)
-	}
-	if err := CheckAuditRegression(mk("13.000"), baseline, 0.2); err == nil {
-		t.Fatal("25% regression must fail")
-	}
-	// Rows only in one document are ignored; empty docs are errors.
-	other := mk("9.000")
-	other[0].Rows[0][0] = "2000"
-	if err := CheckAuditRegression(other, baseline, 0.2); err != nil {
-		t.Fatalf("disjoint rows must pass: %v", err)
-	}
-	if err := CheckAuditRegression(nil, baseline, 0.2); err == nil {
-		t.Fatal("empty current must fail")
-	}
-	if err := CheckAuditRegression(mk("9.000"), Scorecard{Schema: ScorecardSchema}, 0.2); err == nil {
-		t.Fatal("empty baseline must fail")
 	}
 }

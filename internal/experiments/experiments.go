@@ -1,10 +1,14 @@
-// Package experiments implements the quantitative sweeps E1–E8 of
-// DESIGN.md — the measurable consequences of the paper's optimality
-// theorem. Each experiment returns a structured table that cmd/dsmbench
-// prints, the root benchmarks exercise, and EXPERIMENTS.md records.
+// Package experiments implements the quantitative sweeps of DESIGN.md
+// §2 — the measurable consequences of the paper's optimality theorem:
+// write delays, whether each was necessary, and metadata bytes. Each
+// experiment returns a structured table that cmd/dsmbench prints, the
+// root benchmarks exercise, and EXPERIMENTS.md records; the gated ones
+// also declare how Check compares them with a committed baseline.
 //
-// All experiments are deterministic: sweeps average over a fixed set of
-// seeds and the simulator is bit-reproducible.
+// The simulator sweeps are deterministic: they average over a fixed
+// set of seeds and the simulator is bit-reproducible. E-chaos and
+// E-crash drive the live runtime and audit every run. Throughput and
+// request latency are measured by the bench/ module, not here.
 package experiments
 
 import (
@@ -27,6 +31,9 @@ type Result struct {
 	Desc   string     `json:"desc"`
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
+	// Gate is how Check compares this table with a later run's when
+	// the scorecard serves as a baseline; nil for ungated experiments.
+	Gate *Gate `json:"gate,omitempty"`
 	// Stats carries the full per-run scorecards behind the table rows,
 	// for experiments built on single live runs (chaos, crash) where
 	// the table is a lossy projection.
@@ -273,12 +280,14 @@ func BufferOccupancy() (Result, error) {
 
 // WritingSemantics is E7: how the WS comparators trade 𝒫 membership
 // for fewer installs — discards (WS-recv) and suppressed writes
-// (WS-send) on an overwrite-heavy workload.
+// (WS-send) on an overwrite-heavy workload. The counts are
+// deterministic, so the gate allows no rise at all.
 func WritingSemantics() (Result, error) {
 	r := Result{
 		Name:   "E7-ws",
 		Desc:   "writing-semantics effects on an overwrite-heavy workload (hot variable)",
 		Header: []string{"protocol", "delays", "discards", "in-P"},
+		Gate:   &Gate{Key: []string{"protocol"}, MaxRise: map[string]float64{"delays": 0, "discards": 0}},
 	}
 	mk := func(seed uint64) ([]sim.Script, error) {
 		return workload.Scripts(workload.Config{
@@ -345,8 +354,7 @@ func Ablation() (Result, error) {
 	return r, nil
 }
 
-// All runs every simulator-based experiment (E6-throughput lives in
-// live.go because it needs the goroutine runtime).
+// All runs every simulator-based experiment.
 func All() ([]Result, error) {
 	var out []Result
 	for _, fn := range []func() (Result, error){

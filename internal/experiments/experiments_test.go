@@ -169,21 +169,6 @@ func TestAblationShape(t *testing.T) {
 	}
 }
 
-func TestThroughputRuns(t *testing.T) {
-	r, err := Throughput(3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if cell(t, row[1]) <= 0 || cell(t, row[2]) <= 0 {
-			t.Fatalf("non-positive throughput: %v", row)
-		}
-	}
-}
-
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")

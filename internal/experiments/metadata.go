@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/history"
@@ -11,10 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// MetadataName identifies the metadata-codec scorecard experiment in
-// dsmbench/v1 documents; CheckMetadataRegression matches baseline and
-// current results by it.
-const MetadataName = "E-metadata"
+// metadataName identifies the metadata-codec experiment in dsmbench/v1
+// documents.
+const metadataName = "E-metadata"
 
 // metaModes is the mode sweep of the metadata experiment.
 var metaModes = []protocol.MetaMode{protocol.MetaOff, protocol.MetaDelta, protocol.MetaStab, protocol.MetaAuto}
@@ -28,6 +26,13 @@ var metaModes = []protocol.MetaMode{protocol.MetaOff, protocol.MetaDelta, protoc
 // every outgoing link of a sender, so all of a sender's links carry the
 // same bytes. P = 256 exceeds the TCP transport's one-byte sender-id
 // cap on live runs, which is why the codec is measured offline here.
+//
+// The sweep fails unless delta and auto ship at most half of off's
+// clock bytes at 64 processes (compressionClaim). The gate lets clock
+// bytes rise at most 20% per (procs, mode) cell. codec-ns/op is wall
+// clock, and on a shared 2-CPU host it spreads up to 2.2× between
+// runs, so it only gets a catastrophe bound (at most 3× the baseline);
+// bench/'s protocol.meta_*_ns rungs are its precise measure.
 func MetadataCompression() (Result, error) {
 	return metadataSweep([]int{8, 64, 256}, []uint64{11, 23})
 }
@@ -36,9 +41,12 @@ func MetadataCompression() (Result, error) {
 // separate so tests can run a tiny sweep fast.
 func metadataSweep(ps []int, seeds []uint64) (Result, error) {
 	r := Result{
-		Name:   MetadataName,
+		Name:   metadataName,
 		Desc:   "causality-metadata codec on OptP steady-state streams (FIFO links): bytes and time per update",
 		Header: []string{"procs", "mode", "clock-B/op", "wire-B/op", "reduction", "codec-ns/op"},
+		Gate: &Gate{Key: []string{"procs", "mode"}, MaxRise: map[string]float64{
+			"clock-B/op": 0.2, "codec-ns/op": 2,
+		}},
 	}
 	for _, n := range ps {
 		var streams [][]protocol.Update
@@ -64,7 +72,7 @@ func metadataSweep(ps []int, seeds []uint64) (Result, error) {
 				FIFO:    true,
 			}, scripts)
 			if err != nil {
-				return r, fmt.Errorf("experiments: %s n=%d seed %d: %w", MetadataName, n, seed, err)
+				return r, fmt.Errorf("experiments: %s n=%d seed %d: %w", metadataName, n, seed, err)
 			}
 			streams = append(streams, senderStreams(res.Updates, n)...)
 		}
@@ -72,7 +80,7 @@ func metadataSweep(ps []int, seeds []uint64) (Result, error) {
 		for _, mode := range metaModes {
 			clockB, wireB, nsOp, err := codecCost(streams, mode)
 			if err != nil {
-				return r, fmt.Errorf("experiments: %s n=%d mode %v: %w", MetadataName, n, mode, err)
+				return r, fmt.Errorf("experiments: %s n=%d mode %v: %w", metadataName, n, mode, err)
 			}
 			reduction := "-"
 			if mode == protocol.MetaOff {
@@ -89,7 +97,40 @@ func metadataSweep(ps []int, seeds []uint64) (Result, error) {
 			})
 		}
 	}
-	return r, nil
+	return r, compressionClaim(&r)
+}
+
+// compressionClaim is the sweep's headline self-check: at 64 processes,
+// delta and auto ship at most half of off's clock bytes per update. A
+// sweep without a 64/off row asserts nothing.
+func compressionClaim(r *Result) error {
+	rows, err := r.rowsByKey([]string{"procs", "mode"})
+	if err != nil {
+		return err
+	}
+	off, ok := rows["64/off"]
+	if !ok {
+		return nil
+	}
+	offClock, err := r.num(off, "clock-B/op")
+	if err != nil {
+		return err
+	}
+	for _, mode := range []string{"delta", "auto"} {
+		row, ok := rows["64/"+mode]
+		if !ok {
+			return fmt.Errorf("experiments: %s has a 64/off row but no 64/%s", r.Name, mode)
+		}
+		clockB, err := r.num(row, "clock-B/op")
+		if err != nil {
+			return err
+		}
+		if clockB > 0.5*offClock {
+			return fmt.Errorf("experiments: %s at 64 procs ships %.1f clock-B/op, more than half of off's %.1f — the compression claim fails",
+				mode, clockB, offClock)
+		}
+	}
+	return nil
 }
 
 // senderStreams groups updates by sender in sequence order — the exact
@@ -170,103 +211,4 @@ func codecCost(streams [][]protocol.Update, mode protocol.MetaMode) (clockB, wir
 	}
 	n := float64(count)
 	return float64(meta) / n, float64(wire) / n, float64(best) / n, nil
-}
-
-// CheckMetadataRegression gates the metadata scorecard against the
-// committed baseline: matching (procs, mode) rows may not regress by
-// more than tolerance (0.2 = 20%) on clock-B/op or codec-ns/op, and the
-// headline compression claim must hold in the CURRENT results — at 64
-// processes, delta and auto must ship at most half of MetaOff's clock
-// bytes per update. Rows present in only one document are ignored, so
-// extending the sweep doesn't break the gate. Improvements never fail.
-func CheckMetadataRegression(current []Result, baseline Scorecard, tolerance float64) error {
-	base, err := metadataCells(baseline.Experiments)
-	if err != nil {
-		return fmt.Errorf("experiments: baseline scorecard: %w", err)
-	}
-	if len(base) == 0 {
-		return fmt.Errorf("experiments: baseline scorecard has no %s rows", MetadataName)
-	}
-	cur, err := metadataCells(current)
-	if err != nil {
-		return err
-	}
-	if len(cur) == 0 {
-		return fmt.Errorf("experiments: current results have no %s rows", MetadataName)
-	}
-	for key, want := range base {
-		got, ok := cur[key]
-		if !ok {
-			continue
-		}
-		if ceiling := want.clockB * (1 + tolerance); got.clockB > ceiling {
-			return fmt.Errorf("experiments: metadata regression at %s: %.1f clock-B/op > %.1f (baseline %.1f + %.0f%% tolerance)",
-				key, got.clockB, ceiling, want.clockB, tolerance*100)
-		}
-		if ceiling := want.nsOp * (1 + tolerance); got.nsOp > ceiling {
-			return fmt.Errorf("experiments: metadata regression at %s: %.0f ns/op > %.0f (baseline %.0f + %.0f%% tolerance)",
-				key, got.nsOp, ceiling, want.nsOp, tolerance*100)
-		}
-	}
-	off, ok := cur["64/off"]
-	if !ok {
-		return nil // sweep without the headline size; nothing more to assert
-	}
-	for _, mode := range []string{"delta", "auto"} {
-		got, ok := cur["64/"+mode]
-		if !ok {
-			return fmt.Errorf("experiments: current results have a 64/off row but no 64/%s", mode)
-		}
-		if got.clockB > 0.5*off.clockB {
-			return fmt.Errorf("experiments: %s at 64 procs ships %.1f clock-B/op, more than half of off's %.1f — the compression claim fails",
-				mode, got.clockB, off.clockB)
-		}
-	}
-	return nil
-}
-
-// metadataCell is one parsed (procs, mode) row of the metadata table.
-type metadataCell struct {
-	clockB, nsOp float64
-}
-
-// metadataCells extracts "procs/mode" → cell from a metadata result.
-func metadataCells(results []Result) (map[string]metadataCell, error) {
-	out := map[string]metadataCell{}
-	for _, r := range results {
-		if r.Name != MetadataName {
-			continue
-		}
-		procsCol, modeCol, clockCol, nsCol := -1, -1, -1, -1
-		for i, h := range r.Header {
-			switch h {
-			case "procs":
-				procsCol = i
-			case "mode":
-				modeCol = i
-			case "clock-B/op":
-				clockCol = i
-			case "codec-ns/op":
-				nsCol = i
-			}
-		}
-		if procsCol < 0 || modeCol < 0 || clockCol < 0 || nsCol < 0 {
-			return nil, fmt.Errorf("experiments: %s table lacks procs/mode/clock-B/op/codec-ns/op columns (header %v)", r.Name, r.Header)
-		}
-		for _, row := range r.Rows {
-			if len(row) <= procsCol || len(row) <= modeCol || len(row) <= clockCol || len(row) <= nsCol {
-				continue
-			}
-			clockB, err := strconv.ParseFloat(row[clockCol], 64)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s clock-B/op cell %q: %w", r.Name, row[clockCol], err)
-			}
-			nsOp, err := strconv.ParseFloat(row[nsCol], 64)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s codec-ns/op cell %q: %w", r.Name, row[nsCol], err)
-			}
-			out[row[procsCol]+"/"+row[modeCol]] = metadataCell{clockB: clockB, nsOp: nsOp}
-		}
-	}
-	return out, nil
 }

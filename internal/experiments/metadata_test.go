@@ -11,7 +11,7 @@ func TestMetadataSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != MetadataName {
+	if r.Name != metadataName {
 		t.Fatalf("name = %q", r.Name)
 	}
 	if len(r.Rows) != 2*len(metaModes) {
@@ -39,55 +39,32 @@ func TestMetadataSweepShape(t *testing.T) {
 	}
 }
 
-func metadataResults(cells map[string][2]string) []Result {
-	r := Result{
-		Name:   MetadataName,
-		Header: []string{"procs", "mode", "clock-B/op", "wire-B/op", "reduction", "codec-ns/op"},
+func TestCompressionClaim(t *testing.T) {
+	table := func(clock map[string]string) Result {
+		r := Result{
+			Name:   metadataName,
+			Header: []string{"procs", "mode", "clock-B/op", "wire-B/op", "reduction", "codec-ns/op"},
+		}
+		for key, v := range clock {
+			procs, mode, _ := strings.Cut(key, "/")
+			r.Rows = append(r.Rows, []string{procs, mode, v, "99.0", "-", "500"})
+		}
+		return r
 	}
-	for key, v := range cells {
-		procs, mode, _ := strings.Cut(key, "/")
-		r.Rows = append(r.Rows, []string{procs, mode, v[0], "99.0", "-", v[1]})
-	}
-	return []Result{r}
-}
-
-func TestCheckMetadataRegression(t *testing.T) {
-	mk := func(deltaClock, deltaNS string) []Result {
-		return metadataResults(map[string][2]string{
-			"64/off":   {"65.0", "500"},
-			"64/delta": {deltaClock, deltaNS},
-			"64/auto":  {"13.0", "1500"},
-		})
-	}
-	baseline := Scorecard{Schema: ScorecardSchema, Experiments: mk("16.0", "1000")}
-
-	if err := CheckMetadataRegression(mk("17.0", "1100"), baseline, 0.2); err != nil {
-		t.Fatalf("within tolerance: %v", err)
-	}
-	if err := CheckMetadataRegression(mk("10.0", "700"), baseline, 0.2); err != nil {
-		t.Fatalf("improvement must pass: %v", err)
-	}
-	if err := CheckMetadataRegression(mk("25.0", "1000"), baseline, 0.2); err == nil {
-		t.Fatal("clock-byte regression must fail")
-	}
-	if err := CheckMetadataRegression(mk("16.0", "2000"), baseline, 0.2); err == nil {
-		t.Fatal("ns/op regression must fail")
-	}
-	// The headline invariant: delta must stay at ≤ half of off's clock
-	// bytes at 64 procs even when the baseline also recorded the bloat.
-	bloated := Scorecard{Schema: ScorecardSchema, Experiments: mk("60.0", "1000")}
-	if err := CheckMetadataRegression(mk("60.0", "1000"), bloated, 0.2); err == nil {
-		t.Fatal("compression-claim failure must fail the gate")
-	}
-	// Disjoint rows are ignored; empty documents are errors.
-	other := metadataResults(map[string][2]string{"8/off": {"9.9", "200"}})
-	if err := CheckMetadataRegression(other, baseline, 0.2); err != nil {
-		t.Fatalf("disjoint rows must pass: %v", err)
-	}
-	if err := CheckMetadataRegression(nil, baseline, 0.2); err == nil {
-		t.Fatal("empty current must fail")
-	}
-	if err := CheckMetadataRegression(mk("16.0", "1000"), Scorecard{Schema: ScorecardSchema}, 0.2); err == nil {
-		t.Fatal("empty baseline must fail")
+	for _, c := range []struct {
+		name  string
+		clock map[string]string
+		ok    bool
+	}{
+		{"claim holds", map[string]string{"64/off": "65.0", "64/delta": "16.6", "64/auto": "12.9"}, true},
+		{"delta above half of off", map[string]string{"64/off": "65.0", "64/delta": "32.6", "64/auto": "12.9"}, false},
+		{"auto above half of off", map[string]string{"64/off": "65.0", "64/delta": "16.6", "64/auto": "60.0"}, false},
+		{"64/auto missing", map[string]string{"64/off": "65.0", "64/delta": "16.6"}, false},
+		{"no 64/off row", map[string]string{"8/off": "9.9", "8/delta": "9.0"}, true},
+	} {
+		r := table(c.clock)
+		if err := compressionClaim(&r); (err == nil) != c.ok {
+			t.Errorf("%s: compressionClaim = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

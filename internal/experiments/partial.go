@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/checker"
 	"repro/internal/history"
@@ -11,10 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// PartialName identifies the partial-replication scorecard experiment
-// in dsmbench/v1 documents; CheckPartialRegression matches baseline
-// and current results by it.
-const PartialName = "E-partial"
+// partialName identifies the partial-replication experiment in
+// dsmbench/v1 documents.
+const partialName = "E-partial"
 
 // PartialReplication is the partial-replication experiment: for each
 // system size it sweeps the replication factor r — every variable
@@ -24,7 +22,9 @@ const PartialName = "E-partial"
 // update (through the MetaAuto codec on the real per-link streams,
 // which differ per destination under partial replication), and the
 // read-forwarding traffic that pays for it. Every run is audited; a
-// single safety, liveness or share-set violation fails the sweep.
+// single safety, liveness or share-set violation fails the sweep, and
+// so does a broken headline claim (replicationClaim). The gate lets
+// msgs/write and clock bytes rise at most 20% per (procs, r) cell.
 func PartialReplication() (Result, error) {
 	return partialSweep([]int{8, 16}, []uint64{11, 23, 37})
 }
@@ -51,9 +51,12 @@ func partialFactors(procs int) []int {
 // separate so tests can run a tiny sweep fast.
 func partialSweep(ps []int, seeds []uint64) (Result, error) {
 	res := Result{
-		Name:   PartialName,
+		Name:   partialName,
 		Desc:   "partial replication (Modulo share-sets, vars = procs): fan-out, storage and metadata vs replication factor r",
 		Header: []string{"procs", "r", "msgs/write", "stored-vars/proc", "clock-B/op", "read-fwds", "read-delays"},
+		Gate: &Gate{Key: []string{"procs", "r"}, MaxRise: map[string]float64{
+			"msgs/write": 0.2, "clock-B/op": 0.2,
+		}},
 	}
 	for _, n := range ps {
 		for _, factor := range partialFactors(n) {
@@ -76,14 +79,14 @@ func partialSweep(ps []int, seeds []uint64) (Result, error) {
 					FIFO:      true,
 				}, scripts)
 				if err != nil {
-					return res, fmt.Errorf("experiments: %s n=%d r=%d seed %d: %w", PartialName, n, factor, seed, err)
+					return res, fmt.Errorf("experiments: %s n=%d r=%d seed %d: %w", partialName, n, factor, seed, err)
 				}
 				rep, err := checker.Audit(run.Log)
 				if err != nil {
-					return res, fmt.Errorf("experiments: %s audit n=%d r=%d seed %d: %w", PartialName, n, factor, seed, err)
+					return res, fmt.Errorf("experiments: %s audit n=%d r=%d seed %d: %w", partialName, n, factor, seed, err)
 				}
 				if !rep.Safe() || !rep.CausallyConsistent() || !rep.InP() || !rep.ExactlyOnce() || !rep.ShareRespected() {
-					return res, fmt.Errorf("experiments: %s n=%d r=%d seed %d: audit violations: %s", PartialName, n, factor, seed, rep)
+					return res, fmt.Errorf("experiments: %s n=%d r=%d seed %d: audit violations: %s", partialName, n, factor, seed, rep)
 				}
 				copies += run.UpdateCopies
 				writes += uint64(run.Log.WritesIssued())
@@ -92,11 +95,11 @@ func partialSweep(ps []int, seeds []uint64) (Result, error) {
 				streams = append(streams, partialLinkStreams(run.Updates, shares, n)...)
 			}
 			if writes == 0 {
-				return res, fmt.Errorf("experiments: %s n=%d r=%d: no writes issued", PartialName, n, factor)
+				return res, fmt.Errorf("experiments: %s n=%d r=%d: no writes issued", partialName, n, factor)
 			}
 			clockB, _, _, err := codecCost(streams, protocol.MetaAuto)
 			if err != nil {
-				return res, fmt.Errorf("experiments: %s n=%d r=%d codec: %w", PartialName, n, factor, err)
+				return res, fmt.Errorf("experiments: %s n=%d r=%d codec: %w", partialName, n, factor, err)
 			}
 			nruns := float64(len(seeds))
 			res.Rows = append(res.Rows, []string{
@@ -109,7 +112,46 @@ func partialSweep(ps []int, seeds []uint64) (Result, error) {
 			})
 		}
 	}
-	return res, nil
+	return res, replicationClaim(&res)
+}
+
+// replicationClaim is the sweep's headline self-check: at 16 processes
+// with r = 4, a write ships at most 4 update copies (vs 15 under full
+// replication), and a process stores at most 2/7 of the 16/16 row's
+// footprint (a ≥3.5× cut). A sweep without a 16/4 row asserts nothing.
+func replicationClaim(r *Result) error {
+	rows, err := r.rowsByKey([]string{"procs", "r"})
+	if err != nil {
+		return err
+	}
+	headline, ok := rows["16/4"]
+	if !ok {
+		return nil
+	}
+	msgs, err := r.num(headline, "msgs/write")
+	if err != nil {
+		return err
+	}
+	if msgs > 4.0 {
+		return fmt.Errorf("experiments: partial replication at 16/4 ships %.1f msgs/write, more than the claimed ceiling of 4.0", msgs)
+	}
+	full, ok := rows["16/16"]
+	if !ok {
+		return nil
+	}
+	stored, err := r.num(headline, "stored-vars/proc")
+	if err != nil {
+		return err
+	}
+	fullStored, err := r.num(full, "stored-vars/proc")
+	if err != nil {
+		return err
+	}
+	if stored*3.5 > fullStored {
+		return fmt.Errorf("experiments: partial replication at 16/4 stores %.1f vars/proc vs %.1f under full replication — less than the claimed 3.5x reduction",
+			stored, fullStored)
+	}
+	return nil
 }
 
 // storedVarsPerProc is the mean number of variables a process
@@ -157,108 +199,4 @@ func partialLinkStreams(updates map[history.WriteID]protocol.Update, shares prot
 		}
 	}
 	return out
-}
-
-// CheckPartialRegression gates the partial-replication scorecard
-// against the committed baseline: matching (procs, r) rows may not
-// regress by more than tolerance (0.2 = 20%) on msgs/write or
-// clock-B/op, and the headline fan-out and storage claims must hold in
-// the CURRENT results — at 16 processes with r = 4, a write ships at
-// most 4 update copies (vs 15 under full replication) and a process
-// stores at most 2/7 of the full-replication footprint (a ≥3.5×
-// reduction). Rows present in only one document are ignored, so
-// extending the sweep doesn't break the gate. Improvements never fail.
-func CheckPartialRegression(current []Result, baseline Scorecard, tolerance float64) error {
-	base, err := partialCells(baseline.Experiments)
-	if err != nil {
-		return fmt.Errorf("experiments: baseline scorecard: %w", err)
-	}
-	if len(base) == 0 {
-		return fmt.Errorf("experiments: baseline scorecard has no %s rows", PartialName)
-	}
-	cur, err := partialCells(current)
-	if err != nil {
-		return err
-	}
-	if len(cur) == 0 {
-		return fmt.Errorf("experiments: current results have no %s rows", PartialName)
-	}
-	for key, want := range base {
-		got, ok := cur[key]
-		if !ok {
-			continue
-		}
-		if ceiling := want.msgsPerWrite * (1 + tolerance); got.msgsPerWrite > ceiling {
-			return fmt.Errorf("experiments: partial-replication regression at %s: %.1f msgs/write > %.1f (baseline %.1f + %.0f%% tolerance)",
-				key, got.msgsPerWrite, ceiling, want.msgsPerWrite, tolerance*100)
-		}
-		if ceiling := want.clockB * (1 + tolerance); got.clockB > ceiling {
-			return fmt.Errorf("experiments: partial-replication regression at %s: %.1f clock-B/op > %.1f (baseline %.1f + %.0f%% tolerance)",
-				key, got.clockB, ceiling, want.clockB, tolerance*100)
-		}
-	}
-	headline, ok := cur["16/4"]
-	if !ok {
-		return nil // sweep without the headline size; nothing more to assert
-	}
-	if headline.msgsPerWrite > 4.0 {
-		return fmt.Errorf("experiments: partial replication at 16/4 ships %.1f msgs/write, more than the claimed ceiling of 4.0",
-			headline.msgsPerWrite)
-	}
-	if full, ok := cur["16/16"]; ok && headline.storedVars*3.5 > full.storedVars {
-		return fmt.Errorf("experiments: partial replication at 16/4 stores %.1f vars/proc vs %.1f under full replication — less than the claimed 3.5x reduction",
-			headline.storedVars, full.storedVars)
-	}
-	return nil
-}
-
-// partialCell is one parsed (procs, r) row of the partial table.
-type partialCell struct {
-	msgsPerWrite, storedVars, clockB float64
-}
-
-// partialCells extracts "procs/r" → cell from a partial result.
-func partialCells(results []Result) (map[string]partialCell, error) {
-	out := map[string]partialCell{}
-	for _, r := range results {
-		if r.Name != PartialName {
-			continue
-		}
-		procsCol, rCol, msgCol, storeCol, clockCol := -1, -1, -1, -1, -1
-		for i, h := range r.Header {
-			switch h {
-			case "procs":
-				procsCol = i
-			case "r":
-				rCol = i
-			case "msgs/write":
-				msgCol = i
-			case "stored-vars/proc":
-				storeCol = i
-			case "clock-B/op":
-				clockCol = i
-			}
-		}
-		if procsCol < 0 || rCol < 0 || msgCol < 0 || storeCol < 0 || clockCol < 0 {
-			return nil, fmt.Errorf("experiments: %s table lacks procs/r/msgs/write/stored-vars/proc/clock-B/op columns (header %v)", r.Name, r.Header)
-		}
-		for _, row := range r.Rows {
-			if len(row) <= procsCol || len(row) <= rCol || len(row) <= msgCol || len(row) <= storeCol || len(row) <= clockCol {
-				continue
-			}
-			var cell partialCell
-			var err error
-			if cell.msgsPerWrite, err = strconv.ParseFloat(row[msgCol], 64); err != nil {
-				return nil, fmt.Errorf("experiments: %s msgs/write cell %q: %w", r.Name, row[msgCol], err)
-			}
-			if cell.storedVars, err = strconv.ParseFloat(row[storeCol], 64); err != nil {
-				return nil, fmt.Errorf("experiments: %s stored-vars/proc cell %q: %w", r.Name, row[storeCol], err)
-			}
-			if cell.clockB, err = strconv.ParseFloat(row[clockCol], 64); err != nil {
-				return nil, fmt.Errorf("experiments: %s clock-B/op cell %q: %w", r.Name, row[clockCol], err)
-			}
-			out[row[procsCol]+"/"+row[rCol]] = cell
-		}
-	}
-	return out, nil
 }

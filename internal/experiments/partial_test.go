@@ -32,7 +32,7 @@ func TestPartialSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != PartialName {
+	if r.Name != partialName {
 		t.Fatalf("name = %q", r.Name)
 	}
 	if len(r.Rows) != len(partialFactors(4)) {
@@ -71,55 +71,36 @@ func TestPartialSweepShape(t *testing.T) {
 	}
 }
 
-// partialResults builds a synthetic E-partial table from
-// "procs/r" → {msgs/write, stored-vars/proc, clock-B/op} cells.
-func partialResults(cells map[string][3]string) []Result {
+// partialTable builds a synthetic E-partial table from
+// "procs/r" → {msgs/write, stored-vars/proc} cells.
+func partialTable(cells map[string][2]string) Result {
 	r := Result{
-		Name:   PartialName,
+		Name:   partialName,
 		Header: []string{"procs", "r", "msgs/write", "stored-vars/proc", "clock-B/op", "read-fwds", "read-delays"},
 	}
 	for key, v := range cells {
 		procs, factor, _ := strings.Cut(key, "/")
-		r.Rows = append(r.Rows, []string{procs, factor, v[0], v[1], v[2], "0.0", "0.0"})
+		r.Rows = append(r.Rows, []string{procs, factor, v[0], v[1], "20.0", "0.0", "0.0"})
 	}
-	return []Result{r}
+	return r
 }
 
-func TestCheckPartialRegression(t *testing.T) {
-	mk := func(msgs, stored, clockB string) []Result {
-		return partialResults(map[string][3]string{
-			"16/16": {"15.0", "16.0", "40.0"},
-			"16/4":  {msgs, stored, clockB},
-		})
-	}
-	baseline := NewScorecard(mk("3.0", "4.0", "20.0"))
-
-	if err := CheckPartialRegression(mk("3.0", "4.0", "20.0"), baseline, 0.2); err != nil {
-		t.Fatalf("identical results failed the gate: %v", err)
-	}
-	// Improvements never fail.
-	if err := CheckPartialRegression(mk("2.0", "4.0", "15.0"), baseline, 0.2); err != nil {
-		t.Fatalf("improvement failed the gate: %v", err)
-	}
-	// msgs/write above baseline + tolerance fails.
-	if err := CheckPartialRegression(mk("3.9", "4.0", "20.0"), baseline, 0.2); err == nil {
-		t.Fatal("fan-out regression passed the gate")
-	}
-	// clock bytes above baseline + tolerance fail.
-	if err := CheckPartialRegression(mk("3.0", "4.0", "30.0"), baseline, 0.2); err == nil {
-		t.Fatal("metadata regression passed the gate")
-	}
-	// The headline fan-out ceiling binds regardless of the baseline.
-	loose := NewScorecard(mk("5.0", "4.0", "20.0"))
-	if err := CheckPartialRegression(mk("5.0", "4.0", "20.0"), loose, 0.2); err == nil {
-		t.Fatal("16/4 above 4 msgs/write passed the gate")
-	}
-	// The storage-reduction claim binds against the current 16/16 row.
-	if err := CheckPartialRegression(mk("3.0", "8.0", "20.0"), baseline, 0.2); err == nil {
-		t.Fatal("storage reduction below 3.5x passed the gate")
-	}
-	// A baseline without E-partial rows is a configuration error.
-	if err := CheckPartialRegression(mk("3.0", "4.0", "20.0"), NewScorecard(nil), 0.2); err == nil {
-		t.Fatal("empty baseline passed the gate")
+func TestReplicationClaim(t *testing.T) {
+	full := [2]string{"15.0", "16.0"}
+	for _, c := range []struct {
+		name  string
+		cells map[string][2]string
+		ok    bool
+	}{
+		{"claim holds", map[string][2]string{"16/16": full, "16/4": {"3.8", "4.0"}}, true},
+		{"fan-out above 4 msgs/write", map[string][2]string{"16/16": full, "16/4": {"4.1", "4.0"}}, false},
+		{"storage cut below 3.5x", map[string][2]string{"16/16": full, "16/4": {"3.8", "8.0"}}, false},
+		{"fan-out binds without a 16/16 row", map[string][2]string{"16/4": {"5.0", "4.0"}}, false},
+		{"no headline row", map[string][2]string{"8/8": {"7.0", "8.0"}, "8/2": {"9.0", "8.0"}}, true},
+	} {
+		r := partialTable(c.cells)
+		if err := replicationClaim(&r); (err == nil) != c.ok {
+			t.Errorf("%s: replicationClaim = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

@@ -15,6 +15,7 @@ func TestScorecardRoundTrip(t *testing.T) {
 			Desc:   "a table",
 			Header: []string{"a", "b"},
 			Rows:   [][]string{{"1", "2"}, {"3", "4"}},
+			Gate:   &Gate{Key: []string{"a"}, MaxRise: map[string]float64{"b": 0.2}},
 			Stats: []trace.RunStats{
 				{Protocol: "OptP", Procs: 2, Writes: 10, Delays: 1, DelayRate: 0.5},
 			},
@@ -42,46 +43,65 @@ func TestScorecardRoundTrip(t *testing.T) {
 	if len(got.Stats) != 1 || got.Stats[0].Protocol != "OptP" || got.Stats[0].DelayRate != 0.5 {
 		t.Errorf("stats round-trip = %+v", got.Stats)
 	}
+	// The gate travels with the table, so a written scorecard is a
+	// complete baseline; ungated tables stay ungated.
+	if g := got.Gate; g == nil || len(g.Key) != 1 || g.Key[0] != "a" || g.MaxRise["b"] != 0.2 {
+		t.Errorf("gate round-trip = %+v", got.Gate)
+	}
+	if sc.Experiments[1].Gate != nil {
+		t.Errorf("ungated table gained a gate: %+v", sc.Experiments[1].Gate)
+	}
 }
 
-func TestCheckThroughputRegression(t *testing.T) {
-	smoke := func(opsPerSec map[string]string) Result {
-		r := Result{
-			Name:   ThroughputSmokeName,
-			Header: []string{"procs", "ops", "elapsed", "ops/s"},
-		}
-		for _, procs := range []string{"2", "4", "8"} {
-			if v, ok := opsPerSec[procs]; ok {
-				r.Rows = append(r.Rows, []string{procs, "1000", "1ms", v})
-			}
-		}
-		return r
+// gated builds an E-test table of {procs, mode, bytes, ns} rows under
+// one gate: bytes may rise 20%, ns not at all.
+func gated(rows ...[]string) Result {
+	return Result{
+		Name:   "E-test",
+		Header: []string{"procs", "mode", "bytes", "ns"},
+		Rows:   rows,
+		Gate:   &Gate{Key: []string{"procs", "mode"}, MaxRise: map[string]float64{"bytes": 0.2, "ns": 0}},
 	}
-	base := NewScorecard([]Result{smoke(map[string]string{"2": "1000000", "4": "500000", "8": "250000"})})
+}
 
-	// Within tolerance (and improvements) pass.
-	ok := []Result{smoke(map[string]string{"2": "850000", "4": "2000000", "8": "250000"})}
-	if err := CheckThroughputRegression(ok, base, 0.2); err != nil {
-		t.Errorf("in-tolerance run failed the gate: %v", err)
+func TestCheck(t *testing.T) {
+	base := func() Result {
+		return gated([]string{"8", "off", "10.0", "100"}, []string{"8", "delta", "5.0", "200"})
 	}
-	// A >20% drop on any row fails.
-	bad := []Result{smoke(map[string]string{"2": "1000000", "4": "399000", "8": "250000"})}
-	if err := CheckThroughputRegression(bad, base, 0.2); err == nil {
-		t.Error("21% regression passed the gate")
-	}
-	// Rows only one side has are ignored; a baseline with none errors.
-	partial := []Result{smoke(map[string]string{"2": "1000000"})}
-	if err := CheckThroughputRegression(partial, base, 0.2); err != nil {
-		t.Errorf("partial current rows failed the gate: %v", err)
-	}
-	if err := CheckThroughputRegression(ok, NewScorecard(nil), 0.2); err == nil {
-		t.Error("empty baseline accepted")
-	}
-	// Unparsable ops/s cells are an error, not a silent pass.
-	garbled := base
-	garbled.Experiments[0].Rows[0][3] = "fast"
-	if err := CheckThroughputRegression(ok, garbled, 0.2); err == nil {
-		t.Error("garbled baseline cell accepted")
+	scorecard := func(rs ...Result) Scorecard { return Scorecard{Schema: ScorecardSchema, Experiments: rs} }
+	ungated := base()
+	ungated.Gate = nil
+	garbled := base()
+	garbled.Rows[0][2] = "fast"
+	other := base()
+	other.Name = "E-other"
+	noMode := base()
+	noMode.Header = []string{"procs", "kind", "bytes", "ns"}
+
+	for _, c := range []struct {
+		name     string
+		current  []Result
+		baseline Scorecard
+		ok       bool
+	}{
+		{"identical", []Result{base()}, scorecard(base()), true},
+		{"within tolerance", []Result{gated([]string{"8", "off", "11.9", "100"})}, scorecard(base()), true},
+		{"improvement", []Result{gated([]string{"8", "off", "4.0", "50"}, []string{"8", "delta", "1.0", "10"})}, scorecard(base()), true},
+		{"tolerant column over tolerance", []Result{gated([]string{"8", "delta", "6.5", "200"})}, scorecard(base()), false},
+		{"exact column rises", []Result{gated([]string{"8", "delta", "5.0", "201"})}, scorecard(base()), false},
+		{"disjoint rows ignored", []Result{gated([]string{"16", "off", "99.0", "999"})}, scorecard(base()), true},
+		{"experiment the run lacks is skipped", []Result{base()}, scorecard(base(), other), true},
+		{"empty current", nil, scorecard(base()), false},
+		{"empty baseline", []Result{base()}, scorecard(), false},
+		{"baseline gates nothing the run produced", []Result{base()}, scorecard(other), false},
+		{"baseline experiment without a gate", []Result{base()}, scorecard(ungated), false},
+		{"garbled baseline cell", []Result{base()}, scorecard(garbled), false},
+		{"garbled current cell", []Result{garbled}, scorecard(base()), false},
+		{"current lacks a key column", []Result{noMode}, scorecard(base()), false},
+	} {
+		if err := Check(c.current, c.baseline); (err == nil) != c.ok {
+			t.Errorf("%s: Check = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 
