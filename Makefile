@@ -20,10 +20,11 @@ check: fmt-check vet build test race transport-stress core-stress fuzz-smoke cha
 ## latency are gated by the bench/ module's benchmark, not here.
 ci: check conformance smoke audit-bench metadata-bench replication-bench vuln
 
-## smoke: the fast dsmbench subset (visibility, ws) — deterministic
-## virtual-time tables, gated exactly against the committed
-## BENCH_baseline.json: any rise in a visibility percentile or a delay
-## or discard count fails. The scorecard goes to smoke-scorecard.json.
+## smoke: the fast dsmbench subset (nprocs, visibility, ws) —
+## deterministic virtual-time tables, gated exactly against the
+## committed BENCH_baseline.json: any rise in a visibility percentile or
+## a delay, unnecessary-delay or discard count fails. The scorecard goes
+## to smoke-scorecard.json.
 smoke:
 	$(GO) run ./cmd/dsmbench -exp smoke \
 		-baseline BENCH_baseline.json -json smoke-scorecard.json

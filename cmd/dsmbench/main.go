@@ -9,7 +9,7 @@
 //	                            # chaos, crash, falsecausality, jitter,
 //	                            # metadata, mix, nprocs, partial,
 //	                            # twosite, visibility, ws
-//	dsmbench -exp smoke         # fast CI subset (visibility, ws)
+//	dsmbench -exp smoke         # fast CI subset (nprocs, visibility, ws)
 //	dsmbench -exp audit-scale -ops 1000000
 //	                            # offline-audit scorecard (1k/10k/100k
 //	                            # synthetic traces; -ops > 100000 appends
@@ -60,10 +60,10 @@ func main() {
 		"crash":          experiments.CrashRecovery,
 		"audit-scale":    func() (experiments.Result, error) { return experiments.AuditScale(*ops) },
 	}
-	// smoke is the CI subset: two deterministic simulator tables, gated
+	// smoke is the CI subset: three deterministic simulator tables, gated
 	// exactly against BENCH_baseline.json.
 	smoke := []func() (experiments.Result, error){
-		experiments.VisibilityLatency, experiments.WritingSemantics,
+		experiments.ProcCount, experiments.VisibilityLatency, experiments.WritingSemantics,
 	}
 
 	if flag.NArg() > 0 {

@@ -58,8 +58,6 @@ func (r *eager) Apply(u protocol.Update) {
 	r.applied.Tick(u.From())
 }
 
-func (r *eager) Discard(protocol.Update) { panic("eager: discard") }
-
 func (r *eager) ControlClock() vclock.VC { return r.applied.Clone() }
 func (r *eager) ApplyClock() vclock.VC   { return r.applied.Clone() }
 func (r *eager) Value(x int) (int64, history.WriteID) {

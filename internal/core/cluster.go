@@ -179,7 +179,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		} else {
 			r = protocol.New(cfg.Protocol, p, cfg.Processes, cfg.Variables)
 		}
-		n := &Node{c: c, id: p, replica: r, pending: newPendingSet(cfg.Processes)}
+		n := &Node{c: c, id: p}
+		n.newDriver(r)
 		c.nodes = append(c.nodes, n)
 		tr.Register(p, n.handle)
 	}

@@ -104,11 +104,12 @@ func (n *Node) frontierDominatesLocked(t vclock.VC) bool {
 	if len(t) == 0 {
 		return true
 	}
-	if n.down.Load() || n.replica == nil {
+	if n.down.Load() || n.drv == nil {
 		return false
 	}
-	if fd, ok := n.replica.(protocol.FrontierDominator); ok {
+	r := n.drv.Replica()
+	if fd, ok := r.(protocol.FrontierDominator); ok {
 		return fd.FrontierDominates(t)
 	}
-	return n.replica.(protocol.Introspector).ApplyClock().Dominates(t)
+	return r.(protocol.Introspector).ApplyClock().Dominates(t)
 }

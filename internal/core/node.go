@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/driver"
 	"repro/internal/durability"
 	"repro/internal/history"
 	"repro/internal/protocol"
@@ -27,13 +28,11 @@ type Node struct {
 
 	// mu serializes replica access; lock order is Node.mu before
 	// Cluster.mu, never the reverse.
-	mu      sync.Mutex
-	replica protocol.Replica
-	// pending holds buffered (delayed) updates indexed by origin and
-	// write ID, so duplicate checks are O(1) and drain re-examines only
-	// the updates a state advance could have unblocked. Nil while the
-	// node is crash-stopped.
-	pending *pendingSet
+	mu sync.Mutex
+	// drv owns the replica and its pending buffer of delayed updates,
+	// and runs the receipt state machine on them (see nodeHost for its
+	// side effects here). Nil while the node is crash-stopped.
+	drv *driver.Driver
 
 	// wal is the node's journal when crash recovery is enabled. A
 	// journaling failure crash-stops the node on the spot (fail-stop: a
@@ -70,6 +69,12 @@ type outMsg struct {
 	u  protocol.Update
 }
 
+// newDriver installs a fresh driver around r. Caller holds n.mu (or has
+// exclusive access during startup).
+func (n *Node) newDriver(r protocol.Replica) {
+	n.drv = driver.New(nodeHost{n}, r, n.c.cfg.Processes, n.c.recoveryEnabled())
+}
+
 // ID returns the node's 0-based process index.
 func (n *Node) ID() int { return n.id }
 
@@ -85,7 +90,7 @@ func (n *Node) Write(x int, v int64) error {
 		return fmt.Errorf("write at p%d: %w", n.id+1, ErrDown)
 	}
 	// Every live kind propagates each write at once.
-	u, _ := n.replica.LocalWrite(x, v)
+	u, _ := n.drv.Replica().LocalWrite(x, v)
 	if err := n.journalLocked(durability.Entry{Kind: durability.EntryLocalWrite, Var: x, Val: v}); err != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("write at p%d: %w: %w", n.id+1, ErrDown, err)
@@ -135,10 +140,11 @@ func (n *Node) ReadMeta(x int) (int64, history.WriteID, error) {
 		n.mu.Unlock()
 		return 0, history.Bottom, fmt.Errorf("read at p%d: %w", n.id+1, ErrDown)
 	}
-	if rr, ok := n.replica.(protocol.RemoteReader); ok && !rr.LocalVar(x) {
+	r := n.drv.Replica()
+	if rr, ok := r.(protocol.RemoteReader); ok && !rr.LocalVar(x) {
 		return n.readRemote(rr, x) // takes over (and releases) n.mu
 	}
-	v, from := n.replica.Read(x)
+	v, from := r.Read(x)
 	// OptP-family reads mutate Write_co (read-merge); journal them or a
 	// recovered replica under-approximates its →co knowledge.
 	if n.c.cfg.Protocol.ReadMutatesState() {
@@ -204,7 +210,7 @@ func (n *Node) readRemote(rr protocol.RemoteReader, x int) (int64, history.Write
 func (n *Node) Clock() []uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.replica.(protocol.Introspector).ControlClock()
+	return n.drv.Replica().(protocol.Introspector).ControlClock()
 }
 
 // Frontier returns a copy of the replica's applied-writes vector:
@@ -217,7 +223,7 @@ func (n *Node) Frontier() vclock.VC {
 	if n.down.Load() {
 		return nil
 	}
-	return n.replica.(protocol.Introspector).ApplyClock()
+	return n.drv.Replica().(protocol.Introspector).ApplyClock()
 }
 
 // FrontierDominates reports whether the applied frontier covers t
@@ -240,7 +246,7 @@ func (n *Node) FrontierDominates(t vclock.VC) bool {
 func (n *Node) PendingUpdates() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.pending.size()
+	return n.drv.Buffered()
 }
 
 func (n *Node) check(x int) error {
@@ -269,45 +275,7 @@ func (n *Node) handle(m transport.Message) {
 		n.mu.Unlock()
 		return
 	}
-	u := m.Update
-	if u.ReadReply {
-		// A reply whose matrix covers writes addressed *here* that are
-		// still in flight must wait for them — the mirror of the
-		// server-side request wait. Merging it early would stamp the
-		// reader's next write ahead of those stragglers at remote
-		// replicas, inverting →co. Park it with the write buffer; the
-		// apply that satisfies it routes it onward via the drain.
-		if n.replica.Status(u) != protocol.Deliverable {
-			n.pending.add(u)
-			n.mu.Unlock()
-			return
-		}
-		// Route the reply to its parked reader; deliver outside the
-		// lock (the channel is buffered, so this never blocks).
-		tok := -u.ID.Seq
-		ch, ok := n.readWaiters[tok]
-		if ok {
-			delete(n.readWaiters, tok)
-		}
-		n.mu.Unlock()
-		if ok {
-			ch <- readReply{u: u}
-		}
-		return
-	}
-	if u.ReadReq {
-		// Forwarded-read requests bypass the receipt state machine: a
-		// deliverable request is served now, a blocked one parks in
-		// pending until the requester's causal past applies here.
-		if n.replica.Status(u) == protocol.Deliverable {
-			n.serveReadLocked(u, false)
-		} else {
-			n.pending.add(u)
-		}
-	} else {
-		n.receiveLocked(u)
-		n.drainLocked()
-	}
+	n.drv.Receive(m.Update)
 	out := n.outbox
 	n.outbox = nil
 	n.mu.Unlock()
@@ -316,191 +284,43 @@ func (n *Node) handle(m transport.Message) {
 	}
 }
 
-// serveReadLocked answers a deliverable forwarded-read request,
-// queueing the reply on the outbox (sent by handle after unlock).
-// buffered marks requests that had to wait for the requester's causal
-// past — the read-delay count of E-partial. Caller holds n.mu.
-func (n *Node) serveReadLocked(req protocol.Update, buffered bool) {
-	reply := n.replica.(protocol.RemoteReader).ServeRead(req)
-	n.c.appendEvent(trace.Event{
-		Kind: trace.ReadServe, Proc: n.id, Time: n.c.now(),
-		Write: req.ID, Var: req.Var, Val: reply.Val, From: reply.Prev,
-		Buffered: buffered,
-	})
-	n.outbox = append(n.outbox, outMsg{to: req.ID.Proc, u: reply})
+// nodeHost is the driver.Host of a Node; its methods run under n.mu.
+// Read replies wait on the outbox until handle unlocks.
+type nodeHost struct{ *Node }
+
+func (h nodeHost) Now() int64                     { return h.c.now() }
+func (h nodeHost) Send(to int, u protocol.Update) { h.outbox = append(h.outbox, outMsg{to, u}) }
+
+// Applied journals and archives u. A journal failure has already
+// crash-stopped the node (journalLocked); the driver stops on the error.
+func (h nodeHost) Applied(u protocol.Update) error {
+	if err := h.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u}); err != nil {
+		return err
+	}
+	h.archiveLocked(u)
+	return nil
 }
 
-// completeReadLocked hands a now-deliverable parked reply to its
-// blocked reader, marking the requester-side read delay. The waiter
-// channel is buffered, so the send never blocks a lock holder; a
-// reader that already aborted just leaves no waiter. Caller holds n.mu.
-func (n *Node) completeReadLocked(u protocol.Update) {
+// Record traces e through appendEvent, which keeps the Quiesce
+// accounting. An Apply advanced the frontier: wake the admission
+// waiters it satisfied only now, after the event, so a woken waiter
+// finds n.mu about to be released.
+func (h nodeHost) Record(e trace.Event) {
+	h.c.appendEvent(e)
+	if e.Kind == trace.Apply {
+		h.wakeFrontierLocked()
+	}
+}
+
+// ReadDone hands the reply to its parked reader. The waiter channel is
+// buffered, so the send never blocks a lock holder; a reader that
+// already aborted just leaves no waiter.
+func (h nodeHost) ReadDone(u protocol.Update, buffered bool) {
 	tok := -u.ID.Seq
-	if ch, ok := n.readWaiters[tok]; ok {
-		delete(n.readWaiters, tok)
-		ch <- readReply{u: u, buffered: true}
+	if ch, ok := h.readWaiters[tok]; ok {
+		delete(h.readWaiters, tok)
+		ch <- readReply{u: u, buffered: buffered}
 	}
-}
-
-// receiveLocked runs the receipt state machine for one update: record
-// the receipt, then buffer or apply. Both the transport path (handle)
-// and anti-entropy catch-up (feedLocked) funnel through it. Caller
-// holds n.mu.
-func (n *Node) receiveLocked(u protocol.Update) {
-	st := n.replica.Status(u)
-	if st == protocol.Blocked && n.c.recoveryEnabled() {
-		// With crash recovery in play, a blocked update can be a stale
-		// duplicate: a retransmission landing after the restart already
-		// recovered the write, or a transport delivery overlapping a
-		// catch-up feed. Drop it silently — it was already counted.
-		if res, ok := n.replica.(protocol.Resumer); ok && !res.NeedsUpdate(u) {
-			return
-		}
-		if n.pending.has(u.ID) {
-			return
-		}
-	}
-	// One timestamp covers the whole receipt state machine: the trace's
-	// order authority is the journal ticket, and sampling the clock once
-	// per message keeps nanotime off the per-event cost.
-	now := n.c.now()
-	n.c.appendEvent(trace.Event{
-		Kind: trace.Receipt, Proc: n.id, Time: now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-		Buffered: st == protocol.Blocked,
-	})
-	if st == protocol.Blocked {
-		n.pending.add(u)
-	} else {
-		n.applyLocked(u, now)
-	}
-}
-
-// applyLocked installs u, stamping its events with now. Caller holds
-// n.mu.
-func (n *Node) applyLocked(u protocol.Update, now int64) {
-	n.replica.Apply(u)
-	if n.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u}) != nil {
-		return
-	}
-	n.archiveLocked(u)
-	n.c.appendEvent(trace.Event{
-		Kind: trace.Apply, Proc: n.id, Time: now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-	})
-	n.wakeFrontierLocked()
-}
-
-// drainLocked applies buffered updates until a fixpoint. Caller holds
-// n.mu.
-//
-// The pending set keeps each origin's updates sorted by sequence
-// number, and every live protocol applies (or purges) an origin's
-// writes in that order: OptP and ANBKH require Apply[from] = seq−1, and
-// PartialRep the next position on the (from, here) edge. PartialRep's
-// forwarded-read requests and replies share the origin queues with the
-// writes (their negative seqs sort first) and wait on other origins'
-// writes, so a blocked head can hide an actionable update behind it.
-// Examining the head and head+1 of each origin queue finds the
-// actionable updates, re-checking an update only when some state
-// advance could have unblocked it, instead of the old rescan of the
-// whole buffer after every apply. A final full scan at the fixpoint
-// catches whatever sits deeper: it usually finds nothing and keeps a
-// queue from wedging behind a head that waits longer than its
-// successors.
-func (n *Node) drainLocked() {
-	purge := n.c.recoveryEnabled()
-	res, canResume := n.replica.(protocol.Resumer)
-	canPurge := purge && canResume
-	ps := n.pending
-	for ps.size() > 0 {
-		progressed := false
-		for origin := range ps.byOrigin {
-			for n.drainStepLocked(origin, canPurge, res) {
-				progressed = true
-			}
-		}
-		if progressed {
-			continue
-		}
-		if !n.drainScanLocked(canPurge, res) {
-			return
-		}
-	}
-}
-
-// drainStepLocked probes the head and head+1 of one origin queue,
-// acting on the first actionable update. It reports whether it made
-// progress. Caller holds n.mu.
-func (n *Node) drainStepLocked(origin int, canPurge bool, res protocol.Resumer) bool {
-	if n.pending == nil {
-		return false // the last apply's journaling failed: crash-stopped
-	}
-	q := n.pending.byOrigin[origin]
-	for probe := 0; probe < 2 && probe < len(q); probe++ {
-		if n.actLocked(origin, probe, canPurge, res) {
-			return true
-		}
-	}
-	return false
-}
-
-// drainScanLocked is the fixpoint safety net: one pass over every
-// buffered update regardless of queue position. Reports whether it
-// acted. Caller holds n.mu.
-func (n *Node) drainScanLocked(canPurge bool, res protocol.Resumer) bool {
-	if n.pending == nil {
-		return false
-	}
-	for origin, q := range n.pending.byOrigin {
-		for i := range q {
-			if n.actLocked(origin, i, canPurge, res) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// actLocked acts on the update at position i of origin's pending queue
-// if it is actionable: a deliverable write is applied, a deliverable
-// forwarded-read message is served or handed to its reader, and a copy
-// that catch-up already installed is evicted (it would rot here
-// otherwise). It reports whether it acted. Caller holds n.mu.
-func (n *Node) actLocked(origin, i int, canPurge bool, res protocol.Resumer) bool {
-	u := n.pending.byOrigin[origin][i]
-	switch {
-	case n.replica.Status(u) == protocol.Deliverable:
-		n.pending.removeAt(origin, i)
-		switch {
-		case u.ReadReq:
-			n.serveReadLocked(u, true)
-		case u.ReadReply:
-			n.completeReadLocked(u)
-		default:
-			n.applyLocked(u, n.c.now())
-		}
-		return true
-	case canPurge && !res.NeedsUpdate(u):
-		n.pending.removeAt(origin, i)
-		return true
-	}
-	return false
-}
-
-// feedLocked offers a peer-archived update to this replica during
-// anti-entropy catch-up, returning whether it was accepted. Caller
-// holds n.mu and follows up with drainLocked.
-func (n *Node) feedLocked(u protocol.Update) bool {
-	res, ok := n.replica.(protocol.Resumer)
-	if !ok || !res.NeedsUpdate(u) {
-		return false
-	}
-	if n.pending.has(u.ID) {
-		return false
-	}
-	n.receiveLocked(u)
-	return true
 }
 
 // journalLocked appends e to the node's WAL, taking an automatic

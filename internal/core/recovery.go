@@ -87,8 +87,7 @@ func (c *Cluster) crashLocked(n *Node, journalErr error) {
 	}
 	// Zero the volatile state: everything n knows must come back from
 	// disk and its peers, exactly like a real process death.
-	n.replica = nil
-	n.pending = nil
+	n.drv = nil
 	n.archive = nil
 	if c.det != nil {
 		c.det.SetDown(n.id, true)
@@ -137,17 +136,16 @@ func (c *Cluster) Restart(p int) (RecoveryStats, error) {
 		n.mu.Unlock()
 		return st, fmt.Errorf("core: restart of p%d: %w", p+1, err)
 	}
-	n.replica = protocol.New(c.cfg.Protocol, p, c.cfg.Processes, c.cfg.Variables)
-	n.pending = newPendingSet(c.cfg.Processes)
+	n.newDriver(protocol.New(c.cfg.Protocol, p, c.cfg.Processes, c.cfg.Variables))
 	n.archive = make([][]protocol.Update, c.cfg.Processes)
 	if err := n.restoreSnapshotLocked(snapshot); err != nil {
-		n.replica, n.archive = nil, nil
+		n.drv, n.archive = nil, nil
 		n.mu.Unlock()
 		return st, fmt.Errorf("core: restart of p%d: snapshot: %w", p+1, err)
 	}
 	for i, e := range entries {
 		if err := n.replayLocked(e); err != nil {
-			n.replica, n.pending, n.archive = nil, nil, nil
+			n.drv, n.archive = nil, nil
 			n.mu.Unlock()
 			return st, fmt.Errorf("core: restart of p%d: entry %d: %w", p+1, i, err)
 		}
@@ -155,7 +153,7 @@ func (c *Cluster) Restart(p int) (RecoveryStats, error) {
 	st.Replayed = len(entries)
 	wal, err := durability.Create(c.walPath(p), c.cfg.WALSync, n.snapshotLocked())
 	if err != nil {
-		n.replica, n.pending, n.archive = nil, nil, nil
+		n.drv, n.archive = nil, nil
 		n.mu.Unlock()
 		return st, fmt.Errorf("core: restart of p%d: %w", p+1, err)
 	}
@@ -196,17 +194,18 @@ func (c *Cluster) Down(p int) bool {
 // snapshot disagree, which recovery surfaces instead of diverging.
 // Caller holds n.mu.
 func (n *Node) replayLocked(e durability.Entry) error {
+	r := n.drv.Replica()
 	switch e.Kind {
 	case durability.EntryLocalWrite:
-		u, _ := n.replica.LocalWrite(e.Var, e.Val)
+		u, _ := r.LocalWrite(e.Var, e.Val)
 		n.archiveLocked(u)
 	case durability.EntryRead:
-		n.replica.Read(e.Var)
+		r.Read(e.Var)
 	case durability.EntryApply:
-		if got := n.replica.Status(e.Update); got != protocol.Deliverable {
+		if got := r.Status(e.Update); got != protocol.Deliverable {
 			return fmt.Errorf("replaying apply of %v: status %v", e.Update.ID, got)
 		}
-		n.replica.Apply(e.Update)
+		r.Apply(e.Update)
 		n.archiveLocked(e.Update)
 	default:
 		return fmt.Errorf("unknown journal entry kind %d", e.Kind)
@@ -262,13 +261,16 @@ func (c *Cluster) feedBatch(n *Node, us []protocol.Update) int {
 	if n.down.Load() {
 		return 0
 	}
+	// A journal failure mid-batch crash-stops n and clears n.drv; the
+	// driver held here has stopped and takes nothing more.
+	d := n.drv
 	fed := 0
 	for _, u := range us {
-		if n.feedLocked(u) {
+		if d.Feed(u) {
 			fed++
 		}
 	}
-	n.drainLocked()
+	d.Drain()
 	return fed
 }
 
@@ -322,8 +324,8 @@ func (c *Cluster) crashLoop() {
 // replica, pending buffer, anti-entropy archive — as one WAL snapshot
 // payload. Caller holds n.mu (or has exclusive access during startup).
 func (n *Node) snapshotLocked() []byte {
-	dst := protocol.ExportState(n.replica)
-	pending := n.pending.flatten() // deterministic: origin, then key order
+	dst := protocol.ExportState(n.drv.Replica())
+	pending := n.drv.Pending() // deterministic: origin, then key order
 	dst = binary.AppendUvarint(dst, uint64(len(pending)))
 	for _, u := range pending {
 		dst = u.AppendBinary(dst)
@@ -341,7 +343,7 @@ func (n *Node) snapshotLocked() []byte {
 // (freshly constructed) replica, pending buffer and archive. Caller
 // holds n.mu.
 func (n *Node) restoreSnapshotLocked(data []byte) error {
-	off, err := n.replica.(protocol.StateCodec).RestoreState(data)
+	off, err := n.drv.Replica().(protocol.StateCodec).RestoreState(data)
 	if err != nil {
 		return err
 	}
@@ -368,7 +370,7 @@ func (n *Node) restoreSnapshotLocked(data []byte) error {
 		return err
 	}
 	for _, u := range pending {
-		n.pending.add(u)
+		n.drv.Restore(u)
 	}
 	for p := range n.archive {
 		if n.archive[p], err = readUpdates(); err != nil {

@@ -166,11 +166,15 @@ func Jitter() (Result, error) {
 }
 
 // ProcCount is E2: write delays vs number of processes at fixed jitter.
+// The counts are deterministic — the paper's headline, OptP's zero
+// unnecessary delays at every size, among them — so the gate allows no
+// rise at all: a change to the drain order shows up here.
 func ProcCount() (Result, error) {
 	r := Result{
 		Name:   "E2-nprocs",
 		Desc:   "mean write delays per run vs process count (FIFO links, jitter 150)",
 		Header: []string{"procs", "protocol", "delays", "unnecessary", "delay-rate"},
+		Gate:   &Gate{Key: []string{"procs", "protocol"}, MaxRise: map[string]float64{"delays": 0, "unnecessary": 0}},
 	}
 	for _, n := range []int{2, 4, 8, 16, 24} {
 		n := n

@@ -250,21 +250,6 @@ func (r *Recorder) TotalHistogram() *obs.Histogram { return r.total }
 // pointer from a histogram spike to a retained trace.
 func (r *Recorder) Exemplar(s Stage) uint64 { return r.exemplars[s].id.Load() }
 
-// WriteRecords dumps the retained records as JSON Lines, oldest first.
-func (r *Recorder) WriteRecords(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, rec := range r.Records() {
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("reqtrace: record encode: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("reqtrace: record flush: %w", err)
-	}
-	return nil
-}
-
 // SinkWriter streams retained records as JSONL with the obs layer's
 // never-block contract: records queue in a bounded ring drained by a
 // background goroutine, and overflow is dropped and counted. Its

@@ -294,8 +294,12 @@ func TestRecordJSONLRoundTrip(t *testing.T) {
 	q.Add(StageApply, time.Millisecond)
 	r.End(q, Meta{Kind: "write", Status: "ok", OK: true, Proc: 1, Var: 0})
 	var buf bytes.Buffer
-	if err := r.WriteRecords(&buf); err != nil {
-		t.Fatalf("WriteRecords: %v", err)
+	s := NewSinkWriter(&buf, 0)
+	for _, rec := range r.Records() {
+		s.Record(rec)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("SinkWriter: %v", err)
 	}
 	got, err := ReadRecords(&buf)
 	if err != nil {

@@ -100,11 +100,6 @@ func (r *anbkh) Apply(u Update) {
 	r.vt.Tick(u.From())
 }
 
-// Discard is never legal for ANBKH (it is in 𝒫).
-func (r *anbkh) Discard(u Update) {
-	panic(fmt.Sprintf("anbkh: Discard(%v) on a protocol in 𝒫", u))
-}
-
 // ControlClock implements Introspector.
 func (r *anbkh) ControlClock() vclock.VC { return r.vt.Clone() }
 

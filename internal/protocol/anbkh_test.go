@@ -109,16 +109,6 @@ func TestANBKHApplyPanicsWhenBlocked(t *testing.T) {
 	p2.Apply(u2)
 }
 
-func TestANBKHDiscardPanics(t *testing.T) {
-	p := NewANBKH(0, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.Discard(Update{})
-}
-
 func TestANBKHReadIsPassive(t *testing.T) {
 	p1 := NewANBKH(0, 2, 1).(*anbkh)
 	p2 := NewANBKH(1, 2, 1).(*anbkh)

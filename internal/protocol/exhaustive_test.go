@@ -224,7 +224,7 @@ func TestExhaustiveDeliveryPermutations(t *testing.T) {
 							// A skip delivery logically applies u.Prev
 							// first; record it before the dependency
 							// check.
-							if sk, ok := recv.(Skipper); ok {
+							if sk, ok := recv.(interface{ SkipTarget(Update) history.WriteID }); ok {
 								if tgt := sk.SkipTarget(u); !tgt.IsBottom() {
 									visible[idxOf[tgt]] = true
 								}
@@ -256,7 +256,7 @@ func TestExhaustiveDeliveryPermutations(t *testing.T) {
 								t.Fatalf("%s/%v: %v discardable but never logically applied (order %v)",
 									p.name, kind, u.ID, order)
 							}
-							recv.Discard(u)
+							recv.(interface{ Discard(Update) }).Discard(u)
 						}
 					}
 					for _, i := range order {

@@ -163,12 +163,6 @@ func (r *optp) Apply(u Update) {
 	}
 }
 
-// Discard is never legal for OptP: every write is applied everywhere
-// (OptP ∈ 𝒫).
-func (r *optp) Discard(u Update) {
-	panic(fmt.Sprintf("optp: Discard(%v) on a protocol in 𝒫", u))
-}
-
 // ControlClock implements Introspector.
 func (r *optp) ControlClock() vclock.VC { return r.writeCo.Clone() }
 

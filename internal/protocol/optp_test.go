@@ -171,16 +171,6 @@ func TestOptPApplyPanicsWhenBlocked(t *testing.T) {
 	p2.Apply(u2)
 }
 
-func TestOptPDiscardPanics(t *testing.T) {
-	p := NewOptP(0, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.Discard(Update{})
-}
-
 func TestOptPIntrospection(t *testing.T) {
 	p := NewOptP(0, 2, 2).(*optp)
 	u, _ := p.LocalWrite(1, 7)

@@ -112,7 +112,7 @@ func (r *optpws) Apply(u Update) {
 	r.optp.Apply(u)
 }
 
-// SkipTarget implements Skipper.
+// SkipTarget is wsrecv's, over OptP's delivery condition.
 func (r *optpws) SkipTarget(u Update) history.WriteID {
 	if r.optp.Status(u) != Deliverable && r.skipDeliverable(u) {
 		return u.Prev

@@ -219,12 +219,6 @@ func (r *partialrep) Apply(u Update) {
 	r.lastOn[lx].CopyFrom(u.Clock)
 }
 
-// Discard is never legal: every update addressed to a process is
-// applied there (PartialRep ∈ 𝒫 restricted to share-sets).
-func (r *partialrep) Discard(u Update) {
-	panic(fmt.Sprintf("partialrep: Discard(%v) on a protocol in 𝒫", u))
-}
-
 // ---------------------------------------------------------------------
 // read forwarding
 

@@ -161,7 +161,6 @@ func TestPartialRepPanics(t *testing.T) {
 	other := NewPartialRep(0, 3, 3, shares)
 	u, _ := other.LocalWrite(0, 1)
 	mustPanic("apply outside share-set", func() { p1.Apply(u) })
-	mustPanic("discard", func() { p1.Discard(u) })
 	mustPanic("mis-shaped share-sets", func() { NewPartialRep(0, 2, 2, shares) })
 }
 

@@ -17,10 +17,13 @@
 //     the combination the paper's footnote 8 suggests.
 //
 // A Replica is a pure, single-threaded protocol state machine: it never
-// performs I/O and is driven by an engine (internal/sim for the
-// deterministic simulator, internal/core for the live goroutine
-// runtime) that owns message transmission, buffering of non-deliverable
-// updates, and write-delay accounting.
+// performs I/O. For the class-𝒫 kinds (OptP, ANBKH, OptP-noreadmerge,
+// PartialRep), the receipt state machine of internal/driver buffers
+// non-deliverable updates and records write delays; both engines run
+// it (internal/sim, the deterministic simulator, and internal/core, the
+// live goroutine runtime), and own message transmission. The
+// writing-semantics kinds run only in the simulator, which also
+// discards their late updates through a Discard method of their own.
 package protocol
 
 import (
@@ -122,14 +125,15 @@ type Deliverability int
 
 // Deliverability outcomes.
 const (
-	// Blocked: some enabling event has not occurred; the engine buffers
-	// the update. Per Definition 3 this receipt is a write delay.
+	// Blocked: some enabling event has not occurred; the receipt path
+	// buffers the update. Per Definition 3 this receipt is a write delay.
 	Blocked Deliverability = iota
 	// Deliverable: the update can be applied now.
 	Deliverable
 	// Discardable: writing semantics has already logically applied this
-	// write (its value was overwritten); the engine calls Discard, which
-	// advances control state without installing the value.
+	// write (its value was overwritten); the simulator calls the
+	// replica's Discard, which advances control state without
+	// installing the value.
 	Discardable
 )
 
@@ -173,37 +177,6 @@ type Replica interface {
 	// Apply installs a remote update. The caller must have observed
 	// Status(u) == Deliverable.
 	Apply(u Update)
-
-	// Discard logically applies a remote update without installing its
-	// value. The caller must have observed Status(u) == Discardable.
-	Discard(u Update)
-}
-
-// TokenBatcher is implemented by token-circulating protocols (WSSend).
-// Engines that see this interface schedule token arrivals and broadcast
-// the returned batch each time the replica receives the token.
-type TokenBatcher interface {
-	// OnToken is invoked when the token reaches this replica for the
-	// given round; it returns the updates to broadcast (possibly empty —
-	// an empty batch must still be announced so receivers can advance
-	// past this round, which engines do by broadcasting the Marker
-	// update).
-	OnToken(round int) []Update
-	// PendingWrites reports how many local writes await the token;
-	// engines keep the token circulating while any replica has some.
-	PendingWrites() int
-}
-
-// Skipper is implemented by writing-semantics replicas that can
-// logically apply an overwritten write as part of applying its
-// overwriter. Engines consult it before Apply so the trace records the
-// logical apply of the skipped write immediately before the apply of
-// the skipping one — the paper's "it is like apply(w') is logically
-// executed immediately before apply(w)".
-type Skipper interface {
-	// SkipTarget returns the write that Apply(u) would logically apply
-	// first, or Bottom when Apply(u) is an ordinary delivery.
-	SkipTarget(u Update) history.WriteID
 }
 
 // Introspector exposes protocol control state for renderers (the

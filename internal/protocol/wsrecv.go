@@ -177,8 +177,8 @@ func (r *wsrecv) Discard(u Update) {
 	delete(r.skipped, u.ID)
 }
 
-// SkipTarget implements Skipper: it names the write Apply(u) would
-// logically apply first.
+// SkipTarget names the write Apply(u) would logically apply first, or
+// Bottom when Apply(u) is an ordinary delivery.
 func (r *wsrecv) SkipTarget(u Update) history.WriteID {
 	if !r.anbkhDeliverable(u) && r.skipDeliverable(u) {
 		return u.Prev

@@ -90,7 +90,7 @@ func (r *wssend) Read(x int) (int64, history.WriteID) {
 	return r.vals[x], r.writers[x]
 }
 
-// OnToken implements TokenBatcher: it drains the pending set into a
+// OnToken runs a token visit: it drains the pending set into a
 // batch for the given visit, ordered by issue sequence — surviving
 // writes must apply in the issuer's process order (→po ⊂ →co) — and
 // consumes the visit locally. An empty slice instructs the engine to

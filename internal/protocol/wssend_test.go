@@ -154,7 +154,7 @@ func TestWSSendApplyPanicsOutOfOrder(t *testing.T) {
 }
 
 func TestWSSendDiscardPanics(t *testing.T) {
-	p := NewWSSend(0, 2, 1)
+	p := NewWSSend(0, 2, 1).(*wssend)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

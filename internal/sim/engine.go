@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/driver"
 	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/trace"
@@ -140,11 +141,17 @@ func (h *eventHeap) pop() event {
 }
 
 type node struct {
+	e       *engine
+	id      int
 	replica protocol.Replica
 	intro   protocol.Introspector
-	script  Script
-	pc      int
-	pending []protocol.Update
+	// drv runs the receipt state machine of the class-𝒫 kinds, with n
+	// as its Host. It is nil for the writing-semantics kinds, whose
+	// receipts take wsReceive's path and buffer in wsPending.
+	drv       *driver.Driver
+	wsPending []protocol.Update
+	script    Script
+	pc        int
 	// sleeping is true while a wake event for a SleepStep is scheduled;
 	// the script must not advance from other triggers meanwhile.
 	sleeping bool
@@ -154,6 +161,33 @@ type node struct {
 }
 
 func (n *node) done() bool { return n.pc >= len(n.script) }
+
+// pending returns the updates buffered at n.
+func (n *node) pending() []protocol.Update {
+	if n.drv != nil {
+		return n.drv.Pending()
+	}
+	return n.wsPending
+}
+
+// Now, Record, Applied, Send and ReadDone make a node the driver.Host
+// of its replica: virtual time, the run's log, and the simulated
+// network.
+func (n *node) Now() int64                     { return n.e.now }
+func (n *node) Record(ev trace.Event)          { n.e.log.Append(ev) }
+func (n *node) Applied(protocol.Update) error  { return nil }
+func (n *node) Send(to int, u protocol.Update) { n.e.send(n.id, to, u) }
+
+// ReadDone finishes the ReadStep n is parked on with its reply.
+func (n *node) ReadDone(reply protocol.Update, buffered bool) {
+	v, from := n.replica.(protocol.RemoteReader).CompleteRead(reply)
+	n.Record(trace.Event{
+		Kind: trace.Return, Proc: n.id, Time: n.e.now,
+		Var: reply.Var, Val: v, From: from, Buffered: buffered,
+	})
+	n.awaitingRead = false
+	n.pc++
+}
 
 // engine is the run state; it lives for one Run call.
 type engine struct {
@@ -248,10 +282,14 @@ func Run(cfg Config, scripts []Script) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: replica %d (%v) lacks Introspector", p, r.Kind())
 		}
-		if _, ok := r.(protocol.TokenBatcher); ok {
+		if _, ok := r.(tokenBatcher); ok {
 			tokenized = true
 		}
-		e.nodes = append(e.nodes, &node{replica: r, intro: intro, script: scripts[p]})
+		n := &node{e: e, id: p, replica: r, intro: intro, script: scripts[p]}
+		if _, ws := r.(discarder); !ws {
+			n.drv = driver.New(n, r, cfg.Procs, false)
+		}
+		e.nodes = append(e.nodes, n)
 		e.schedule(event{time: 0, kind: evWake, proc: p})
 	}
 	if tokenized {
@@ -272,7 +310,12 @@ func Run(cfg Config, scripts []Script) (*Result, error) {
 			e.advance(ev.proc)
 		case evArrival:
 			e.inflight--
-			e.handleArrival(ev.proc, ev.u)
+			if n := e.nodes[ev.proc]; n.drv != nil {
+				n.drv.Receive(ev.u)
+			} else {
+				e.wsReceive(ev.proc, ev.u)
+			}
+			e.advance(ev.proc)
 		case evToken:
 			if e.quiescedForToken() {
 				continue // stop circulating; run is complete
@@ -313,10 +356,10 @@ func (e *engine) quiescedForToken() bool {
 		return false
 	}
 	for _, n := range e.nodes {
-		if !n.done() || len(n.pending) > 0 {
+		if !n.done() || len(n.pending()) > 0 {
 			return false
 		}
-		if tb, ok := n.replica.(protocol.TokenBatcher); ok {
+		if tb, ok := n.replica.(tokenBatcher); ok {
 			if tb.PendingWrites() > 0 {
 				return false
 			}
@@ -331,8 +374,8 @@ func (e *engine) checkQuiescent() error {
 		if !n.done() {
 			return fmt.Errorf("%w: p%d stuck at step %d (%v)", ErrDeadlock, p+1, n.pc, n.script[n.pc])
 		}
-		if len(n.pending) > 0 {
-			return fmt.Errorf("%w: p%d holds %d undeliverable updates (first: %v)", ErrDeadlock, p+1, len(n.pending), n.pending[0])
+		if pending := n.pending(); len(pending) > 0 {
+			return fmt.Errorf("%w: p%d holds %d undeliverable updates (first: %v)", ErrDeadlock, p+1, len(pending), pending[0])
 		}
 	}
 	if e.inflight != 0 {
@@ -360,7 +403,7 @@ func (e *engine) advance(p int) {
 		case ReadStep:
 			if rr, ok := n.replica.(protocol.RemoteReader); ok && !rr.LocalVar(s.Var) {
 				// Forward the read; the script blocks here until the
-				// reply completes it (handleArrival advances pc).
+				// reply completes it (ReadDone advances pc).
 				req, server := rr.NewReadReq(s.Var)
 				n.awaitingRead = true
 				e.log.Append(trace.Event{
@@ -460,176 +503,4 @@ func (e *engine) recode(p, q int, u protocol.Update) protocol.Update {
 	e.metaBytes += uint64(meta)
 	e.wireBytes += uint64(len(buf))
 	return out
-}
-
-// handleArrival processes the receipt of u at process p.
-func (e *engine) handleArrival(p int, u protocol.Update) {
-	n := e.nodes[p]
-	if u.ReadReply {
-		// A reply whose matrix covers writes addressed *here* that are
-		// still in flight waits for them — the mirror of the server-side
-		// request wait. Merging it early would stamp the reader's next
-		// write ahead of those stragglers at remote replicas.
-		if n.replica.Status(u) != protocol.Deliverable {
-			n.pending = append(n.pending, u)
-			return
-		}
-		e.completeRead(p, u, false)
-		e.drain(p)
-		e.advance(p)
-		return
-	}
-	if u.ReadReq {
-		// No Receipt event: a waiting request is a read delay, recorded
-		// on the ReadServe event, never a write delay.
-		if n.replica.Status(u) == protocol.Deliverable {
-			e.serveRead(p, u, false)
-		} else {
-			n.pending = append(n.pending, u)
-		}
-		e.drain(p)
-		e.advance(p)
-		return
-	}
-	st := n.replica.Status(u)
-	kind := trace.Receipt
-	if u.Marker {
-		// Markers carry no write: record them as Token events so they
-		// never count as write delays.
-		kind = trace.Token
-	}
-	e.log.Append(trace.Event{
-		Kind: kind, Proc: p, Time: e.now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-		Buffered: st == protocol.Blocked,
-	})
-	switch st {
-	case protocol.Blocked:
-		n.pending = append(n.pending, u)
-	case protocol.Deliverable:
-		e.apply(p, u)
-	case protocol.Discardable:
-		e.discard(p, u)
-	}
-	e.drain(p)
-	e.advance(p)
-}
-
-// apply installs u at p and records the event. Marker applies record as
-// Token. When the delivery skips an overwritten write (writing
-// semantics), its logical apply is recorded immediately before.
-func (e *engine) apply(p int, u protocol.Update) {
-	if sk, ok := e.nodes[p].replica.(protocol.Skipper); ok {
-		if tgt := sk.SkipTarget(u); !tgt.IsBottom() {
-			e.log.Append(trace.Event{
-				Kind: trace.Discard, Proc: p, Time: e.now, Write: tgt,
-			})
-		}
-	}
-	e.nodes[p].replica.Apply(u)
-	kind := trace.Apply
-	if u.Marker {
-		kind = trace.Token
-	}
-	e.log.Append(trace.Event{
-		Kind: kind, Proc: p, Time: e.now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-	})
-}
-
-// serveRead answers a deliverable forwarded-read request at serving
-// replica p. buffered marks requests that had to wait for the
-// requester's causal past — the read-delay count of E-partial.
-func (e *engine) serveRead(p int, req protocol.Update, buffered bool) {
-	reply := e.nodes[p].replica.(protocol.RemoteReader).ServeRead(req)
-	e.log.Append(trace.Event{
-		Kind: trace.ReadServe, Proc: p, Time: e.now,
-		Write: req.ID, Var: req.Var, Val: reply.Val, From: reply.Prev,
-		Buffered: buffered,
-	})
-	e.send(p, req.ID.Proc, reply)
-}
-
-// completeRead finishes the ReadStep requester p is parked on with a
-// deliverable forwarded-read reply. buffered marks replies that had to
-// wait for in-flight writes addressed to the requester — the
-// requester-side read delay of E-partial.
-func (e *engine) completeRead(p int, reply protocol.Update, buffered bool) {
-	n := e.nodes[p]
-	v, from := n.replica.(protocol.RemoteReader).CompleteRead(reply)
-	e.log.Append(trace.Event{
-		Kind: trace.Return, Proc: p, Time: e.now,
-		Var: reply.Var, Val: v, From: from, Buffered: buffered,
-	})
-	n.awaitingRead = false
-	n.pc++
-}
-
-// discard drops the late message of an already logically-applied write.
-func (e *engine) discard(p int, u protocol.Update) {
-	e.nodes[p].replica.Discard(u)
-	e.log.Append(trace.Event{
-		Kind: trace.Drop, Proc: p, Time: e.now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-	})
-}
-
-// drain repeatedly applies or discards deliverable buffered updates at
-// p until a fixpoint.
-func (e *engine) drain(p int) {
-	n := e.nodes[p]
-	for {
-		progressed := false
-		for i := 0; i < len(n.pending); i++ {
-			u := n.pending[i]
-			switch n.replica.Status(u) {
-			case protocol.Deliverable:
-				n.pending = append(n.pending[:i], n.pending[i+1:]...)
-				switch {
-				case u.ReadReq:
-					e.serveRead(p, u, true)
-				case u.ReadReply:
-					e.completeRead(p, u, true)
-				default:
-					e.apply(p, u)
-				}
-				progressed = true
-			case protocol.Discardable:
-				n.pending = append(n.pending[:i], n.pending[i+1:]...)
-				e.discard(p, u)
-				progressed = true
-			}
-			if progressed {
-				break
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-// handleToken runs token visit v at holder v mod n, broadcasts the
-// batch (or a marker), and schedules the next visit.
-func (e *engine) handleToken(visit int) {
-	holder := visit % e.cfg.Procs
-	n := e.nodes[holder]
-	tb, ok := n.replica.(protocol.TokenBatcher)
-	if !ok {
-		panic(fmt.Sprintf("sim: token visit at non-token replica %v", n.replica.Kind()))
-	}
-	e.log.Append(trace.Event{Kind: trace.Token, Proc: holder, Time: e.now})
-	batch := tb.OnToken(visit)
-	if len(batch) == 0 {
-		e.broadcast(holder, protocol.Marker(holder, visit))
-	} else {
-		for _, u := range batch {
-			e.updates[u.ID] = u
-			e.broadcast(holder, u)
-		}
-	}
-	// The holder's own visit consumption may unblock buffered batches.
-	e.drain(holder)
-	e.advance(holder)
-	e.schedule(event{time: e.now + e.cfg.TokenInterval, kind: evToken, visit: visit + 1})
 }

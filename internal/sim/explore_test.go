@@ -3,8 +3,10 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/checker"
 	"repro/internal/history"
 	"repro/internal/protocol"
+	"repro/internal/trace"
 )
 
 // Engine-level schedule exploration: for a tiny await-free workload
@@ -33,7 +35,7 @@ func TestExploreAllArrivalSchedules(t *testing.T) {
 		perms = append(perms, cp)
 	})
 
-	for _, kind := range []protocol.Kind{protocol.OptP, protocol.ANBKH, protocol.WSRecv, protocol.OptPWS} {
+	for _, kind := range []protocol.Kind{protocol.OptP, protocol.ANBKH, protocol.PartialRep, protocol.WSRecv, protocol.OptPWS} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			schedules := 0
@@ -74,7 +76,7 @@ func TestExploreAllArrivalSchedules(t *testing.T) {
 						}
 					}
 					switch kind {
-					case protocol.OptP, protocol.ANBKH:
+					case protocol.OptP, protocol.ANBKH, protocol.PartialRep:
 						if delays != w2BeforeW1At {
 							t.Fatalf("schedule %v/%v: delays = %d, want %d", o1, o2, delays, w2BeforeW1At)
 						}
@@ -91,6 +93,80 @@ func TestExploreAllArrivalSchedules(t *testing.T) {
 				t.Fatalf("explored %d schedules", schedules)
 			}
 		})
+	}
+}
+
+// TestExploreForwardedReadSchedules explores a PartialRep workload with
+// one forwarded read across arrival orders, so the driver parks the
+// request at its server and the reply at its reader in some schedules
+// and not in others. x1 is replicated at p1 and p2, x2 only at p2:
+//
+//	p1: w(x1)1 ; r(x2)      — the read is forwarded to p2
+//	p2: w(x1)2 ; w(x2)3
+//
+// The request carries p1's write to x1, so it waits at p2 when it
+// overtakes that write. The reply carries p2's write to x1 in its
+// causal past, so it waits at p1 when it overtakes that write.
+func TestExploreForwardedReadSchedules(t *testing.T) {
+	scripts := []Script{
+		NewScript().Write(0, 1).Read(1),
+		NewScript().Write(0, 2).Write(1, 3),
+	}
+	w1 := history.WriteID{Proc: 0, Seq: 1}
+	w2 := history.WriteID{Proc: 1, Seq: 1}
+	req := history.WriteID{Proc: 0, Seq: -1}
+	reply := history.WriteID{Proc: 1, Seq: -1}
+	parkedReq, parkedReply := 0, 0
+	for _, reqAt := range []int64{10, 30} { // w1 reaches p2 at 20
+		for _, w2At := range []int64{5, 15, 25, 35, 45} {
+			lat := NewScriptedLatency(1000).
+				Set(w1, 1, 20).Set(req, 1, reqAt).
+				Set(w2, 0, w2At).Set(reply, 0, 2)
+			res, err := Run(Config{
+				Procs: 2, Vars: 2, Protocol: protocol.PartialRep,
+				ShareSets: [][]int{{0, 1}, {1}}, Latency: lat,
+			}, scripts)
+			if err != nil {
+				t.Fatalf("req@%d w2@%d: %v", reqAt, w2At, err)
+			}
+			rep, err := checker.Audit(res.Log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Safe() || !rep.CausallyConsistent() || !rep.InP() {
+				t.Fatalf("req@%d w2@%d: audit failed: %v %v %v", reqAt, w2At,
+					rep.SafetyViolations, rep.LegalityViolations, rep.NotApplied)
+			}
+			// The request is served once w1 is applied at p2 (t=20); the
+			// reply lands 2 later and waits for w2 if w2 is still out.
+			served := max(reqAt, 20)
+			wantReq, wantReply := reqAt < 20, w2At > served+2
+			var gotReq, gotReply bool
+			for _, ev := range res.Log.Events {
+				switch {
+				case ev.Kind == trace.ReadServe:
+					gotReq = ev.Buffered
+				case ev.Kind == trace.Return && ev.Proc == 0:
+					gotReply = ev.Buffered
+					if ev.Val != 3 {
+						t.Fatalf("req@%d w2@%d: forwarded read returned %d, want 3", reqAt, w2At, ev.Val)
+					}
+				}
+			}
+			if gotReq != wantReq || gotReply != wantReply {
+				t.Fatalf("req@%d w2@%d: request/reply parked %v/%v, want %v/%v",
+					reqAt, w2At, gotReq, gotReply, wantReq, wantReply)
+			}
+			if gotReq {
+				parkedReq++
+			}
+			if gotReply {
+				parkedReply++
+			}
+		}
+	}
+	if parkedReq == 0 || parkedReply == 0 {
+		t.Fatalf("no schedule parked the request (%d) or the reply (%d)", parkedReq, parkedReply)
 	}
 }
 
