@@ -128,11 +128,13 @@ transport-stress:
 
 ## core-stress: the live cluster's chaos and crash/restart property
 ## tests twenty times under the race detector, every live protocol
-## kind: each run audits the whole journal right after Quiesce, so a
-## trace event lost to an unlucky interleaving fails it (~14 s on 2
-## CPUs).
+## kind, plus the asynchronous catch-up after a restart (partial
+## replication, TCP, its frame volume, the sole-copy push) and forwarded
+## reads whose server crashes: each run audits the whole journal right
+## after Quiesce, so a trace event lost to an unlucky interleaving fails
+## it (~35 s on 2 CPUs).
 core-stress:
-	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols' ./internal/core
+	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestPartialReadFailsOnServerCrash' ./internal/core
 
 ## bench: the experiment sweeps as runnable benchmarks.
 bench:

@@ -225,11 +225,8 @@ func main() {
 		if chaos.Enabled() {
 			usage("chaos flags apply to the built-in channel transport, not -tcp")
 		}
-		if *walDir != "" || *heartbeat > 0 || len(crashes) > 0 {
-			usage("crash-recovery flags apply to the built-in channel transport, not -tcp")
-		}
-		if sets != nil {
-			usage("partial-replication flags apply to the built-in channel transport, not -tcp")
+		if *heartbeat > 0 {
+			usage("-heartbeat applies to the built-in channel transport, not -tcp")
 		}
 		// The TCP transport codes the wire per connection (with resync on
 		// reconnect), so the codec lives inside it rather than in core.

@@ -66,9 +66,12 @@ type Cluster struct {
 
 	acct quiesceAcct
 
-	// mu guards down, the crash-stop mirror (control paths only).
-	mu   sync.Mutex
-	down []bool // crash-stopped processes (mirrors Node.down)
+	// mu guards down, the crash-stop mirror (control paths only), and
+	// crashed: crashed[p] closes when p crash-stops, waking forwarded
+	// reads parked on p, and is replaced when p restarts.
+	mu      sync.Mutex
+	down    []bool // crash-stopped processes (mirrors Node.down)
+	crashed []chan struct{}
 
 	crashStop chan struct{}
 	crashDone chan struct{}
@@ -122,6 +125,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		tee:       cfg.Obs != nil || cfg.Sink != nil,
 		acct:      newQuiesceAcct(cfg.Processes),
 		down:      make([]bool, cfg.Processes),
+		crashed:   make([]chan struct{}, cfg.Processes),
 		readAbort: make(chan struct{}),
 	}
 	if cfg.ShareSets != nil {
@@ -173,14 +177,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c.tr = tr
 	for p := 0; p < cfg.Processes; p++ {
-		var r protocol.Replica
-		if !c.shares.IsZero() {
-			r = protocol.NewPartialRep(p, cfg.Processes, cfg.Variables, c.shares)
-		} else {
-			r = protocol.New(cfg.Protocol, p, cfg.Processes, cfg.Variables)
-		}
-		n := &Node{c: c, id: p}
-		n.newDriver(r)
+		c.crashed[p] = make(chan struct{})
+		n := &Node{c: c, id: p, readWaiters: make(map[int]chan readReply)}
+		n.newDriver(c.newReplica(p))
 		c.nodes = append(c.nodes, n)
 		tr.Register(p, n.handle)
 	}
@@ -261,6 +260,14 @@ func (c *Cluster) registerObsGauges() {
 			"failure-detector (observer, peer) pairs currently under suspicion",
 			func() int64 { return int64(det.SuspectedPairs()) }, proto)
 	}
+}
+
+// newReplica builds process p's fresh replica.
+func (c *Cluster) newReplica(p int) protocol.Replica {
+	if !c.shares.IsZero() {
+		return protocol.NewPartialRep(p, c.cfg.Processes, c.cfg.Variables, c.shares)
+	}
+	return protocol.New(c.cfg.Protocol, p, c.cfg.Processes, c.cfg.Variables)
 }
 
 // walPath returns process p's journal directory.
@@ -358,19 +365,11 @@ func (c *Cluster) appendEvent(e trace.Event) {
 	switch e.Kind {
 	case trace.Send:
 		if e.Write.Seq > 0 {
-			if c.shares.IsZero() {
-				for q := range c.acct.lag {
-					if q != e.Proc {
-						c.acct.lag[q].v.Add(1)
-					}
-				}
-			} else {
-				// Partial replication: the update reaches (and is
-				// applied at) the share-set only.
-				for _, q := range c.shares.Replicas(e.Var) {
-					if q != e.Proc {
-						c.acct.lag[q].v.Add(1)
-					}
+			// Under partial replication the update reaches (and is
+			// applied at) the share-set only.
+			for q := range c.acct.lag {
+				if q != e.Proc && c.shares.Replicates(q, e.Var) {
+					c.acct.lag[q].v.Add(1)
 				}
 			}
 			c.acct.bump()

@@ -51,8 +51,7 @@ func TestConfigValidate(t *testing.T) {
 		{Processes: 2, Variables: 1, WALDir: "x", Crashes: []CrashWindow{{Proc: 0, Start: 2 * time.Millisecond, End: time.Millisecond}}},
 		// A restart window without a journal to restart from.
 		{Processes: 2, Variables: 1, Crashes: []CrashWindow{{Proc: 0, Start: time.Millisecond, End: 2 * time.Millisecond}}},
-		// Crash-recovery features require the built-in transport.
-		{Processes: 2, Variables: 1, Transport: nopTransport{}, WALDir: "x"},
+		// Heartbeats cannot ride a custom transport.
 		{Processes: 2, Variables: 1, Transport: nopTransport{}, HeartbeatInterval: time.Millisecond},
 	}
 	for i, cfg := range bad {

@@ -76,9 +76,9 @@ type Config struct {
 	// Variables, each set non-empty). Writes then multicast to the
 	// share-set only, and reads of a variable the reading process does
 	// not replicate are forwarded to a replicating server. Requires
-	// Protocol == PartialRep. Incompatible with WALDir and Crashes:
-	// restart catch-up assumes peers archive every write, which partial
-	// stores deliberately don't.
+	// Protocol == PartialRep. Composes with WALDir and Crashes: a
+	// restarted process's summary draws from each peer only the writes
+	// addressed to it.
 	ShareSets [][]int
 
 	// MinDelay and MaxDelay bound the artificial per-message network
@@ -107,7 +107,9 @@ type Config struct {
 	BackoffMax time.Duration
 
 	// Transport optionally replaces the built-in transport. The Cluster
-	// takes ownership and closes it.
+	// takes ownership and closes it. It carries protocol messages and
+	// catch-up summaries, not heartbeats, so HeartbeatInterval requires
+	// the built-in transport.
 	Transport transport.Transport
 
 	// Meta engages the causality-metadata codec on the inter-replica
@@ -127,7 +129,8 @@ type Config struct {
 	// WALDir/node<i>, with periodic full-state snapshots, so it can be
 	// crash-stopped and restarted from disk (see Cluster.Crash and
 	// Cluster.Restart). Existing segments in the directory are
-	// superseded at cluster start. Requires the built-in transport.
+	// superseded at cluster start. Catch-up after a restart rides the
+	// transport, custom ones included.
 	WALDir string
 	// WALSync writes and fsyncs the journal before every journaled
 	// operation returns — maximally durable and correspondingly slow.
@@ -210,9 +213,6 @@ func (c Config) Validate() error {
 		if _, err := protocol.NewShareSets(c.ShareSets, c.Processes); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if c.WALDir != "" || len(c.Crashes) > 0 {
-			return fmt.Errorf("core: partial replication (ShareSets) does not compose with crash recovery")
-		}
 	}
 	if err := c.Chaos.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -240,8 +240,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: crash window %d schedules a restart but WALDir is unset", i)
 		}
 	}
-	if c.Transport != nil && (c.WALDir != "" || c.HeartbeatInterval > 0 || len(c.Crashes) > 0) {
-		return fmt.Errorf("core: crash-recovery features require the built-in transport")
+	if c.Transport != nil && c.HeartbeatInterval > 0 {
+		return fmt.Errorf("core: the heartbeat detector requires the built-in transport")
 	}
 	if c.Obs != nil && c.Obs.Procs() != c.Processes {
 		return fmt.Errorf("core: observer built for %d processes, cluster has %d", c.Obs.Procs(), c.Processes)

@@ -10,12 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checker"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
 
 // crashWorkload runs a deterministic write/read mix on the given
-// processes. Every operation on a live process must succeed.
+// processes. Every operation on a live process must succeed, except a
+// forwarded read whose server is down.
 func crashWorkload(t *testing.T, c *Cluster, procs []int, ops int, seed int64) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -28,7 +30,8 @@ func crashWorkload(t *testing.T, c *Cluster, procs []int, ops int, seed int64) {
 			for i := 1; i <= ops; i++ {
 				x := rng.Intn(c.Variables())
 				if rng.Intn(3) == 0 {
-					if _, err := c.Node(p).Read(x); err != nil {
+					_, err := c.Node(p).Read(x)
+					if err != nil && !(c.PartiallyReplicated() && errors.Is(err, ErrDown)) {
 						t.Errorf("p%d read: %v", p+1, err)
 						return
 					}
@@ -45,104 +48,206 @@ func crashWorkload(t *testing.T, c *Cluster, procs []int, ops int, seed int64) {
 }
 
 // TestCrashRestartAllProtocols is the crash/restart property test: for
-// every live protocol kind (with chaos layered on for OptP), run a workload,
-// crash-stop one process mid-run, keep the survivors working, restart
-// the crashed process from its journal, run more load, quiesce, and
-// demand the full audit: causal consistency, no lost acknowledged
-// writes, exactly-once application, crash-model consistency — and for
-// OptP, zero unnecessary delays even across the restart.
+// every live protocol kind (with chaos layered on for OptP, and
+// PartialRep also on r = 2 share-sets, with and without chaos), run a
+// workload, crash-stop one process mid-run, keep the survivors working,
+// restart the crashed process from its journal, run more load, quiesce,
+// and demand the full audit: causal consistency, no lost acknowledged
+// writes, exactly-once application, crash-model consistency, share-set
+// scoping — and for OptP, zero unnecessary delays even across the
+// restart.
 func TestCrashRestartAllProtocols(t *testing.T) {
-	for _, kind := range LiveKinds() {
-		for _, chaos := range []bool{false, true} {
-			if chaos && kind != protocol.OptP {
-				continue
+	partial := protocol.Modulo(3, 4, 2).Raw()
+	for _, tc := range []struct {
+		name   string
+		kind   protocol.Kind
+		chaos  bool
+		shares [][]int
+	}{
+		{"OptP", protocol.OptP, false, nil},
+		{"OptP-chaos", protocol.OptP, true, nil},
+		{"ANBKH", protocol.ANBKH, false, nil},
+		{"PartialRep", protocol.PartialRep, false, nil},
+		{"PartialRep-r2", protocol.PartialRep, false, partial},
+		{"PartialRep-r2-chaos", protocol.PartialRep, true, partial},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Processes: 4, Variables: 3, Protocol: tc.kind, ShareSets: tc.shares,
+				MaxDelay: 500 * time.Microsecond, Seed: 23,
+				WALDir: t.TempDir(), SnapshotEvery: 16,
 			}
-			name := kind.String()
-			if chaos {
-				name += "-chaos"
-			}
-			kind := kind
-			chaos := chaos
-			t.Run(name, func(t *testing.T) {
-				cfg := Config{
-					Processes: 4, Variables: 3, Protocol: kind,
-					MaxDelay: 500 * time.Microsecond, Seed: 23,
-					WALDir: t.TempDir(), SnapshotEvery: 16,
+			if tc.chaos {
+				cfg.Chaos = transport.ChaosConfig{
+					Seed: 23, LossRate: 0.10, DupRate: 0.05,
 				}
-				if chaos {
-					cfg.Chaos = transport.ChaosConfig{
-						Seed: 23, LossRate: 0.10, DupRate: 0.05,
+			}
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			const victim = 1
+			crashWorkload(t, c, []int{0, 1, 2, 3}, 15, 100)
+			if err := c.Crash(victim); err != nil {
+				t.Fatalf("crash: %v", err)
+			}
+			if !c.Down(victim) {
+				t.Fatal("victim not down")
+			}
+			// Survivors keep going; the victim refuses service.
+			crashWorkload(t, c, []int{0, 2, 3}, 15, 200)
+			if err := c.Node(victim).Write(0, 1); !errors.Is(err, ErrDown) {
+				t.Fatalf("write while down = %v", err)
+			}
+			if _, err := c.Node(victim).Read(0); !errors.Is(err, ErrDown) {
+				t.Fatalf("read while down = %v", err)
+			}
+			st, err := c.Restart(victim)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			t.Logf("%s: %v", tc.name, st)
+			crashWorkload(t, c, []int{0, 1, 2, 3}, 15, 300)
+
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := c.Quiesce(ctx); err != nil {
+				t.Fatalf("quiesce: %v", err)
+			}
+			rep, err := c.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			auditCrashRun(t, rep, 1)
+			if tc.kind == protocol.OptP && !rep.WriteDelayOptimal() {
+				for _, d := range rep.Delays {
+					if !d.Necessary {
+						t.Errorf("unnecessary delay: %+v", d)
 					}
 				}
-				c, err := NewCluster(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
+				t.FailNow()
+			}
+		})
+	}
+}
 
-				const victim = 1
-				crashWorkload(t, c, []int{0, 1, 2, 3}, 15, 100)
-				if err := c.Crash(victim); err != nil {
-					t.Fatalf("crash: %v", err)
-				}
-				if !c.Down(victim) {
-					t.Fatal("victim not down")
-				}
-				// Survivors keep going; the victim refuses service.
-				crashWorkload(t, c, []int{0, 2, 3}, 15, 200)
-				if err := c.Node(victim).Write(0, 1); !errors.Is(err, ErrDown) {
-					t.Fatalf("write while down = %v", err)
-				}
-				if _, err := c.Node(victim).Read(0); !errors.Is(err, ErrDown) {
-					t.Fatalf("read while down = %v", err)
-				}
-				st, err := c.Restart(victim)
-				if err != nil {
-					t.Fatalf("restart: %v", err)
-				}
-				t.Logf("%s: %v", name, st)
-				crashWorkload(t, c, []int{0, 1, 2, 3}, 15, 300)
+// auditCrashRun demands the audit every crash/restart run must pass:
+// safety, causal consistency, exactly-once application, no protocol
+// activity at a down process, every write applied at every process it
+// is addressed to (no acknowledged write lost, the restarted process
+// included) and nowhere else, and the given number of crashes and
+// recoveries.
+func auditCrashRun(t *testing.T, rep *checker.Report, crashes int) {
+	t.Helper()
+	switch {
+	case !rep.Safe():
+		t.Fatalf("safety: %v", rep.SafetyViolations)
+	case !rep.CausallyConsistent():
+		t.Fatalf("legality: %v", rep.LegalityViolations)
+	case !rep.ExactlyOnce():
+		t.Fatalf("duplicate applies: %v", rep.DuplicateApplies)
+	case !rep.CrashConsistent():
+		t.Fatalf("crash violations: %v", rep.CrashViolations)
+	case !rep.InP():
+		t.Fatalf("lost writes: %v", rep.NotApplied)
+	case !rep.ShareRespected():
+		t.Fatalf("stray applies: %v", rep.StrayApplies)
+	case rep.Crashes != crashes || rep.Recoveries != crashes:
+		t.Fatalf("crashes=%d recoveries=%d, want %d each", rep.Crashes, rep.Recoveries, crashes)
+	}
+}
 
-				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-				defer cancel()
-				if err := c.Quiesce(ctx); err != nil {
-					t.Fatalf("quiesce: %v", err)
-				}
-				rep, err := c.Audit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Safe() {
-					t.Fatalf("safety: %v", rep.SafetyViolations)
-				}
-				if !rep.CausallyConsistent() {
-					t.Fatalf("legality: %v", rep.LegalityViolations)
-				}
-				if !rep.ExactlyOnce() {
-					t.Fatalf("duplicate applies: %v", rep.DuplicateApplies)
-				}
-				if !rep.CrashConsistent() {
-					t.Fatalf("crash violations: %v", rep.CrashViolations)
-				}
-				if rep.Crashes != 1 || rep.Recoveries != 1 {
-					t.Fatalf("crashes=%d recoveries=%d", rep.Crashes, rep.Recoveries)
-				}
-				// No acknowledged write may be lost: every write must be
-				// applied at every process, including the restarted one.
-				if !rep.InP() {
-					t.Fatalf("lost writes: %v", rep.NotApplied)
-				}
-				if kind == protocol.OptP && !rep.WriteDelayOptimal() {
-					for _, d := range rep.Delays {
-						if !d.Necessary {
-							t.Errorf("unnecessary delay: %+v", d)
-						}
-					}
-					t.FailNow()
-				}
-			})
+// TestCatchUpVolume: a restart ships what the restarted process missed,
+// not the history. At 100 and at 4000 writes of history, with the same
+// M = 50 writes missed, catch-up takes L·M + 2L frames on the wire — the
+// L live peers' copies of the missed writes plus one summary each way
+// per peer.
+func TestCatchUpVolume(t *testing.T) {
+	const procs, vars, victim, missed = 4, 3, 1, 50
+	const live = procs - 1
+	for _, history := range []int{100, 4000} {
+		c, err := NewCluster(Config{
+			Processes: procs, Variables: vars, WALDir: t.TempDir(), Meta: protocol.MetaAuto,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < history; i++ {
+			if err := c.Node(i%procs).Write(i%vars, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiesce(t, c)
+		if err := c.Crash(victim); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < missed; i++ {
+			if err := c.Node(2*(i%2)).Write(i%vars, int64(history+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiesce(t, c)
+		before := c.MetaCodec().Stats().Frames
+		if _, err := c.Restart(victim); err != nil {
+			t.Fatal(err)
+		}
+		quiesce(t, c)
+		// Quiesce returns once the restarted process applied every missed
+		// write; the other peers' copies may still be in flight.
+		c.tr.Flush()
+		frames := int(c.MetaCodec().Stats().Frames - before)
+		t.Logf("history %d: %d catch-up frames for %d missed writes", history, frames, missed)
+		if bound := live*missed + 2*live; frames != bound {
+			t.Fatalf("history %d: %d catch-up frames, want %d", history, frames, bound)
+		}
+		rep, err := c.Audit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		auditCrashRun(t, rep, 1)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// TestCatchUpPushesSoleCopy: a write whose only copy survived at the
+// restarted process still spreads. The peer answers the restarted
+// process's summary with its own, and the restarted process answers
+// that with what the peer lacks.
+func TestCatchUpPushesSoleCopy(t *testing.T) {
+	c, err := NewCluster(Config{Processes: 2, Variables: 1, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Node(0).Write(0, 7); err != nil { // p2 misses it
+		t.Fatal(err)
+	}
+	if err := c.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restart(1); err != nil { // no live peer to learn from
+		t.Fatal(err)
+	}
+	if _, err := c.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, c)
+	if v, err := c.Node(1).Read(0); err != nil || v != 7 {
+		t.Fatalf("p2 read = %d, %v; want the write only p1 kept", v, err)
+	}
+	rep, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditCrashRun(t, rep, 2)
 }
 
 // TestCrashRestartSizeTriggeredSnapshot runs the crash/restart cycle at

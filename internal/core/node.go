@@ -23,7 +23,7 @@ type Node struct {
 
 	// down is the crash-stop flag: set under mu by Crash, read by the
 	// delivery path (atomically, so handle can drop frames for a down
-	// process without contending on mu during catch-up).
+	// process without contending on mu).
 	down atomic.Bool
 
 	// mu serializes replica access; lock order is Node.mu before
@@ -43,8 +43,9 @@ type Node struct {
 	walErr error
 
 	// archive holds, per origin process, every update installed or
-	// produced here, in delivery order — the store anti-entropy serves
-	// to a recovering peer. Only populated when recovery is enabled.
+	// produced here, in delivery order — the store a restarted peer's
+	// catch-up summary is answered from (answerLocked). Only populated
+	// when recovery is enabled.
 	archive [][]protocol.Update
 
 	// fw notifies frontier-admission waiters (the serving tier) of
@@ -53,13 +54,14 @@ type Node struct {
 
 	// readWaiters routes forwarded-read replies back to their blocked
 	// readers, keyed by request token (the negated ReadReq seq).
-	// Guarded by mu; nil until the first forwarded read.
+	// Guarded by mu.
 	readWaiters map[int]chan readReply
 
-	// outbox collects read replies produced while holding mu; handle
-	// sends them after unlocking, so a Send that blocks (TCPNet's socket
-	// write, when the peer's receive buffer is full) can never stall a
-	// lock holder a delivery goroutine is waiting on. Guarded by mu.
+	// outbox collects read replies and catch-up answers produced while
+	// holding mu; handle sends them after unlocking, so a Send that
+	// blocks (TCPNet's socket write, when the peer's receive buffer is
+	// full) can never stall a lock holder a delivery goroutine is waiting
+	// on. Guarded by mu.
 	outbox []outMsg
 }
 
@@ -130,7 +132,9 @@ func (n *Node) Read(x int) (int64, error) {
 // ReadMeta is Read plus the identity of the write that produced the
 // value (history.Bottom for the initial ⊥). Under partial replication a
 // read of a variable this process does not replicate forwards to a
-// replicating server and blocks until the reply (or cluster close).
+// replicating server and blocks until the reply; it fails with ErrDown
+// when the server or this process crash-stops first, and with ErrClosed
+// when the cluster closes.
 func (n *Node) ReadMeta(x int) (int64, history.WriteID, error) {
 	if err := n.check(x); err != nil {
 		return 0, history.Bottom, err
@@ -172,14 +176,20 @@ type readReply struct {
 // readRemote forwards a read of non-replicated x to its deterministic
 // serving replica and parks until the reply routes back through handle.
 // Entered holding n.mu; returns with it released. The reply channel is
-// buffered so a reply landing after a close-abort is simply dropped.
+// buffered so a reply landing after an abort is simply dropped. The
+// request (it takes a token) and the reply (its matrix joins →co) are
+// journaled, so a restart neither reissues a token nor forgets a merge.
 func (n *Node) readRemote(rr protocol.RemoteReader, x int) (int64, history.WriteID, error) {
 	req, server := rr.NewReadReq(x)
+	if err := n.journalLocked(durability.Entry{Kind: durability.EntryRead, Var: x}); err != nil {
+		n.mu.Unlock()
+		return 0, history.Bottom, fmt.Errorf("read at p%d: %w: %w", n.id+1, ErrDown, err)
+	}
+	n.c.mu.Lock()
+	serverCrash, selfCrash := n.c.crashed[server], n.c.crashed[n.id]
+	n.c.mu.Unlock()
 	tok := -req.ID.Seq
 	ch := make(chan readReply, 1)
-	if n.readWaiters == nil {
-		n.readWaiters = make(map[int]chan readReply)
-	}
 	n.readWaiters[tok] = ch
 	n.c.appendEvent(trace.Event{
 		Kind: trace.ReadFwd, Proc: n.id, Time: n.c.now(),
@@ -187,22 +197,32 @@ func (n *Node) readRemote(rr protocol.RemoteReader, x int) (int64, history.Write
 	})
 	n.mu.Unlock()
 	n.c.tr.Send(transport.Message{From: n.id, To: server, Update: req})
+	err := ErrDown
 	select {
 	case reply := <-ch:
 		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.down.Load() || n.drv.Replica() != rr.(protocol.Replica) { // crashed since the send
+			return 0, history.Bottom, fmt.Errorf("read at p%d: %w", n.id+1, ErrDown)
+		}
 		v, from := rr.CompleteRead(reply.u)
+		if err := n.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: reply.u}); err != nil {
+			return 0, history.Bottom, fmt.Errorf("read at p%d: %w: %w", n.id+1, ErrDown, err)
+		}
 		n.c.appendEvent(trace.Event{
 			Kind: trace.Return, Proc: n.id, Time: n.c.now(),
 			Var: x, Val: v, From: from, Buffered: reply.buffered,
 		})
-		n.mu.Unlock()
 		return v, from, nil
 	case <-n.c.readAbort:
-		n.mu.Lock()
-		delete(n.readWaiters, tok)
-		n.mu.Unlock()
-		return 0, history.Bottom, fmt.Errorf("read at p%d: %w", n.id+1, ErrClosed)
+		err = ErrClosed
+	case <-serverCrash:
+	case <-selfCrash:
 	}
+	n.mu.Lock()
+	delete(n.readWaiters, tok)
+	n.mu.Unlock()
+	return 0, history.Bottom, fmt.Errorf("read at p%d: %w", n.id+1, err)
 }
 
 // Clock returns a copy of the replica's primary control vector
@@ -275,12 +295,48 @@ func (n *Node) handle(m transport.Message) {
 		n.mu.Unlock()
 		return
 	}
-	n.drv.Receive(m.Update)
+	if m.Update.Summary {
+		n.answerLocked(m.From, m.Update)
+	} else {
+		n.drv.Receive(m.Update)
+	}
 	out := n.outbox
 	n.outbox = nil
 	n.mu.Unlock()
 	for _, om := range out {
 		n.c.tr.Send(transport.Message{From: n.id, To: om.to, Update: om.u})
+	}
+}
+
+// summaryLocked is this node's catch-up summary; ask = 1 requests the
+// receiver's in return. Caller holds n.mu.
+func (n *Node) summaryLocked(ask int64) protocol.Update {
+	apply := n.drv.Replica().(protocol.Introspector).ApplyClock()
+	return protocol.Update{ID: history.WriteID{Proc: n.id}, Val: ask, Clock: apply, Summary: true}
+}
+
+// answerLocked answers process p's catch-up summary s: it puts on the
+// outbox every archived update p lacks, each origin's in issue order,
+// then, if s asks, this node's own summary. Caller holds n.mu.
+func (n *Node) answerLocked(p int, s protocol.Update) {
+	res := n.drv.Replica().(protocol.Resumer)
+	for _, arc := range n.archive {
+		// What p lacks is a suffix of the writes addressed to it
+		// (Resumer): walk back to the newest one it has.
+		i := len(arc)
+		for ; i > 0; i-- {
+			if u := arc[i-1]; n.c.shares.Replicates(p, u.Var) && !res.Lacks(p, s.Clock, u) {
+				break
+			}
+		}
+		for _, u := range arc[i:] {
+			if res.Lacks(p, s.Clock, u) {
+				n.outbox = append(n.outbox, outMsg{p, u})
+			}
+		}
+	}
+	if s.Val == 1 {
+		n.outbox = append(n.outbox, outMsg{p, n.summaryLocked(0)})
 	}
 }
 
@@ -364,7 +420,7 @@ func (n *Node) snapshotDueLocked() bool {
 	return n.wal.LogBytes() >= max(minSnapshotLog, n.wal.SnapBytes())
 }
 
-// archiveLocked records u in the per-origin anti-entropy store. Caller
+// archiveLocked records u in the per-origin catch-up store. Caller
 // holds n.mu.
 func (n *Node) archiveLocked(u protocol.Update) {
 	if n.archive == nil {

@@ -18,16 +18,22 @@ func TestPartialConfigValidation(t *testing.T) {
 			ShareSets: protocol.Modulo(4, 4, 2).Raw(),
 		}
 	}
-	if err := base().Validate(); err != nil {
-		t.Fatalf("valid partial config rejected: %v", err)
-	}
 	for name, mutate := range map[string]func(*Config){
-		"wrong protocol":   func(c *Config) { c.Protocol = protocol.OptP },
-		"wrong var count":  func(c *Config) { c.ShareSets = c.ShareSets[:3] },
-		"empty share-set":  func(c *Config) { c.ShareSets[2] = nil },
-		"out of range":     func(c *Config) { c.ShareSets[0] = []int{0, 7} },
+		"plain":            func(*Config) {},
 		"with WAL":         func(c *Config) { c.WALDir = t.TempDir() },
 		"with crash sched": func(c *Config) { c.Crashes = []CrashWindow{{Proc: 0, Start: time.Millisecond}} },
+	} {
+		cfg := base()
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: valid partial config rejected: %v", name, err)
+		}
+	}
+	for name, mutate := range map[string]func(*Config){
+		"wrong protocol":  func(c *Config) { c.Protocol = protocol.OptP },
+		"wrong var count": func(c *Config) { c.ShareSets = c.ShareSets[:3] },
+		"empty share-set": func(c *Config) { c.ShareSets[2] = nil },
+		"out of range":    func(c *Config) { c.ShareSets[0] = []int{0, 7} },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -113,6 +119,52 @@ func TestPartialClusterEndToEnd(t *testing.T) {
 	wantApplies := procs * 2 // per write: 1 Issue at writer + 1 Apply at the peer
 	if applies != wantApplies {
 		t.Fatalf("share-set fan-out: %d applies+issues, want %d", applies, wantApplies)
+	}
+}
+
+// TestPartialReadFailsOnServerCrash: a forwarded read fails with
+// ErrDown, instead of parking until Close, when the reading process
+// crashes while it waits, when its server crashes while it waits, and
+// when the server is down at send time.
+func TestPartialReadFailsOnServerCrash(t *testing.T) {
+	// x1 lives only at p1; p2 and p3 forward their reads of x1 there.
+	// The huge MinDelay keeps a request in flight while a crash lands.
+	c, err := NewCluster(Config{
+		Processes: 3, Variables: 1, Protocol: protocol.PartialRep,
+		ShareSets: [][]int{{0}},
+		MinDelay:  time.Second, MaxDelay: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	parked := func(reader, crash int) {
+		t.Helper()
+		done := make(chan error, 1)
+		fwds := c.Log().ReadFwdCount()
+		go func() {
+			_, err := c.Node(reader).Read(0)
+			done <- err
+		}()
+		for c.Log().ReadFwdCount() == fwds { // wait for the read to park
+			time.Sleep(time.Millisecond)
+		}
+		if err := c.Crash(crash); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrDown) {
+				t.Fatalf("p%d's read with p%d crashed = %v, want ErrDown", reader+1, crash+1, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("p%d crashed and p%d's forwarded read is still parked", crash+1, reader+1)
+		}
+	}
+	parked(1, 1)
+	parked(2, 0)
+	if _, err := c.Node(2).Read(0); !errors.Is(err, ErrDown) {
+		t.Fatalf("read with its server down = %v, want ErrDown", err)
 	}
 }
 

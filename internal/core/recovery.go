@@ -9,30 +9,30 @@ import (
 	"repro/internal/durability"
 	"repro/internal/protocol"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // This file implements the cluster-level crash-recovery orchestration:
 // crash-stopping a process (goroutine paths halted, in-memory state
 // zeroed, in-flight messages dropped), restarting it from its journal,
-// and converging the recovered replica with the live ones through
-// anti-entropy over the per-node update archives.
+// and converging the recovered replica with the live ones through one
+// exchange of Apply-vector summaries with each peer (Node.answerLocked).
 
 // RecoveryStats describes one Restart.
 type RecoveryStats struct {
 	// Replayed is the number of journal entries replayed on top of the
 	// recovered snapshot.
 	Replayed int
-	// CaughtUp is the number of updates the recovered replica accepted
-	// from live peers' archives during anti-entropy catch-up.
-	CaughtUp int
 	// Duration is the wall-clock time of the whole Restart: journal
-	// read, replay, re-journaling, and catch-up.
+	// read, replay, re-journaling, and sending the catch-up summaries.
+	// Catch-up itself completes after Restart returns; Quiesce waits
+	// for it.
 	Duration time.Duration
 }
 
 // String implements fmt.Stringer.
 func (s RecoveryStats) String() string {
-	return fmt.Sprintf("replayed=%d caughtup=%d recovery=%v", s.Replayed, s.CaughtUp, s.Duration)
+	return fmt.Sprintf("replayed=%d recovery=%v", s.Replayed, s.Duration)
 }
 
 // Crash crash-stops process p: its journal is closed, its in-memory
@@ -72,6 +72,7 @@ func (c *Cluster) Crash(p int) error {
 func (c *Cluster) crashLocked(n *Node, journalErr error) {
 	c.mu.Lock()
 	c.down[n.id] = true
+	close(c.crashed[n.id])
 	c.mu.Unlock()
 	n.down.Store(true)
 	// n's liveness changed under the Quiesce accounting: it is exempt
@@ -101,9 +102,12 @@ func (c *Cluster) crashLocked(n *Node, journalErr error) {
 // Restart brings a crash-stopped process back: it recovers the newest
 // intact journal segment, restores the snapshot, replays the entries,
 // opens a fresh journal generation, rejoins the failure detector, and
-// finally catches up with the live processes via anti-entropy (pulling
-// their archives, then pushing its own, so even multi-crash runs
-// converge). Requires Config.WALDir.
+// finally sends every live peer a summary of its Apply vector. Each
+// peer answers with the archived updates p lacks and a summary of its
+// own, to which p answers in turn, so a write whose only copy survived
+// at p still spreads. Restart returns once the summaries are sent; the
+// missed updates arrive as ordinary messages, and Quiesce waits for
+// them. Requires Config.WALDir.
 func (c *Cluster) Restart(p int) (RecoveryStats, error) {
 	var st RecoveryStats
 	if p < 0 || p >= len(c.nodes) {
@@ -115,53 +119,66 @@ func (c *Cluster) Restart(p int) (RecoveryStats, error) {
 	begin := time.Now()
 	n := c.nodes[p]
 	n.mu.Lock()
-	if c.closed.Load() {
-		n.mu.Unlock()
-		return st, ErrClosed
+	err := c.recoverLocked(n, &st)
+	var sum protocol.Update
+	if err == nil {
+		sum = n.summaryLocked(1)
 	}
-	c.mu.Lock()
-	if !c.down[p] {
-		c.mu.Unlock()
-		n.mu.Unlock()
-		return st, fmt.Errorf("core: restart of p%d: not down", p+1)
-	}
-	c.mu.Unlock()
-	if n.walErr != nil {
-		n.mu.Unlock()
-		return st, fmt.Errorf("core: restart of p%d: journal incomplete since its crash: %w", p+1, n.walErr)
-	}
-
-	snapshot, entries, err := durability.Recover(c.walPath(p))
+	n.mu.Unlock()
 	if err != nil {
-		n.mu.Unlock()
-		return st, fmt.Errorf("core: restart of p%d: %w", p+1, err)
+		return st, err
 	}
-	n.newDriver(protocol.New(c.cfg.Protocol, p, c.cfg.Processes, c.cfg.Variables))
-	n.archive = make([][]protocol.Update, c.cfg.Processes)
-	if err := n.restoreSnapshotLocked(snapshot); err != nil {
-		n.drv, n.archive = nil, nil
-		n.mu.Unlock()
-		return st, fmt.Errorf("core: restart of p%d: snapshot: %w", p+1, err)
-	}
-	for i, e := range entries {
-		if err := n.replayLocked(e); err != nil {
-			n.drv, n.archive = nil, nil
-			n.mu.Unlock()
-			return st, fmt.Errorf("core: restart of p%d: entry %d: %w", p+1, i, err)
+	// The recovered frontier is live again; re-evaluate parked waits.
+	n.fw.wakeAll()
+	for q := range c.nodes {
+		if q != p && !c.Down(q) {
+			c.tr.Send(transport.Message{From: p, To: q, Update: sum})
 		}
 	}
-	st.Replayed = len(entries)
-	wal, err := durability.Create(c.walPath(p), c.cfg.WALSync, n.snapshotLocked())
+	st.Duration = time.Since(begin)
+	return st, nil
+}
+
+// recoverLocked is Restart's work under n.mu: restore the crash-stopped
+// n from its journal and bring it up again.
+func (c *Cluster) recoverLocked(n *Node, st *RecoveryStats) error {
+	p := n.id
+	switch {
+	case c.closed.Load():
+		return ErrClosed
+	case !n.down.Load():
+		return fmt.Errorf("core: restart of p%d: not down", p+1)
+	case n.walErr != nil:
+		return fmt.Errorf("core: restart of p%d: journal incomplete since its crash: %w", p+1, n.walErr)
+	}
+	snapshot, entries, err := durability.Recover(c.walPath(p))
+	if err != nil {
+		return fmt.Errorf("core: restart of p%d: %w", p+1, err)
+	}
+	n.newDriver(c.newReplica(p))
+	n.archive = make([][]protocol.Update, c.cfg.Processes)
+	if err = n.restoreSnapshotLocked(snapshot); err != nil {
+		err = fmt.Errorf("snapshot: %w", err)
+	}
+	for i := 0; err == nil && i < len(entries); i++ {
+		if err = n.replayLocked(entries[i]); err != nil {
+			err = fmt.Errorf("entry %d: %w", i, err)
+		}
+	}
+	if err == nil {
+		n.wal, err = durability.Create(c.walPath(p), c.cfg.WALSync, n.snapshotLocked())
+	}
 	if err != nil {
 		n.drv, n.archive = nil, nil
-		n.mu.Unlock()
-		return st, fmt.Errorf("core: restart of p%d: %w", p+1, err)
+		return fmt.Errorf("core: restart of p%d: %w", p+1, err)
 	}
-	n.wal, n.walErr = wal, nil
+	st.Replayed = len(entries)
+	n.walErr = nil
 	c.observeWAL(n)
 	n.down.Store(false)
 	c.mu.Lock()
 	c.down[p] = false
+	c.crashed[p] = make(chan struct{})
 	c.mu.Unlock()
 	c.acct.bump() // p rejoins the Quiesce accounting
 	if c.det != nil {
@@ -170,13 +187,7 @@ func (c *Cluster) Restart(p int) (RecoveryStats, error) {
 	c.appendEvent(trace.Event{
 		Kind: trace.Recover, Proc: p, Time: c.now(), Val: int64(st.Replayed),
 	})
-	n.mu.Unlock()
-	// The recovered frontier is live again; re-evaluate parked waits.
-	n.fw.wakeAll()
-
-	st.CaughtUp = c.catchUp(p)
-	st.Duration = time.Since(begin)
-	return st, nil
+	return nil
 }
 
 // Down reports whether process p is currently crash-stopped.
@@ -191,17 +202,24 @@ func (c *Cluster) Down(p int) bool {
 // already accounted for these operations the first time around). The
 // journal records operations in their original execution order, so
 // replay is deterministic; a status mismatch means the journal and
-// snapshot disagree, which recovery surfaces instead of diverging.
-// Caller holds n.mu.
+// snapshot disagree, which recovery surfaces instead of diverging. A
+// read of a variable not replicated here is a forwarded request, and an
+// apply of a read reply its completion (Node.readRemote). Caller holds
+// n.mu.
 func (n *Node) replayLocked(e durability.Entry) error {
 	r := n.drv.Replica()
-	switch e.Kind {
-	case durability.EntryLocalWrite:
+	rr, _ := r.(protocol.RemoteReader)
+	switch {
+	case e.Kind == durability.EntryLocalWrite:
 		u, _ := r.LocalWrite(e.Var, e.Val)
 		n.archiveLocked(u)
-	case durability.EntryRead:
+	case e.Kind == durability.EntryRead && rr != nil && !rr.LocalVar(e.Var):
+		rr.NewReadReq(e.Var)
+	case e.Kind == durability.EntryRead:
 		r.Read(e.Var)
-	case durability.EntryApply:
+	case e.Kind == durability.EntryApply && e.Update.ReadReply && rr != nil:
+		rr.CompleteRead(e.Update)
+	case e.Kind == durability.EntryApply:
 		if got := r.Status(e.Update); got != protocol.Deliverable {
 			return fmt.Errorf("replaying apply of %v: status %v", e.Update.ID, got)
 		}
@@ -211,67 +229,6 @@ func (n *Node) replayLocked(e durability.Entry) error {
 		return fmt.Errorf("unknown journal entry kind %d", e.Kind)
 	}
 	return nil
-}
-
-// catchUp converges a freshly restarted p with the cluster: pull every
-// live peer's archive into p, then push p's (recovered) archive to
-// every live peer — the push direction matters when several processes
-// crashed and p holds the sole surviving copy of some update. Returns
-// the number of updates p accepted.
-func (c *Cluster) catchUp(p int) int {
-	n := c.nodes[p]
-	fed := 0
-	for q, m := range c.nodes {
-		if q == p || c.Down(q) {
-			continue
-		}
-		m.mu.Lock()
-		pulled := flattenArchive(m.archive)
-		m.mu.Unlock()
-		fed += c.feedBatch(n, pulled)
-	}
-	n.mu.Lock()
-	own := flattenArchive(n.archive)
-	n.mu.Unlock()
-	for q, m := range c.nodes {
-		if q == p || c.Down(q) {
-			continue
-		}
-		c.feedBatch(m, own)
-	}
-	return fed
-}
-
-// flattenArchive copies a per-origin archive into one slice, origin by
-// origin so each origin's updates stay in their causal (issue) order.
-func flattenArchive(archive [][]protocol.Update) []protocol.Update {
-	var out []protocol.Update
-	for _, arc := range archive {
-		out = append(out, arc...)
-	}
-	return out
-}
-
-// feedBatch offers updates to n through the normal receipt state
-// machine, skipping everything the replica already has. Returns the
-// number accepted.
-func (c *Cluster) feedBatch(n *Node, us []protocol.Update) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down.Load() {
-		return 0
-	}
-	// A journal failure mid-batch crash-stops n and clears n.drv; the
-	// driver held here has stopped and takes nothing more.
-	d := n.drv
-	fed := 0
-	for _, u := range us {
-		if d.Feed(u) {
-			fed++
-		}
-	}
-	d.Drain()
-	return fed
 }
 
 // crashLoop executes the configured crash/restart schedule, mirroring
@@ -294,20 +251,12 @@ func (c *Cluster) crashLoop() {
 	}
 	sort.Slice(acts, func(i, j int) bool { return acts[i].at < acts[j].at })
 	for _, a := range acts {
-		if d := a.at - time.Since(c.start); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-c.crashStop:
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		} else {
-			select {
-			case <-c.crashStop:
-				return
-			default:
-			}
+		t := time.NewTimer(a.at - time.Since(c.start)) // fires at once when due
+		select {
+		case <-c.crashStop:
+			t.Stop()
+			return
+		case <-t.C:
 		}
 		if a.restart {
 			c.Restart(a.proc)
@@ -321,7 +270,7 @@ func (c *Cluster) crashLoop() {
 // snapshot payload
 
 // snapshotLocked encodes the node's complete volatile state — protocol
-// replica, pending buffer, anti-entropy archive — as one WAL snapshot
+// replica, pending buffer, catch-up archive — as one WAL snapshot
 // payload. Caller holds n.mu (or has exclusive access during startup).
 func (n *Node) snapshotLocked() []byte {
 	dst := protocol.ExportState(n.drv.Replica())

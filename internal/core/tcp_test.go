@@ -12,17 +12,22 @@ import (
 
 // A live cluster over real TCP loopback sockets: the full stack —
 // replica, wire codec, framing, kernel sockets — must still produce
-// causally consistent, write-delay-optimal runs.
+// causally consistent, write-delay-optimal runs, forwarded reads of a
+// partially replicated cluster included.
 func TestClusterOverTCP(t *testing.T) {
-	for _, kind := range []protocol.Kind{protocol.OptP, protocol.ANBKH} {
+	for _, kind := range []protocol.Kind{protocol.OptP, protocol.ANBKH, protocol.PartialRep} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
+			var shares [][]int
+			if kind == protocol.PartialRep {
+				shares = protocol.Modulo(3, 3, 2).Raw()
+			}
 			tn, err := transport.NewTCP(3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c, err := NewCluster(Config{
-				Processes: 3, Variables: 3, Protocol: kind,
+				Processes: 3, Variables: 3, Protocol: kind, ShareSets: shares,
 				Transport: tn,
 			})
 			if err != nil {
@@ -54,19 +59,59 @@ func TestClusterOverTCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.Safe() || !rep.CausallyConsistent() || !rep.InP() {
+			if !rep.Safe() || !rep.CausallyConsistent() || !rep.InP() || !rep.ShareRespected() {
 				t.Fatalf("TCP run failed audit: %v %v %v",
 					rep.SafetyViolations, rep.LegalityViolations, rep.NotApplied)
 			}
-			if kind == protocol.OptP && !rep.WriteDelayOptimal() {
+			if kind != protocol.ANBKH && !rep.WriteDelayOptimal() {
 				t.Fatalf("unnecessary delays over TCP: %+v", rep.Delays)
 			}
-			if err := checker.SerializationAudit(c.Log(), rep); err != nil {
-				t.Fatal(err)
+			// Per-process serializations need every write applied at every
+			// process: full replication only.
+			if kind != protocol.PartialRep {
+				if err := checker.SerializationAudit(c.Log(), rep); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestClusterOverTCPCrashRestart: crash, WAL restart and the catch-up
+// summary exchange over real sockets, audited like the in-process
+// crash property.
+func TestClusterOverTCPCrashRestart(t *testing.T) {
+	tn, err := transport.NewTCP(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(Config{
+		Processes: 3, Variables: 3, Transport: tn, WALDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const victim = 1
+	crashWorkload(t, c, []int{0, 1, 2}, 20, 100)
+	if err := c.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	crashWorkload(t, c, []int{0, 2}, 20, 200)
+	if _, err := c.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	crashWorkload(t, c, []int{0, 1, 2}, 20, 300)
+	quiesce(t, c)
+	rep, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditCrashRun(t, rep, 1)
+	if !rep.WriteDelayOptimal() {
+		t.Fatalf("unnecessary delays over TCP: %+v", rep.Delays)
 	}
 }

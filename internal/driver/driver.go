@@ -25,7 +25,7 @@ type Host interface {
 	Record(e trace.Event)
 	// Applied runs after the replica installed u, before its Apply event
 	// is recorded. An error stops the driver on the spot: the apply is
-	// not traced, and nothing more is received, fed or drained.
+	// not traced, and nothing more is received or drained.
 	Applied(u protocol.Update) error
 	// Send ships a forwarded-read reply to process to.
 	Send(to int, reply protocol.Update)
@@ -41,15 +41,17 @@ type Driver struct {
 	id      int
 	pending *pendingSet
 	// recovery turns on the stale-duplicate filter and the purge of
-	// buffered copies the replica no longer needs (res, its Resumer, says
-	// which): with crash recovery in play, a retransmission or a catch-up
-	// feed can deliver an update twice.
+	// buffered copies the replica no longer lacks (res, the replica as a
+	// Resumer, says which): with crash recovery in play, a retransmission
+	// or the peers answering a catch-up summary can deliver an update
+	// twice.
 	recovery bool
 	res      protocol.Resumer
 	stopped  bool // Host.Applied failed
 }
 
-// New returns a driver for replica r of a procs-process system.
+// New returns a driver for replica r of a procs-process system. With
+// recovery, r must be a protocol.Resumer.
 func New(host Host, r protocol.Replica, procs int, recovery bool) *Driver {
 	res, _ := r.(protocol.Resumer)
 	return &Driver{host: host, replica: r, id: r.ProcID(), pending: newPendingSet(procs), recovery: recovery, res: res}
@@ -94,18 +96,7 @@ func (d *Driver) Receive(u protocol.Update) {
 		return
 	}
 	d.receive(u)
-	d.Drain()
-}
-
-// Feed offers a peer-archived update during anti-entropy catch-up and
-// reports whether the replica took it. The caller drains after the
-// batch.
-func (d *Driver) Feed(u protocol.Update) bool {
-	if d.stopped || d.res == nil || !d.res.NeedsUpdate(u) || d.pending.has(u.ID) {
-		return false
-	}
-	d.receive(u)
-	return true
+	d.drain()
 }
 
 // receive records the receipt of write u, then applies or buffers it.
@@ -114,9 +105,9 @@ func (d *Driver) receive(u protocol.Update) {
 	if st == protocol.Blocked && d.recovery {
 		// Under recovery a blocked update can be a stale duplicate: a
 		// retransmission landing after the restart already recovered the
-		// write, or a delivery overlapping a catch-up feed. Drop it
-		// silently — it was already counted.
-		if d.res != nil && !d.res.NeedsUpdate(u) || d.pending.has(u.ID) {
+		// write, or the copies several peers send in answer to one catch-up
+		// summary. Drop it silently — it was already counted.
+		if !d.res.Lacks(d.id, nil, u) || d.pending.has(u.ID) {
 			return
 		}
 	}
@@ -164,7 +155,7 @@ func (d *Driver) deliverRead(u protocol.Update, buffered bool) {
 	d.host.Send(u.ID.Proc, reply)
 }
 
-// Drain acts on buffered updates until a fixpoint.
+// drain acts on buffered updates until a fixpoint.
 //
 // Each origin's queue is sorted by seq, and every class-𝒫 protocol
 // applies an origin's writes in that order (OptP and ANBKH need
@@ -175,7 +166,7 @@ func (d *Driver) deliverRead(u protocol.Update, buffered bool) {
 // origins, so a blocked head can hide an actionable update: the head+1
 // probe covers the common case, and one full scan at the fixpoint
 // catches whatever sits deeper.
-func (d *Driver) Drain() {
+func (d *Driver) drain() {
 	for !d.stopped && d.pending.size() > 0 {
 		progressed := false
 		for origin := range d.pending.byOrigin {
@@ -232,7 +223,7 @@ func (d *Driver) act(origin, i int) bool {
 			d.apply(u, d.host.Now())
 		}
 		return true
-	case d.recovery && d.res != nil && !d.res.NeedsUpdate(u):
+	case d.recovery && !u.ReadReq && !u.ReadReply && !d.res.Lacks(d.id, nil, u):
 		d.pending.removeAt(origin, i)
 		return true
 	}

@@ -46,11 +46,12 @@ func (h *host) kinds(from int) []string {
 
 // TestReceiveDedupUnderRecovery pins the duplicate-suppression
 // behaviour of the receipt state machine when crash recovery is
-// enabled: a duplicate of a buffered update must not be double-buffered
-// (and must record no events), and a stale duplicate of an
-// already-applied update — a retransmission landing after catch-up
-// recovered the write — must be dropped silently. This behaviour is
-// what the write-ID index of the pending set implements in O(1).
+// enabled: a duplicate of a buffered update — a second peer's answer to
+// the same catch-up summary — must not be double-buffered and must
+// record no events, and a stale duplicate of an already-applied update
+// — a retransmission landing after catch-up recovered the write — must
+// be dropped silently. This behaviour is what the write-ID index of the
+// pending set implements in O(1).
 func TestReceiveDedupUnderRecovery(t *testing.T) {
 	// Craft the origin's updates off-cluster so delivery order is ours:
 	// u2 causally follows u1 (same origin, consecutive seqs).
@@ -73,9 +74,6 @@ func TestReceiveDedupUnderRecovery(t *testing.T) {
 	if got := len(h.events); got != events {
 		t.Fatalf("duplicate of buffered update recorded %d events", got-events)
 	}
-	if d.Feed(u2) { // catch-up offering the same buffered update
-		t.Fatal("Feed accepted an update already buffered")
-	}
 
 	d.Receive(u1) // enabler arrives: applies, unblocks u2
 	if got := d.Buffered(); got != 0 {
@@ -86,15 +84,17 @@ func TestReceiveDedupUnderRecovery(t *testing.T) {
 		t.Fatalf("replica value %d, want 20", v)
 	}
 
-	// Stale duplicates of applied updates: dropped with no trace.
+	// Stale duplicates of applied updates: dropped with no trace, in
+	// either arrival order.
 	events = len(h.events)
 	d.Receive(u1)
 	d.Receive(u2)
+	d.Receive(u1)
 	if got := len(h.events); got != events {
 		t.Fatalf("stale duplicates recorded %d events", got-events)
 	}
-	if d.Feed(u1) {
-		t.Fatal("Feed accepted an update the replica already applied")
+	if got := d.Buffered(); got != 0 || len(h.applied) != 2 {
+		t.Fatalf("stale duplicates: %d buffered, %d applies, want 0 and 2", got, len(h.applied))
 	}
 }
 
@@ -210,8 +210,8 @@ func TestDrainStopsOnFailedApplyHook(t *testing.T) {
 	}
 	events := len(h.events)
 	d.Receive(u3)
-	d.Drain()
-	if d.Feed(u3) || len(h.events) != events {
+	d.Receive(u1)
+	if len(h.events) != events || len(h.applied) != 2 {
 		t.Fatalf("stopped driver acted: %v", h.kinds(events))
 	}
 }

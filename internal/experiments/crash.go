@@ -16,16 +16,16 @@ import (
 )
 
 // CrashRecovery is E-crash: the live cluster under crash-stop failures
-// with durable recovery. For OptP (with and without transport chaos)
-// and ANBKH a workload runs, one process is crash-stopped mid-run
-// while the survivors keep going, then restarted from its
-// write-ahead log and caught up via anti-entropy; more load follows
-// and the run must quiesce and pass the full audit — causal
-// consistency, no lost acknowledged writes, exactly-once application,
-// no protocol activity while down, and (for OptP) zero unnecessary
-// delays across the restart. Reported are the recovery mechanics:
-// journal entries replayed, updates caught up from peers, and
-// wall-clock recovery time.
+// with durable recovery. For OptP (with and without transport chaos),
+// ANBKH and PartialRep at r = 2 a workload runs, one process is
+// crash-stopped mid-run while the survivors keep going, then restarted
+// from its write-ahead log and caught up by a summary exchange with
+// its peers; more load follows and the run must quiesce and pass the
+// full audit — causal consistency, no lost acknowledged writes,
+// exactly-once application, no protocol activity while down, share-set
+// scoping, and (for OptP) zero unnecessary delays across the restart.
+// Reported are the recovery mechanics: journal entries replayed and
+// the wall-clock time of Restart.
 func CrashRecovery() (Result, error) {
 	const (
 		procs = 4
@@ -34,33 +34,31 @@ func CrashRecovery() (Result, error) {
 	)
 	r := Result{
 		Name: "E-crash",
-		Desc: fmt.Sprintf("crash-stop + WAL restart + anti-entropy catch-up (%d procs × %d ops, p2 crashed mid-run)",
+		Desc: fmt.Sprintf("crash-stop + WAL restart + summary catch-up (%d procs × %d ops, p2 crashed mid-run)",
 			procs, ops),
-		Header: []string{"protocol", "replayed", "caughtup", "recovery", "delays", "unnecessary", "audit"},
+		Header: []string{"protocol", "replayed", "recovery", "delays", "unnecessary", "audit"},
 	}
 	type variant struct {
-		kind  protocol.Kind
-		chaos bool
+		name   string
+		kind   protocol.Kind
+		chaos  bool
+		shares [][]int
 	}
 	variants := []variant{
-		{protocol.OptP, false},
-		{protocol.OptP, true},
-		{protocol.ANBKH, false},
+		{"OptP", protocol.OptP, false, nil},
+		{"OptP+chaos", protocol.OptP, true, nil},
+		{"ANBKH", protocol.ANBKH, false, nil},
+		{"PartialRep r=2", protocol.PartialRep, false, protocol.Modulo(vars, procs, 2).Raw()},
 	}
 	for _, v := range variants {
-		name := v.kind.String()
-		if v.chaos {
-			name += "+chaos"
-		}
-		st, rec, unnecessary, err := crashRun(v.kind, v.chaos, procs, vars, ops)
+		st, rec, unnecessary, err := crashRun(v.kind, v.chaos, v.shares, procs, vars, ops)
 		if err != nil {
-			return r, fmt.Errorf("experiments: E-crash %s: %w", name, err)
+			return r, fmt.Errorf("experiments: E-crash %s: %w", v.name, err)
 		}
 		r.Stats = append(r.Stats, st)
 		r.Rows = append(r.Rows, []string{
-			name,
+			v.name,
 			fmt.Sprintf("%d", rec.Replayed),
-			fmt.Sprintf("%d", rec.CaughtUp),
 			rec.Duration.Round(time.Microsecond).String(),
 			fmt.Sprintf("%d", st.Delays),
 			fmt.Sprintf("%d", unnecessary),
@@ -70,7 +68,7 @@ func CrashRecovery() (Result, error) {
 	return r, nil
 }
 
-func crashRun(kind protocol.Kind, chaos bool, procs, vars, ops int) (st trace.RunStats, rec core.RecoveryStats, unnecessary int, err error) {
+func crashRun(kind protocol.Kind, chaos bool, shares [][]int, procs, vars, ops int) (st trace.RunStats, rec core.RecoveryStats, unnecessary int, err error) {
 	walDir, err := os.MkdirTemp("", "dsm-crash-*")
 	if err != nil {
 		return st, rec, 0, err
@@ -78,7 +76,7 @@ func crashRun(kind protocol.Kind, chaos bool, procs, vars, ops int) (st trace.Ru
 	defer os.RemoveAll(walDir)
 
 	cfg := core.Config{
-		Processes: procs, Variables: vars, Protocol: kind,
+		Processes: procs, Variables: vars, Protocol: kind, ShareSets: shares,
 		MaxDelay: 200 * time.Microsecond, Seed: 42,
 		WALDir: walDir, SnapshotEvery: 32,
 		HeartbeatInterval: time.Millisecond,
@@ -137,7 +135,7 @@ func crashRun(kind protocol.Kind, chaos bool, procs, vars, ops int) (st trace.Ru
 	if err != nil {
 		return st, rec, 0, err
 	}
-	if !rep.Safe() || !rep.CausallyConsistent() || !rep.ExactlyOnce() || !rep.CrashConsistent() {
+	if !rep.Safe() || !rep.CausallyConsistent() || !rep.ExactlyOnce() || !rep.CrashConsistent() || !rep.ShareRespected() {
 		return st, rec, 0, fmt.Errorf("audit failed: %v", rep)
 	}
 	// No lost acknowledged writes: every write is applied everywhere.

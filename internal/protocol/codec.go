@@ -17,7 +17,7 @@ import (
 //	prevProc, prevSeq  — overwritten-predecessor WriteID
 //	round, slot, size  — token batch coordinates
 //	flags              — bit 0: marker, bit 1: read request,
-//	                     bit 2: read reply
+//	                     bit 2: read reply, bit 3: catch-up summary
 //
 // The codec is used by the TCP transport; it allocates only the
 // destination buffer and round-trips every field exactly.
@@ -52,14 +52,10 @@ func (u Update) appendWith(dst []byte, encClock func(vclock.VC, []byte) []byte) 
 	dst = binary.AppendVarint(dst, int64(u.Slot))
 	dst = binary.AppendVarint(dst, int64(u.BatchSize))
 	var flags uint64
-	if u.Marker {
-		flags |= 1
-	}
-	if u.ReadReq {
-		flags |= 2
-	}
-	if u.ReadReply {
-		flags |= 4
+	for i, set := range [...]bool{u.Marker, u.ReadReq, u.ReadReply, u.Summary} {
+		if set {
+			flags |= 1 << i
+		}
 	}
 	dst = binary.AppendUvarint(dst, flags)
 	return dst
@@ -129,6 +125,7 @@ func decodeUpdateWith(buf []byte, decClock func([]byte) (vclock.VC, int, error))
 	u.Marker = flags&1 != 0
 	u.ReadReq = flags&2 != 0
 	u.ReadReply = flags&4 != 0
+	u.Summary = flags&8 != 0
 	return u, off, nil
 }
 

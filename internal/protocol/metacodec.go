@@ -31,8 +31,8 @@ import (
 // simulator link) and advance in lockstep because links are FIFO. A
 // reconnect tears both down and recreates both at zero — the first
 // message after a resync simply rides a self-describing tag (dense or
-// stab) until the new base is established. WAL replay and anti-entropy
-// never see this codec: durable state uses the plain encoding.
+// stab) until the new base is established. WAL replay never sees this
+// codec: durable state uses the plain encoding.
 
 // MetaMode selects the causality-metadata codec of a transport link.
 type MetaMode uint8

@@ -109,6 +109,10 @@ type Update struct {
 	// per-requester token), and its answer carrying (Val, Prev, Clock).
 	ReadReq   bool
 	ReadReply bool
+	// Summary flags a restart catch-up summary from ID.Proc: Clock is its
+	// Apply vector (Introspector.ApplyClock), and Val = 1 asks the
+	// receiver to answer with its own summary. Never journaled.
+	Summary bool
 }
 
 // From returns the sending process.

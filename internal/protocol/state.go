@@ -42,13 +42,14 @@ type StateCodec interface {
 }
 
 // Resumer is implemented by the replicas with a StateCodec: it drives
-// anti-entropy catch-up after a restart. NeedsUpdate reports whether
-// the replica still needs u delivered — i.e. u has not been applied
-// here and is not a stale duplicate. Feeding a replica every update for
-// which NeedsUpdate is true (plus ordinary drain) converges it with the
-// rest of the cluster.
+// catch-up after a restart. Lacks reports whether process p, whose Apply
+// vector (Introspector.ApplyClock) is v, still needs write u: u is
+// addressed to p and p has not applied it. A nil v is this replica's own
+// vector, read in place (the self case: the stale-duplicate test). Along
+// one origin's writes in issue order, those addressed to p that p lacks
+// form a suffix.
 type Resumer interface {
-	NeedsUpdate(u Update) bool
+	Lacks(p int, v vclock.VC, u Update) bool
 }
 
 // ReadMutatesState reports, for the kinds with a StateCodec, whether
@@ -217,10 +218,13 @@ func (r *optp) RestoreState(data []byte) (int, error) {
 	return sr.off, nil
 }
 
-// NeedsUpdate implements Resumer: the update is needed iff its sequence
-// number exceeds the writes of its issuer applied here.
-func (r *optp) NeedsUpdate(u Update) bool {
-	return uint64(u.ID.Seq) > r.apply.Get(u.From())
+// Lacks implements Resumer: p lacks u iff its sequence number exceeds
+// the writes of its issuer p has applied.
+func (r *optp) Lacks(_ int, v vclock.VC, u Update) bool {
+	if v == nil {
+		v = r.apply
+	}
+	return uint64(u.ID.Seq) > v.Get(u.From())
 }
 
 // ---------------------------------------------------------------------
@@ -249,9 +253,12 @@ func (r *anbkh) RestoreState(data []byte) (int, error) {
 	return sr.off, nil
 }
 
-// NeedsUpdate implements Resumer.
-func (r *anbkh) NeedsUpdate(u Update) bool {
-	return uint64(u.ID.Seq) > r.vt.Get(u.From())
+// Lacks implements Resumer, as for OptP.
+func (r *anbkh) Lacks(_ int, v vclock.VC, u Update) bool {
+	if v == nil {
+		v = r.vt
+	}
+	return uint64(u.ID.Seq) > v.Get(u.From())
 }
 
 // ---------------------------------------------------------------------
@@ -303,16 +310,12 @@ func (r *partialrep) RestoreState(data []byte) (int, error) {
 	return sr.off, nil
 }
 
-// NeedsUpdate implements Resumer: a write is needed iff this process
-// replicates its variable and its position on the (writer, here) edge
-// is beyond what has been applied. Read-forwarding messages are
-// transient — never replayed into a restarted replica.
-func (r *partialrep) NeedsUpdate(u Update) bool {
-	if u.ReadReq || u.ReadReply {
-		return false
+// Lacks implements Resumer: p lacks a write iff p replicates its
+// variable and its position on the (writer, p) edge is beyond what p has
+// applied. Positions only grow along a writer's issue order.
+func (r *partialrep) Lacks(p int, v vclock.VC, u Update) bool {
+	if v == nil {
+		v = r.applied
 	}
-	if !r.shares.Replicates(r.id, u.Var) {
-		return false
-	}
-	return u.Clock.Get(u.From()*r.n+r.id) > r.applied.Get(u.From())
+	return r.shares.Replicates(p, u.Var) && u.Clock.Get(u.From()*r.n+p) > v.Get(u.From())
 }

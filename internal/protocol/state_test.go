@@ -91,8 +91,8 @@ func checkEquivalent(t *testing.T, kind Kind, want, got Replica, probes []Update
 		if ws, gs := want.Status(u), got.Status(u); ws != gs {
 			t.Fatalf("%v: Status(%v) = %v, want %v", kind, u, gs, ws)
 		}
-		if wn, gn := wr.NeedsUpdate(u), gr.NeedsUpdate(u); wn != gn {
-			t.Fatalf("%v: NeedsUpdate(%v) = %v, want %v", kind, u, gn, wn)
+		if wn, gn := wr.Lacks(want.ProcID(), nil, u), gr.Lacks(got.ProcID(), nil, u); wn != gn {
+			t.Fatalf("%v: Lacks(self, %v) = %v, want %v", kind, u, gn, wn)
 		}
 	}
 }
@@ -191,13 +191,67 @@ func TestReadMutatesState(t *testing.T) {
 	}
 }
 
-// TestNeedsUpdateFresh: a fresh replica needs every peer write.
+// TestNeedsUpdateFresh: a fresh replica lacks every peer write, in the
+// self case and against its own Apply vector alike.
 func TestNeedsUpdateFresh(t *testing.T) {
 	for _, kind := range codecKinds {
-		r := New(kind, 0, 3, 2).(Resumer)
+		r := New(kind, 0, 3, 2)
 		u, _ := New(kind, 1, 3, 2).LocalWrite(0, 5)
-		if !r.NeedsUpdate(u) {
+		if !r.(Resumer).Lacks(0, nil, u) || !r.(Resumer).Lacks(0, r.(Introspector).ApplyClock(), u) {
 			t.Errorf("%v: fresh replica refuses %v", kind, u)
+		}
+	}
+}
+
+// TestLacksSuffix pins the Resumer contract a catch-up answer relies
+// on: after a seeded partially replicated run, for every process p and
+// origin, the writes addressed to p that p lacks form a suffix of the
+// origin's writes addressed to p, and the predicate evaluated at any
+// replica against p's Apply vector agrees with p's own self case.
+func TestLacksSuffix(t *testing.T) {
+	const n, m = 4, 3
+	shares := Modulo(m, n, 2)
+	reps := make([]Replica, n)
+	for p := range reps {
+		reps[p] = NewPartialRep(p, n, m, shares)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var issued [n][]Update
+	for i := 0; i < 60; i++ {
+		p := rng.Intn(n)
+		u, _ := reps[p].LocalWrite(rng.Intn(m), int64(i))
+		issued[p] = append(issued[p], u)
+		// Deliver each process's writes to a random prefix of their
+		// recipients, in issue order, so frontiers spread out.
+		for _, q := range shares.Replicas(u.Var) {
+			if q != p && rng.Intn(3) > 0 {
+				for _, w := range issued[p] {
+					if shares.Replicates(q, w.Var) && reps[q].Status(w) == Deliverable {
+						reps[q].Apply(w)
+					}
+				}
+			}
+		}
+	}
+	for p, rp := range reps {
+		v := rp.(Introspector).ApplyClock()
+		for j := range issued {
+			lacking := false
+			for _, u := range issued[j] {
+				if j == p || !shares.Replicates(p, u.Var) {
+					continue
+				}
+				self := rp.(Resumer).Lacks(p, nil, u)
+				for _, other := range reps {
+					if got := other.(Resumer).Lacks(p, v, u); got != self {
+						t.Fatalf("p%d %v: Lacks at p%d = %v, self case %v", p+1, u, other.ProcID()+1, got, self)
+					}
+				}
+				if lacking && !self {
+					t.Fatalf("p%d has %v after lacking an earlier write of p%d", p+1, u, j+1)
+				}
+				lacking = lacking || self
+			}
 		}
 	}
 }

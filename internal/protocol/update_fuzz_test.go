@@ -16,7 +16,8 @@ import (
 
 // fuzzUpdates is a stream one link might carry: clocks that grow a
 // little per message (delta's case), a far-ahead sparse clock (stab's),
-// a marker with no clock, a dimension change, and forwarded-read frames.
+// a marker with no clock, a dimension change, forwarded-read frames and
+// a catch-up summary.
 func fuzzUpdates() []Update {
 	return []Update{
 		{ID: history.WriteID{Proc: 0, Seq: 1}, Var: 2, Val: 7, Clock: vclock.VC{1, 0, 0, 0}},
@@ -27,6 +28,7 @@ func fuzzUpdates() []Update {
 		{ID: history.WriteID{Proc: 0, Seq: 2}, Var: 3, Val: 9, Clock: vclock.VC{2, 2, 0, 0, 0, 0, 1, 0}, Round: 3, Slot: 1, BatchSize: 2},
 		{ID: history.WriteID{Proc: 2, Seq: -4}, Var: 1, Clock: vclock.VC{2, 2, 1, 0, 0, 0, 1, 0}, ReadReq: true},
 		{ID: history.WriteID{Proc: 2, Seq: -4}, Var: 1, Val: 4, Clock: vclock.VC{2, 2, 1, 0, 0, 0, 1, 0}, Prev: history.WriteID{Proc: 3, Seq: 900}, ReadReply: true},
+		{ID: history.WriteID{Proc: 1}, Val: 1, Clock: vclock.VC{7, 3, 0, 9}, Summary: true},
 	}
 }
 
