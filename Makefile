@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check ci build test vet fmt-check race transport-stress core-stress bench bench-smoke smoke audit-bench metadata-bench replication-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
+.PHONY: check ci build test vet fmt-check varint-guard race transport-stress core-stress bench bench-smoke smoke audit-bench metadata-bench replication-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
 
-## check: the full gate — formatting, vet, build, tests, a short race
-## pass, twenty more of the transport's scheduler tests and twenty of
-## the live cluster's chaos and crash/restart properties, a fuzz burst
-## over the wire codecs, the frame reader, the WAL reader and the
-## replica state decoder, the chaos
+## check: the full gate — formatting, vet, the one-byte-reader guard,
+## build, tests, a short race pass, twenty more of the transport's
+## scheduler tests and twenty of the live cluster's chaos and
+## crash/restart properties, a fuzz burst over every decoder of outside
+## bytes (clocks, updates, the wire codecs, the frame reader, the WAL
+## reader, the replica state decoder and the snapshot tail), the chaos
 ## conformance suite
 ## (fault-injected session guarantees + exactly-once accounting), and
 ## the nested benchmark module's own smoke run.
-check: fmt-check vet build test race transport-stress core-stress fuzz-smoke chaos-conformance bench-smoke
+check: fmt-check vet varint-guard build test race transport-stress core-stress fuzz-smoke chaos-conformance bench-smoke
 
 ## ci: what .github/workflows/ci.yml runs — the full gate plus the
 ## conformance suite under the race detector and the four dsmbench
@@ -102,6 +103,17 @@ fmt-check:
 		echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; \
 	fi
 
+## varint-guard: every decoder of outside bytes reads through
+## internal/varint's Reader, so binary.Uvarint( and binary.Varint( may
+## appear in non-test code there alone — a hand-rolled decoder, with
+## its own bounds and error threading, cannot grow back.
+varint-guard:
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' \
+		-e 'binary\.Uvarint(' -e 'binary\.Varint(' . | grep -v '^\./internal/varint/')"; \
+	if [ -n "$$out" ]; then \
+		echo "varint-guard: raw varint reads outside internal/varint:"; echo "$$out"; exit 1; \
+	fi
+
 test:
 	$(GO) test ./...
 
@@ -145,15 +157,18 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/scenario
 
-## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec, the
-## inter-replica update codec (plain, and the stateful delta/stab link
-## decoder), the frame reader every socket shares, the WAL segment
-## reader and the replica state decoder its snapshots go through. The
-## committed seed corpora under
-## internal/{protocol,durability}/testdata/fuzz replay in plain
-## `make test`, so past crashers stay fatal; this target additionally
-## mutates for a few seconds per target.
+## fuzz-smoke: short fuzzing bursts on every decoder of outside bytes —
+## the clock codecs, the serving-tier wire codec, the inter-replica
+## update codec (plain, and the stateful delta/stab link decoder), the
+## frame reader every socket shares, the WAL segment reader, the replica
+## state decoder its snapshots go through and the snapshot tail (pending
+## updates and catch-up archive). Each target asserts the one contract
+## of varinttest.Check. The committed seed corpora under
+## internal/{vclock,protocol,durability,core}/testdata/fuzz replay in
+## plain `make test`, so past crashers stay fatal; this target
+## additionally mutates for a few seconds per target.
 fuzz-smoke:
+	$(GO) test -fuzz '^FuzzDecodeClock$$' -fuzztime=5s -run '^$$' ./internal/vclock
 	$(GO) test -fuzz '^FuzzWireRequest$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireResponse$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireToken$$' -fuzztime=5s -run '^$$' ./internal/protocol
@@ -162,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzReadFrame$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzRestoreState$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzRecoverSegment$$' -fuzztime=5s -run '^$$' ./internal/durability
+	$(GO) test -fuzz '^FuzzSnapshotTail$$' -fuzztime=5s -run '^$$' ./internal/core
 
 clean:
 	$(GO) clean ./...

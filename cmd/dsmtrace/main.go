@@ -1,6 +1,6 @@
 // Command dsmtrace analyzes the tail-sampled request records the
 // serving tier emits (dsmd -trace-stream, client.Config.TraceSink,
-// reqtrace.SinkWriter): JSONL in, forensics out. It answers
+// obs.Stream): JSONL in, forensics out. It answers
 // the three questions a p99 regression raises — where does time go
 // per stage, which stage puts a request on its critical path, and
 // what exactly happened to the slowest calls — and joins client and

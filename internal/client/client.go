@@ -115,7 +115,8 @@ type Config struct {
 	// 20ms; negative disables latency-based sampling.
 	TraceThreshold time.Duration
 
-	// TraceRing bounds the ring of retained call records; 0 → 1024.
+	// TraceRing bounds the ring of retained call records; 0 →
+	// obs.DefaultCapacity (4096).
 	TraceRing int
 
 	// TraceSink, when set, receives every retained call record. It must

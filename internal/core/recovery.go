@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/varint"
 )
 
 // This file implements the cluster-level crash-recovery orchestration:
@@ -274,18 +276,8 @@ func (c *Cluster) crashLoop() {
 // payload. Caller holds n.mu (or has exclusive access during startup).
 func (n *Node) snapshotLocked() []byte {
 	dst := protocol.ExportState(n.drv.Replica())
-	pending := n.drv.Pending() // deterministic: origin, then key order
-	dst = binary.AppendUvarint(dst, uint64(len(pending)))
-	for _, u := range pending {
-		dst = u.AppendBinary(dst)
-	}
-	for _, arc := range n.archive {
-		dst = binary.AppendUvarint(dst, uint64(len(arc)))
-		for _, u := range arc {
-			dst = u.AppendBinary(dst)
-		}
-	}
-	return dst
+	// Pending is deterministic: origin, then key order.
+	return appendSnapshotTail(dst, n.drv.Pending(), n.archive)
 }
 
 // restoreSnapshotLocked decodes a snapshotLocked payload into the
@@ -296,38 +288,47 @@ func (n *Node) restoreSnapshotLocked(data []byte) error {
 	if err != nil {
 		return err
 	}
-	rest := data[off:]
-	readUpdates := func() ([]protocol.Update, error) {
-		cnt, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return nil, fmt.Errorf("%w: truncated snapshot count", protocol.ErrStateCorrupt)
-		}
-		rest = rest[k:]
-		var us []protocol.Update
-		for i := uint64(0); i < cnt; i++ {
-			u, un, err := protocol.DecodeUpdate(rest)
-			if err != nil {
-				return nil, err
-			}
-			us = append(us, u)
-			rest = rest[un:]
-		}
-		return us, nil
+	r := varint.NewReader(data[off:], protocol.ErrStateCorrupt, protocol.ErrStateCorrupt)
+	pending, archive := readSnapshotTail(&r, len(n.archive))
+	if r.Err() == nil && r.Off() != len(data)-off {
+		r.Fail(fmt.Errorf("%d trailing snapshot bytes", len(data)-off-r.Off()))
 	}
-	pending, err := readUpdates()
-	if err != nil {
+	if err := r.Err(); err != nil {
 		return err
 	}
 	for _, u := range pending {
 		n.drv.Restore(u)
 	}
-	for p := range n.archive {
-		if n.archive[p], err = readUpdates(); err != nil {
-			return err
+	n.archive = archive
+	return nil
+}
+
+// appendSnapshotTail appends what a snapshot holds past the replica
+// state: the pending updates, then each origin's archive, every list
+// length-prefixed and every update in the plain encoding.
+func appendSnapshotTail(dst []byte, pending []protocol.Update, archive [][]protocol.Update) []byte {
+	for _, us := range append([][]protocol.Update{pending}, archive...) {
+		dst = binary.AppendUvarint(dst, uint64(len(us)))
+		for _, u := range us {
+			dst = u.AppendBinary(dst)
 		}
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing snapshot bytes", protocol.ErrStateCorrupt, len(rest))
+	return dst
+}
+
+// readSnapshotTail reads an appendSnapshotTail encoding with procs
+// archives from r.
+func readSnapshotTail(r *varint.Reader, procs int) (pending []protocol.Update, archive [][]protocol.Update) {
+	read := func() (us []protocol.Update) {
+		for n := r.Count(math.MaxInt); n > 0 && r.Err() == nil; n-- {
+			us = append(us, protocol.ReadUpdate(r))
+		}
+		return us
 	}
-	return nil
+	pending = read()
+	archive = make([][]protocol.Update, procs)
+	for p := range archive {
+		archive[p] = read()
+	}
+	return pending, archive
 }

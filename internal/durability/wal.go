@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/varint"
 )
 
 const (
@@ -113,52 +114,27 @@ func appendEntry(dst []byte, e Entry) []byte {
 	return dst
 }
 
-// decodeEntry decodes one entry payload.
+// decodeEntry decodes one entry payload. Every failure wraps
+// ErrCorrupt.
 func decodeEntry(buf []byte) (Entry, error) {
 	var e Entry
-	if len(buf) == 0 {
-		return e, fmt.Errorf("%w: empty entry", ErrCorrupt)
-	}
-	e.Kind = EntryKind(buf[0])
-	rest := buf[1:]
-	readV := func() (int64, error) {
-		v, k := binary.Varint(rest)
-		if k <= 0 {
-			return 0, fmt.Errorf("%w: truncated %v entry", ErrCorrupt, e.Kind)
-		}
-		rest = rest[k:]
-		return v, nil
-	}
+	r := varint.NewReader(buf, ErrCorrupt, ErrCorrupt)
+	e.Kind = EntryKind(r.Byte())
 	switch e.Kind {
 	case EntryLocalWrite:
-		x, err := readV()
-		if err != nil {
-			return e, err
-		}
-		v, err := readV()
-		if err != nil {
-			return e, err
-		}
-		e.Var, e.Val = int(x), v
+		e.Var = int(r.Varint())
+		e.Val = r.Varint()
 	case EntryRead:
-		x, err := readV()
-		if err != nil {
-			return e, err
-		}
-		e.Var = int(x)
+		e.Var = int(r.Varint())
 	case EntryApply:
-		u, n, err := protocol.DecodeUpdate(rest)
-		if err != nil {
-			return e, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		e.Update, rest = u, rest[n:]
+		e.Update = protocol.ReadUpdate(&r)
 	default:
-		return e, fmt.Errorf("%w: unknown entry kind %d", ErrCorrupt, buf[0])
+		r.Fail(fmt.Errorf("unknown entry kind %d", e.Kind))
 	}
-	if len(rest) != 0 {
-		return e, fmt.Errorf("%w: %d trailing bytes in %v entry", ErrCorrupt, len(rest), e.Kind)
+	if r.Err() == nil && r.Off() != len(buf) {
+		r.Fail(fmt.Errorf("%d trailing bytes in %v entry", len(buf)-r.Off(), e.Kind))
 	}
-	return e, nil
+	return e, r.Err()
 }
 
 // WAL is an open, appendable journal for one replica. It is not safe

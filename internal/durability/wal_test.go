@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/protocol"
+	"repro/internal/varint/varinttest"
 	"repro/internal/vclock"
 )
 
@@ -659,10 +661,16 @@ func TestFlushErrorSurfaces(t *testing.T) {
 	})
 }
 
+// segment is what parseSegment recovers from a segment's bytes.
+type segment struct {
+	snap    []byte
+	entries []Entry
+}
+
 // FuzzRecoverSegment feeds arbitrary bytes to the segment parser, the
-// code that reads what a crash left on disk. It must never panic, and
-// whatever it accepts must be stable: re-encoded and parsed again, the
-// snapshot and entries come back the same. The seed corpus is under
+// code that reads what a crash left on disk, under varinttest.Check's
+// contract: it fails with ErrCorrupt or recovers a snapshot and entries
+// that re-encode canonically. The seed corpus is under
 // testdata/fuzz/FuzzRecoverSegment.
 func FuzzRecoverSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -671,25 +679,15 @@ func FuzzRecoverSegment(f *testing.F) {
 		if _, _, err := parseSegment(appendRecord(appendRecord([]byte(magic), nil), data)); err != nil {
 			t.Fatalf("well-framed segment rejected: %v", err)
 		}
-		snap, entries, err := parseSegment(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error %v does not wrap ErrCorrupt", err)
-			}
-			return
+		parse := func(b []byte) (segment, int, error) {
+			snap, entries, err := parseSegment(b)
+			return segment{snap, entries}, len(b), err
 		}
-		snap2, entries2, err := parseSegment(segmentImage(snap, entries))
-		if err != nil {
-			t.Fatalf("re-encoded segment rejected: %v", err)
+		image := func(s segment) []byte { return segmentImage(s.snap, s.entries) }
+		same := func(a, b segment) bool {
+			return bytes.Equal(a.snap, b.snap) && slices.EqualFunc(a.entries, b.entries, sameEntry)
 		}
-		if !bytes.Equal(snap, snap2) || len(entries) != len(entries2) {
-			t.Fatalf("re-encoded segment holds %d entries after %q, want %d after %q", len(entries2), snap2, len(entries), snap)
-		}
-		for i := range entries {
-			if !sameEntry(entries[i], entries2[i]) {
-				t.Fatalf("entry %d = %+v, want %+v", i, entries2[i], entries[i])
-			}
-		}
+		varinttest.Check(t, data, parse, image, same, ErrCorrupt)
 	})
 }
 

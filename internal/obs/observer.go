@@ -113,13 +113,8 @@ type Observer struct {
 	issued   []issueSlot
 	inflight []receiptSlot
 
-	mu       sync.Mutex
-	spans    []Span // ring buffer of completed spans
-	spanCap  int
-	spanNext int  // next write position once the ring is full
-	wrapped  bool // ring has overwritten at least one span
-	total    uint64
-	spanSink func(Span)
+	mu    sync.Mutex
+	spans Ring[Span] // completed spans
 }
 
 // Options parameterizes an Observer.
@@ -131,12 +126,9 @@ type Options struct {
 	// Registry receives the metric families; nil builds a fresh one.
 	Registry *Registry
 	// SpanCapacity bounds the completed-span ring buffer; 0 defaults
-	// to 4096. Older spans are overwritten, never blocking the run.
+	// to DefaultCapacity. Older spans are overwritten, never blocking
+	// the run.
 	SpanCapacity int
-	// SpanSink, when set, is invoked with every completed span (under
-	// the observer lock — keep it non-blocking; the JSONL streamer in
-	// this package qualifies).
-	SpanSink func(Span)
 }
 
 // NewObserver wires an observer for a cluster of procs processes.
@@ -148,10 +140,6 @@ func NewObserver(opts Options) *Observer {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	cap := opts.SpanCapacity
-	if cap == 0 {
-		cap = 4096
-	}
 	o := &Observer{
 		reg:      reg,
 		protocol: opts.Protocol,
@@ -162,8 +150,7 @@ func NewObserver(opts Options) *Observer {
 		walFsync: make([]*Histogram, opts.Procs),
 		issued:   make([]issueSlot, opts.Procs*issueWindow),
 		inflight: make([]receiptSlot, opts.Procs*opts.Procs*issueWindow),
-		spanCap:  cap,
-		spanSink: opts.SpanSink,
+		spans:    NewRing[Span](opts.SpanCapacity),
 	}
 	for i := range o.issued {
 		o.issued[i].seq = -1
@@ -303,17 +290,7 @@ func (o *Observer) resolve(e trace.Event, discarded bool) {
 		sp.BufferedWaitNs = e.Time - rec.at
 	}
 	o.mu.Lock()
-	if len(o.spans) < o.spanCap {
-		o.spans = append(o.spans, sp)
-	} else {
-		o.spans[o.spanNext] = sp
-		o.spanNext = (o.spanNext + 1) % o.spanCap
-		o.wrapped = true
-	}
-	o.total++
-	if o.spanSink != nil {
-		o.spanSink(sp)
-	}
+	o.spans.Push(sp)
 	o.mu.Unlock()
 }
 
@@ -337,13 +314,7 @@ func (o *Observer) DelayWait() *Histogram { return o.delayWait }
 func (o *Observer) Spans() []Span {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !o.wrapped {
-		return append([]Span(nil), o.spans...)
-	}
-	out := make([]Span, 0, o.spanCap)
-	out = append(out, o.spans[o.spanNext:]...)
-	out = append(out, o.spans[:o.spanNext]...)
-	return out
+	return o.spans.Values()
 }
 
 // SpanTotal returns the number of spans completed over the run
@@ -351,7 +322,7 @@ func (o *Observer) Spans() []Span {
 func (o *Observer) SpanTotal() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.total
+	return o.spans.Total()
 }
 
 // Snapshot is a one-line-report summary of the run so far.

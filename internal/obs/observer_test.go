@@ -164,18 +164,6 @@ func TestObserverSpanRingWrap(t *testing.T) {
 	}
 }
 
-func TestObserverSpanSink(t *testing.T) {
-	var got []Span
-	o := NewObserver(Options{Procs: 2, Protocol: "optp", SpanSink: func(sp Span) { got = append(got, sp) }})
-	w := history.WriteID{Proc: 1, Seq: 0}
-	o.Observe(trace.Event{Kind: trace.Issue, Proc: 1, Time: 0, Write: w})
-	o.Observe(trace.Event{Kind: trace.Receipt, Proc: 0, Time: 1, Write: w})
-	o.Observe(trace.Event{Kind: trace.Apply, Proc: 0, Time: 2, Write: w})
-	if len(got) != 1 || got[0].Proc != 0 || got[0].PropagationNs() != 2 {
-		t.Errorf("sink saw %+v, want one span with propagation 2", got)
-	}
-}
-
 func TestObserverWALSync(t *testing.T) {
 	o := newTestObserver(t, 2)
 	o.ObserveWALSync(0, 1500)

@@ -1,7 +1,6 @@
 package reqtrace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -41,10 +40,11 @@ type Config struct {
 	// to 20ms; Threshold <= -1ns disables latency-based sampling
 	// (non-OK statuses and force-sampled requests still retain).
 	Threshold time.Duration
-	// Capacity bounds the retained-record ring; 0 defaults to 1024.
+	// Capacity bounds the retained-record ring; 0 defaults to
+	// obs.DefaultCapacity.
 	Capacity int
 	// Sink, when set, receives every retained Record (under the
-	// recorder lock — keep it non-blocking; SinkWriter qualifies).
+	// recorder lock — keep it non-blocking; an obs.Stream qualifies).
 	Sink func(Record)
 }
 
@@ -61,13 +61,9 @@ type Recorder struct {
 
 	pool sync.Pool
 
-	mu      sync.Mutex
-	ring    []Record
-	ringCap int
-	next    int
-	wrapped bool
-	sampled uint64
-	sink    func(Record)
+	mu   sync.Mutex
+	ring obs.Ring[Record]
+	sink func(Record)
 }
 
 // NewRecorder builds a recorder; see Config.
@@ -80,14 +76,10 @@ func NewRecorder(cfg Config) *Recorder {
 	if thr == 0 {
 		thr = 20 * time.Millisecond
 	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1024
-	}
 	r := &Recorder{
 		origin:    origin,
 		threshold: thr.Nanoseconds(),
-		ringCap:   capacity,
+		ring:      obs.NewRing[Record](cfg.Capacity),
 		sink:      cfg.Sink,
 	}
 	if thr < 0 {
@@ -203,14 +195,7 @@ func (r *Recorder) Retain(rec Record) {
 
 func (r *Recorder) retain(rec Record) {
 	r.mu.Lock()
-	if len(r.ring) < r.ringCap {
-		r.ring = append(r.ring, rec)
-	} else {
-		r.ring[r.next] = rec
-		r.next = (r.next + 1) % r.ringCap
-		r.wrapped = true
-	}
-	r.sampled++
+	r.ring.Push(rec)
 	if r.sink != nil {
 		r.sink(rec)
 	}
@@ -223,20 +208,14 @@ func (r *Recorder) retain(rec Record) {
 func (r *Recorder) Records() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]Record(nil), r.ring...)
-	}
-	out := make([]Record, 0, r.ringCap)
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.ring.Values()
 }
 
 // Sampled returns how many requests ever qualified for tail sampling.
 func (r *Recorder) Sampled() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.sampled
+	return r.ring.Total()
 }
 
 // StageHistogram returns the live histogram of one stage.
@@ -249,103 +228,6 @@ func (r *Recorder) TotalHistogram() *obs.Histogram { return r.total }
 // that landed in the tail buckets (>= 5ms), 0 when none did — the
 // pointer from a histogram spike to a retained trace.
 func (r *Recorder) Exemplar(s Stage) uint64 { return r.exemplars[s].id.Load() }
-
-// SinkWriter streams retained records as JSONL with the obs layer's
-// never-block contract: records queue in a bounded ring drained by a
-// background goroutine, and overflow is dropped and counted. Its
-// Record method is what Config.Sink expects.
-type SinkWriter struct {
-	ch      chan Record
-	dropped atomicCounter
-
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	werr error
-
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-// atomicCounter is a tiny local alias to keep the import set honest.
-type atomicCounter = obs.Counter
-
-// NewSinkWriter starts a sink writing to w. capacity bounds the ring
-// (0 defaults to 4096). The sink does not close w.
-func NewSinkWriter(w io.Writer, capacity int) *SinkWriter {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	s := &SinkWriter{
-		ch:   make(chan Record, capacity),
-		bw:   bufio.NewWriter(w),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.enc = json.NewEncoder(s.bw)
-	go s.drain()
-	return s
-}
-
-// Record enqueues without blocking; overflow is dropped and counted.
-func (s *SinkWriter) Record(rec Record) {
-	select {
-	case s.ch <- rec:
-	default:
-		s.dropped.Inc()
-	}
-}
-
-// Dropped returns the number of records lost to ring overflow.
-func (s *SinkWriter) Dropped() uint64 { return s.dropped.Value() }
-
-// Err returns the first write error, if any.
-func (s *SinkWriter) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.werr
-}
-
-func (s *SinkWriter) encode(rec Record) {
-	s.mu.Lock()
-	if s.werr == nil {
-		s.werr = s.enc.Encode(rec)
-	}
-	s.mu.Unlock()
-}
-
-func (s *SinkWriter) drain() {
-	defer close(s.done)
-	for {
-		select {
-		case rec := <-s.ch:
-			s.encode(rec)
-		case <-s.stop:
-			for {
-				select {
-				case rec := <-s.ch:
-					s.encode(rec)
-				default:
-					s.mu.Lock()
-					if err := s.bw.Flush(); s.werr == nil {
-						s.werr = err
-					}
-					s.mu.Unlock()
-					return
-				}
-			}
-		}
-	}
-}
-
-// Close drains, flushes and stops. Idempotent; Record stays safe after
-// Close.
-func (s *SinkWriter) Close() error {
-	s.closeOnce.Do(func() { close(s.stop) })
-	<-s.done
-	return s.Err()
-}
 
 // ReadRecords decodes a JSONL record stream (the analyzer's input).
 // Unknown fields are ignored; a malformed line aborts with its index.

@@ -294,12 +294,12 @@ func TestRecordJSONLRoundTrip(t *testing.T) {
 	q.Add(StageApply, time.Millisecond)
 	r.End(q, Meta{Kind: "write", Status: "ok", OK: true, Proc: 1, Var: 0})
 	var buf bytes.Buffer
-	s := NewSinkWriter(&buf, 0)
+	s := obs.NewStream[Record](&buf, 0, nil)
 	for _, rec := range r.Records() {
 		s.Record(rec)
 	}
 	if err := s.Close(); err != nil {
-		t.Fatalf("SinkWriter: %v", err)
+		t.Fatalf("record stream: %v", err)
 	}
 	got, err := ReadRecords(&buf)
 	if err != nil {
@@ -324,9 +324,9 @@ func TestReadRecordsMalformed(t *testing.T) {
 	}
 }
 
-func TestSinkWriterDrainsAndCounts(t *testing.T) {
+func TestRecordStreamDrainsAndCounts(t *testing.T) {
 	var buf syncBuffer
-	s := NewSinkWriter(&buf, 8)
+	s := obs.NewStream[Record](&buf, 8, nil)
 	for i := 0; i < 5; i++ {
 		s.Record(Record{TraceID: uint64(i + 1), Origin: "server", Kind: "read", Status: "ok"})
 	}

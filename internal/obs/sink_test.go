@@ -114,9 +114,9 @@ func TestJSONLSinkRegisterMetrics(t *testing.T) {
 	}
 }
 
-func TestSpanStreamer(t *testing.T) {
+func TestStreamSpans(t *testing.T) {
 	var buf bytes.Buffer
-	st := NewSpanStreamer(&buf, 16)
+	st := NewStream[Span](&buf, 16, nil)
 	spans := []Span{
 		{WriteProc: 0, WriteSeq: 0, Proc: 1, IssueNs: 10, ReceiptNs: 20, ApplyNs: 30},
 		{WriteProc: 0, WriteSeq: 1, Proc: 1, IssueNs: 40, ReceiptNs: 50, ApplyNs: 90, BufferedWaitNs: 40, Discarded: true},

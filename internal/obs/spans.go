@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 )
 
 // WriteSpans dumps the retained completed spans as JSON Lines, oldest
-// first — the post-hoc counterpart of a live SpanStreamer.
+// first.
 func (o *Observer) WriteSpans(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -23,101 +21,4 @@ func (o *Observer) WriteSpans(w io.Writer) error {
 		return fmt.Errorf("obs: span flush: %w", err)
 	}
 	return nil
-}
-
-// SpanStreamer writes completed spans as JSONL while the run executes,
-// with the same never-block contract as JSONLSink: spans queue in a
-// bounded ring and overflow is dropped and counted. Its Record method
-// is what Options.SpanSink expects.
-type SpanStreamer struct {
-	ch      chan Span
-	dropped atomic.Uint64
-
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	werr error
-
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-// NewSpanStreamer starts a streamer writing to w. capacity bounds the
-// ring (0 defaults to 8192). The streamer does not close w.
-func NewSpanStreamer(w io.Writer, capacity int) *SpanStreamer {
-	if capacity <= 0 {
-		capacity = 8192
-	}
-	s := &SpanStreamer{
-		ch:   make(chan Span, capacity),
-		bw:   bufio.NewWriter(w),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.enc = json.NewEncoder(s.bw)
-	go s.drain()
-	return s
-}
-
-// Record enqueues a span without blocking; overflow is dropped and
-// counted.
-func (s *SpanStreamer) Record(sp Span) {
-	select {
-	case s.ch <- sp:
-	default:
-		s.dropped.Add(1)
-	}
-}
-
-// Dropped returns the number of spans lost to ring overflow.
-func (s *SpanStreamer) Dropped() uint64 { return s.dropped.Load() }
-
-// Err returns the first write error, if any.
-func (s *SpanStreamer) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.werr
-}
-
-func (s *SpanStreamer) encode(sp Span) {
-	s.mu.Lock()
-	if s.werr == nil {
-		s.werr = s.enc.Encode(sp)
-	}
-	s.mu.Unlock()
-}
-
-func (s *SpanStreamer) drain() {
-	defer close(s.done)
-	for {
-		select {
-		case sp := <-s.ch:
-			s.encode(sp)
-		case <-s.stop:
-			for {
-				select {
-				case sp := <-s.ch:
-					s.encode(sp)
-				default:
-					s.mu.Lock()
-					if err := s.bw.Flush(); s.werr == nil {
-						s.werr = err
-					}
-					s.mu.Unlock()
-					return
-				}
-			}
-		}
-	}
-}
-
-// Close drains, flushes and stops. Idempotent; Record stays safe after
-// Close.
-func (s *SpanStreamer) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.stop)
-	})
-	<-s.done
-	return s.Err()
 }

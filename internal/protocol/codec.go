@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/history"
+	"repro/internal/varint"
 	"repro/internal/vclock"
 )
 
@@ -41,13 +42,11 @@ func (u Update) AppendBinary(dst []byte) []byte {
 // layout above, so the plain path (WAL, snapshots, codec-off wire)
 // stays byte-identical.
 func (u Update) appendWith(dst []byte, encClock func(vclock.VC, []byte) []byte) []byte {
-	dst = binary.AppendVarint(dst, int64(u.ID.Proc))
-	dst = binary.AppendVarint(dst, int64(u.ID.Seq))
+	dst = appendWriteID(dst, u.ID)
 	dst = binary.AppendVarint(dst, int64(u.Var))
 	dst = binary.AppendVarint(dst, u.Val)
 	dst = encClock(u.Clock, dst)
-	dst = binary.AppendVarint(dst, int64(u.Prev.Proc))
-	dst = binary.AppendVarint(dst, int64(u.Prev.Seq))
+	dst = appendWriteID(dst, u.Prev)
 	dst = binary.AppendVarint(dst, int64(u.Round))
 	dst = binary.AppendVarint(dst, int64(u.Slot))
 	dst = binary.AppendVarint(dst, int64(u.BatchSize))
@@ -67,66 +66,59 @@ func (u Update) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeUpdate decodes one update from the front of buf, returning it
-// and the number of bytes consumed.
+// and the number of bytes consumed. Every failure wraps
+// ErrUpdateTruncated.
 func DecodeUpdate(buf []byte) (Update, int, error) {
-	return decodeUpdateWith(buf, vclock.DecodeVC)
+	r := varint.NewReader(buf, ErrUpdateTruncated, ErrUpdateTruncated)
+	u := ReadUpdate(&r)
+	if err := r.Err(); err != nil {
+		return Update{}, 0, err
+	}
+	return u, r.Off(), nil
 }
 
-// decodeUpdateWith decodes one update with the clock field read by
-// decClock, the decoding seam matching appendWith.
-func decodeUpdateWith(buf []byte, decClock func([]byte) (vclock.VC, int, error)) (Update, int, error) {
-	var u Update
-	off := 0
-	readV := func() (int64, error) {
-		v, k := binary.Varint(buf[off:])
-		if k <= 0 {
-			return 0, ErrUpdateTruncated
-		}
-		off += k
-		return v, nil
-	}
-	var proc, seq, vr, val int64
-	for _, dst := range []*int64{&proc, &seq, &vr, &val} {
-		v, err := readV()
-		if err != nil {
-			return u, 0, err
-		}
-		*dst = v
-	}
-	u.ID = history.WriteID{Proc: int(proc), Seq: int(seq)}
-	u.Var = int(vr)
-	u.Val = val
+// ReadUpdate reads one update in the plain encoding from r — the form
+// journal entries and snapshots hold.
+func ReadUpdate(r *varint.Reader) Update { return readUpdate(r, nil) }
 
-	clock, k, err := decClock(buf[off:])
-	if err != nil {
-		return u, 0, fmt.Errorf("protocol: update clock: %w", err)
+// readUpdate reads one update whose clock field is read by the link
+// decoder d, or in the plain encoding when d is nil — the decoding seam
+// matching appendWith.
+func readUpdate(r *varint.Reader, d *UpdateDecoder) Update {
+	var u Update
+	u.ID = readWriteID(r)
+	u.Var = int(r.Varint())
+	u.Val = r.Varint()
+	var clock vclock.VC
+	if d == nil {
+		clock = vclock.ReadVC(r)
+	} else {
+		clock = d.readClock(r)
 	}
 	if clock.Len() > 0 {
 		u.Clock = clock
 	}
-	off += k
-
-	var pp, ps, round, slot, size int64
-	for _, dst := range []*int64{&pp, &ps, &round, &slot, &size} {
-		v, err := readV()
-		if err != nil {
-			return u, 0, err
-		}
-		*dst = v
-	}
-	u.Prev = history.WriteID{Proc: int(pp), Seq: int(ps)}
-	u.Round, u.Slot, u.BatchSize = int(round), int(slot), int(size)
-
-	flags, k2 := binary.Uvarint(buf[off:])
-	if k2 <= 0 {
-		return u, 0, ErrUpdateTruncated
-	}
-	off += k2
+	u.Prev = readWriteID(r)
+	u.Round, u.Slot, u.BatchSize = int(r.Varint()), int(r.Varint()), int(r.Varint())
+	flags := r.Uvarint()
 	u.Marker = flags&1 != 0
 	u.ReadReq = flags&2 != 0
 	u.ReadReply = flags&4 != 0
 	u.Summary = flags&8 != 0
-	return u, off, nil
+	return u
+}
+
+// appendWriteID appends id as its (proc, seq) varint pair — the one
+// WriteID encoding of updates, responses and replica state.
+func appendWriteID(dst []byte, id history.WriteID) []byte {
+	dst = binary.AppendVarint(dst, int64(id.Proc))
+	return binary.AppendVarint(dst, int64(id.Seq))
+}
+
+// readWriteID reads an appendWriteID pair from r.
+func readWriteID(r *varint.Reader) history.WriteID {
+	proc := r.Varint()
+	return history.WriteID{Proc: int(proc), Seq: int(r.Varint())}
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.

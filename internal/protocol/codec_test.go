@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -104,5 +106,63 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCutPointsTyped cuts tokened requests and responses, and updates
+// under every metadata codec mode, at every byte: each cut must fail
+// with its decoder's sentinels, however deep in a token or clock it
+// lands. (A request or response cut just before its optional trace
+// trailer decodes; the truncation tests cover that.)
+func TestCutPointsTyped(t *testing.T) {
+	typed := func(what string, cut int, err error, sentinels ...error) {
+		t.Helper()
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				return
+			}
+		}
+		t.Fatalf("%s cut at %d: %v wraps none of %v", what, cut, err, sentinels)
+	}
+	for _, r := range wireRequests() {
+		buf := r.AppendBinary(nil)
+		for cut := 0; cut < len(buf) && r.Token != nil; cut++ {
+			if _, _, err := DecodeRequest(buf[:cut]); err != nil {
+				typed(fmt.Sprintf("request %+v", r), cut, err, ErrWireTruncated, ErrWireCorrupt)
+			}
+		}
+	}
+	for _, tc := range wireResponses() {
+		buf := tc.r.AppendBinary(nil, tc.base)
+		for cut := 0; cut < len(buf) && tc.r.Token != nil; cut++ {
+			if _, _, err := DecodeResponse(buf[:cut], tc.base); err != nil {
+				typed(fmt.Sprintf("response %+v", tc.r), cut, err, ErrWireTruncated, ErrWireCorrupt)
+			}
+		}
+	}
+	for _, mode := range []MetaMode{MetaOff, MetaDelta, MetaStab, MetaAuto} {
+		enc := NewUpdateEncoder(mode)
+		var stream []byte
+		start := 0
+		for i, u := range fuzzUpdates() {
+			stream, _ = enc.Append(stream, u)
+			for cut := start; cut < len(stream); cut++ {
+				// A decoder that took the frames before this one whole.
+				dec := NewUpdateDecoder(mode)
+				for rest := stream[:start]; len(rest) > 0; {
+					_, n, _, err := dec.Decode(rest)
+					if err != nil {
+						t.Fatalf("%v: frame before %d: %v", mode, i, err)
+					}
+					rest = rest[n:]
+				}
+				_, _, _, err := dec.Decode(stream[start:cut])
+				if err == nil {
+					t.Fatalf("%v: frame %d cut at %d of %d decoded", mode, i, cut-start, len(stream)-start)
+				}
+				typed(fmt.Sprintf("%v frame %d", mode, i), cut-start, err, ErrUpdateTruncated, ErrClockResync)
+			}
+			start = len(stream)
+		}
 	}
 }

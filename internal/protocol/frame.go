@@ -32,15 +32,19 @@ type FrameReader struct {
 }
 
 // prefixReader is the stream's buffer, counting the bytes
-// binary.ReadUvarint takes from it for a length prefix.
+// binary.ReadUvarint takes from it for a length prefix and keeping the
+// stream's error on the last of them.
 type prefixReader struct {
 	*bufio.Reader
-	n int
+	n   int
+	err error
 }
 
 func (p *prefixReader) ReadByte() (byte, error) {
 	p.n++
-	return p.Reader.ReadByte()
+	b, err := p.Reader.ReadByte()
+	p.err = err
+	return b, err
 }
 
 // NewFrameReader buffers r and reads frames of at most maxFrame bytes
@@ -53,12 +57,16 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 // Next returns the next frame's payload, in place when it fits the
 // buffer: valid only until the next call (the wire and update decoders
 // copy what they return). The stream's end is io.EOF at a frame
-// boundary, io.ErrUnexpectedEOF inside one. A prefix above the bound or
-// not minimal — AppendFrame's is — is ErrWireCorrupt, so a stream reads
-// as exactly one frame sequence.
+// boundary, io.ErrUnexpectedEOF inside one. A prefix above the bound,
+// overflowing, or not minimal — AppendFrame's is — is ErrWireCorrupt, so
+// a stream reads as exactly one frame sequence.
 func (f *FrameReader) Next() ([]byte, error) {
-	f.br.n = 0
+	f.br.n, f.br.err = 0, nil
 	n, err := binary.ReadUvarint(&f.br)
+	if err != nil && f.br.err == nil {
+		// The stream delivered every byte: the prefix overflows 64 bits.
+		err = fmt.Errorf("%w: frame length prefix overflows", ErrWireCorrupt)
+	}
 	if err != nil {
 		return nil, err
 	}

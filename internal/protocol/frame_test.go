@@ -6,8 +6,11 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/varint/varinttest"
 )
 
 // frameStream frames every request and response of the wire tests,
@@ -89,43 +92,58 @@ func TestFrameReaderRejects(t *testing.T) {
 }
 
 // FuzzReadFrame feeds an arbitrary stream, whole and byte by byte, to a
-// reader with an arbitrary bound. It must never panic, never return a
-// frame above the bound, and never skip or invent a byte: re-framing
-// each frame it returned reproduces the next bytes of the stream, and
-// the frames cover the whole stream when it ended cleanly at a frame
-// boundary.
+// reader with an arbitrary bound, under varinttest.Check's contract: the
+// stream fails with ErrWireCorrupt or io.ErrUnexpectedEOF, or its frames
+// re-frame canonically. Beyond that the reader never returns a frame
+// above the bound, and never skips or invents a byte: the frames it
+// returns re-frame to the stream's next bytes, and a stream that ends
+// cleanly is exactly its frames.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range readFrameSeeds() {
 		f.Add(s.stream, s.max)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, maxFrame uint16) {
-		for _, src := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
-			r := NewFrameReader(src, int(maxFrame))
-			var reframed []byte
-			off := 0 // stream bytes re-framed so far
-			for {
-				frame, err := r.Next()
-				if err == io.EOF {
-					if off != len(data) {
-						t.Fatalf("clean EOF after re-framing %d of %d bytes", off, len(data))
+		reframe := func(frames [][]byte) (out []byte) {
+			for _, fr := range frames {
+				out = AppendFrame(out, fr)
+			}
+			return out
+		}
+		for _, wrap := range []func(io.Reader) io.Reader{nil, iotest.OneByteReader} {
+			read := func(b []byte) ([][]byte, int, error) {
+				var src io.Reader = bytes.NewReader(b)
+				if wrap != nil {
+					src = wrap(src)
+				}
+				r := NewFrameReader(src, int(maxFrame))
+				var frames [][]byte
+				for {
+					frame, err := r.Next()
+					if err == io.EOF {
+						return frames, len(b), nil
 					}
-					break
+					if err != nil {
+						return frames, 0, err
+					}
+					if len(frame) > int(maxFrame) {
+						t.Fatalf("frame of %d bytes above the bound %d", len(frame), maxFrame)
+					}
+					frames = append(frames, bytes.Clone(frame))
+					if got := reframe(frames); !bytes.HasPrefix(b, got) {
+						t.Fatalf("frames re-frame as %x, stream reads %x", got, b)
+					}
 				}
-				if err != nil {
-					break
-				}
-				if len(frame) > int(maxFrame) {
-					t.Fatalf("frame of %d bytes above the bound %d", len(frame), maxFrame)
-				}
-				reframed = AppendFrame(reframed[:0], frame)
-				if !bytes.HasPrefix(data[off:], reframed) {
-					t.Fatalf("frame re-framed as %x, stream at offset %d reads %x", reframed, off, data[off:])
-				}
-				off += len(reframed)
+			}
+			frames, ok := varinttest.Check(t, data, read, reframe, framesEqual, ErrWireCorrupt, io.ErrUnexpectedEOF)
+			if ok && !bytes.Equal(reframe(frames), data) {
+				t.Fatalf("stream %x ended cleanly after frames %x", data, reframe(frames))
 			}
 		}
 	})
 }
+
+// framesEqual compares two frame sequences.
+func framesEqual(a, b [][]byte) bool { return slices.EqualFunc(a, b, bytes.Equal) }
 
 // readFrameSeeds is FuzzReadFrame's committed seed corpus.
 func readFrameSeeds() []struct {

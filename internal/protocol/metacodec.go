@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/varint"
 	"repro/internal/vclock"
 )
 
@@ -200,6 +201,7 @@ func (d *UpdateDecoder) Reset() { d.base.Reset() }
 
 // Decode decodes one update from the front of buf, returning it, the
 // bytes consumed, and the byte size of the clock field (tag included).
+// Every failure wraps ErrUpdateTruncated or ErrClockResync.
 func (d *UpdateDecoder) Decode(buf []byte) (Update, int, int, error) {
 	if d.mode == MetaOff {
 		u, n, err := DecodeUpdate(buf)
@@ -208,55 +210,45 @@ func (d *UpdateDecoder) Decode(buf []byte) (Update, int, int, error) {
 		}
 		return u, n, u.Clock.EncodedSize(), nil
 	}
-	d.clockLen = 0
-	u, n, err := decodeUpdateWith(buf, func(b []byte) (vclock.VC, int, error) {
-		c, k, err := d.decodeClock(b)
-		d.clockLen = k
-		return c, k, err
-	})
-	if err != nil {
-		return u, 0, 0, err
+	r := varint.NewReader(buf, ErrUpdateTruncated, ErrUpdateTruncated)
+	u := readUpdate(&r, d)
+	if err := r.Err(); err != nil {
+		return Update{}, 0, 0, err
 	}
-	return u, n, d.clockLen, nil
+	return u, r.Off(), d.clockLen, nil
 }
 
-// decodeClock reads one tagged clock and advances the link base.
-func (d *UpdateDecoder) decodeClock(buf []byte) (vclock.VC, int, error) {
-	tag, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, 0, vclock.ErrTruncated
-	}
-	off := k
+// readClock reads one tagged clock from r and advances the link base.
+func (d *UpdateDecoder) readClock(r *varint.Reader) vclock.VC {
+	start := r.Off()
 	var c vclock.VC
-	var n int
-	var err error
-	switch tag {
-	case clockTagDense:
-		c, n, err = vclock.DecodeVC(buf[off:])
-	case clockTagDelta:
-		if off >= len(buf) {
-			return nil, 0, vclock.ErrTruncated
+	switch tag := r.Uvarint(); {
+	case r.Err() != nil:
+		return nil
+	case tag == clockTagDense:
+		c = vclock.ReadVC(r)
+	case tag == clockTagDelta:
+		sum := r.Byte()
+		switch {
+		case r.Err() != nil:
+		case d.base.Dim() == 0:
+			r.Fail(fmt.Errorf("%w: no base on this link", ErrClockResync))
+		case d.base.Checksum() != sum:
+			r.Fail(fmt.Errorf("%w: base checksum %#x, frame expects %#x",
+				ErrClockResync, d.base.Checksum(), sum))
 		}
-		sum := buf[off]
-		off++
-		if d.base.Dim() == 0 {
-			return nil, 0, fmt.Errorf("%w: no base on this link", ErrClockResync)
-		}
-		if d.base.Checksum() != sum {
-			return nil, 0, fmt.Errorf("%w: base checksum %#x, frame expects %#x",
-				ErrClockResync, d.base.Checksum(), sum)
-		}
-		c, n, err = d.base.DecodeDeltaSigned(buf[off:])
-	case clockTagStab:
-		c, n, err = vclock.DecodeStab(buf[off:])
+		c = d.base.ReadDeltaSigned(r)
+	case tag == clockTagStab:
+		c = vclock.ReadStab(r)
 	default:
-		return nil, 0, fmt.Errorf("vclock: unknown clock tag %d", tag)
+		r.Fail(fmt.Errorf("unknown clock tag %d", tag))
 	}
-	if err != nil {
-		return nil, 0, err
+	if r.Err() != nil {
+		return nil
 	}
 	if len(c) > 0 {
 		d.base.CopyFrom(c)
 	}
-	return c, off + n, nil
+	d.clockLen = r.Off() - start
+	return c
 }

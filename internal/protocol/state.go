@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/history"
+	"repro/internal/varint"
 	"repro/internal/vclock"
 )
 
@@ -66,12 +67,7 @@ func ExportState(r Replica) []byte {
 }
 
 // ---------------------------------------------------------------------
-// encode helpers
-
-func appendWriteID(dst []byte, id history.WriteID) []byte {
-	dst = binary.AppendVarint(dst, int64(id.Proc))
-	return binary.AppendVarint(dst, int64(id.Seq))
-}
+// codec helpers
 
 // appendMem encodes the variable store as a length-prefixed sequence of
 // (value, writer) pairs.
@@ -84,96 +80,63 @@ func appendMem(dst []byte, vals []int64, writers []history.WriteID) []byte {
 	return dst
 }
 
-// ---------------------------------------------------------------------
-// decode helper
-
-// stateReader decodes state fields sequentially, latching the first
-// error so call sites stay linear.
-type stateReader struct {
-	buf []byte
-	off int
-	err error
+// appendClocks encodes a length-prefixed list of clocks.
+func appendClocks(dst []byte, vs []vclock.VC) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = v.AppendBinary(dst)
+	}
+	return dst
 }
 
-func (r *stateReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
+// newStateReader reads a state encoding; every failure wraps
+// ErrStateCorrupt.
+func newStateReader(data []byte) varint.Reader {
+	return varint.NewReader(data, ErrStateCorrupt, ErrStateCorrupt)
 }
 
-func (r *stateReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, k := binary.Varint(r.buf[r.off:])
-	if k <= 0 {
-		r.fail(ErrStateCorrupt)
-		return 0
-	}
-	r.off += k
-	return v
-}
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(r.buf[r.off:])
-	if k <= 0 {
-		r.fail(ErrStateCorrupt)
-		return 0
-	}
-	r.off += k
-	return v
-}
-
-func (r *stateReader) vc(n int) vclock.VC {
-	if r.err != nil {
-		return nil
-	}
-	v, k, err := vclock.DecodeVC(r.buf[r.off:])
-	if err != nil {
-		r.fail(fmt.Errorf("%w: %v", ErrStateCorrupt, err))
-		return nil
-	}
-	if v.Len() != n {
-		r.fail(fmt.Errorf("%w: clock dimension %d, want %d", ErrStateCorrupt, v.Len(), n))
-		return nil
-	}
-	r.off += k
-	return v
-}
-
-func (r *stateReader) writeID() history.WriteID {
-	p := r.varint()
-	s := r.varint()
-	return history.WriteID{Proc: int(p), Seq: int(s)}
-}
-
-// mem decodes a store encoded by appendMem into vals/writers in place.
-func (r *stateReader) mem(vals []int64, writers []history.WriteID) {
-	m := r.uvarint()
-	if r.err != nil {
-		return
-	}
-	if m != uint64(len(vals)) {
-		r.fail(fmt.Errorf("%w: %d variables, want %d", ErrStateCorrupt, m, len(vals)))
-		return
-	}
-	for i := range vals {
-		vals[i] = r.varint()
-		writers[i] = r.writeID()
-	}
-}
-
-// header checks the leading kind tag and process count against the
+// readHeader checks the leading kind tag and process count against the
 // restoring replica.
-func (r *stateReader) header(kind Kind, n int) {
-	if k := r.uvarint(); r.err == nil && Kind(k) != kind {
-		r.fail(fmt.Errorf("%w: state of kind %v restored into %v", ErrStateCorrupt, Kind(k), kind))
+func readHeader(r *varint.Reader, kind Kind, n int) {
+	if k := r.Uvarint(); r.Err() == nil && Kind(k) != kind {
+		r.Fail(fmt.Errorf("%w: state of kind %v restored into %v", ErrStateCorrupt, Kind(k), kind))
 	}
-	if g := r.uvarint(); r.err == nil && g != uint64(n) {
-		r.fail(fmt.Errorf("%w: %d processes, want %d", ErrStateCorrupt, g, n))
+	readShape(r, "processes", n)
+}
+
+// readShape reads a uvarint that must equal the restoring replica's
+// want — a shape check, not a count.
+func readShape(r *varint.Reader, what string, want int) {
+	if got := r.Uvarint(); r.Err() == nil && got != uint64(want) {
+		r.Fail(fmt.Errorf("%w: %d %s, want %d", ErrStateCorrupt, got, what, want))
+	}
+}
+
+// readClock reads one clock that must have dimension n.
+func readClock(r *varint.Reader, n int) vclock.VC {
+	v := vclock.ReadVC(r)
+	if r.Err() == nil && v.Len() != n {
+		r.Fail(fmt.Errorf("%w: clock dimension %d, want %d", ErrStateCorrupt, v.Len(), n))
+	}
+	return v
+}
+
+// readClocks reads an appendClocks list of len(dst) clocks of
+// dimension n into dst.
+func readClocks(r *varint.Reader, what string, dst []vclock.VC, n int) {
+	readShape(r, what, len(dst))
+	for i := range dst {
+		dst[i] = readClock(r, n)
+	}
+}
+
+// readMem decodes a store encoded by appendMem into vals/writers in
+// place.
+func readMem(r *varint.Reader, vals []int64, writers []history.WriteID) {
+	readShape(r, "variables", len(vals))
+	for i := range vals {
+		vals[i] = r.Varint()
+		writers[i] = readWriteID(r)
 	}
 }
 
@@ -186,36 +149,27 @@ func (r *optp) AppendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.n))
 	dst = r.apply.AppendBinary(dst)
 	dst = r.writeCo.AppendBinary(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(r.lastOn)))
-	for _, vc := range r.lastOn {
-		dst = vc.AppendBinary(dst)
-	}
+	dst = appendClocks(dst, r.lastOn)
 	return appendMem(dst, r.vals, r.writers)
 }
 
 // RestoreState implements StateCodec.
 func (r *optp) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(r.Kind(), r.n)
-	apply := sr.vc(r.n)
-	writeCo := sr.vc(r.n)
-	nv := sr.uvarint()
-	if sr.err == nil && nv != uint64(len(r.lastOn)) {
-		sr.fail(fmt.Errorf("%w: %d LastWriteOn vectors, want %d", ErrStateCorrupt, nv, len(r.lastOn)))
-	}
+	sr := newStateReader(data)
+	readHeader(&sr, r.Kind(), r.n)
+	apply := readClock(&sr, r.n)
+	writeCo := readClock(&sr, r.n)
 	lastOn := make([]vclock.VC, len(r.lastOn))
-	for i := range lastOn {
-		lastOn[i] = sr.vc(r.n)
-	}
+	readClocks(&sr, "LastWriteOn vectors", lastOn, r.n)
 	vals := make([]int64, len(r.vals))
 	writers := make([]history.WriteID, len(r.writers))
-	sr.mem(vals, writers)
-	if sr.err != nil {
-		return sr.off, sr.err
+	readMem(&sr, vals, writers)
+	if err := sr.Err(); err != nil {
+		return sr.Off(), err
 	}
 	r.apply, r.writeCo, r.lastOn = apply, writeCo, lastOn
 	r.vals, r.writers = vals, writers
-	return sr.off, nil
+	return sr.Off(), nil
 }
 
 // Lacks implements Resumer: p lacks u iff its sequence number exceeds
@@ -240,17 +194,17 @@ func (r *anbkh) AppendState(dst []byte) []byte {
 
 // RestoreState implements StateCodec.
 func (r *anbkh) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(ANBKH, r.n)
-	vt := sr.vc(r.n)
+	sr := newStateReader(data)
+	readHeader(&sr, ANBKH, r.n)
+	vt := readClock(&sr, r.n)
 	vals := make([]int64, len(r.vals))
 	writers := make([]history.WriteID, len(r.writers))
-	sr.mem(vals, writers)
-	if sr.err != nil {
-		return sr.off, sr.err
+	readMem(&sr, vals, writers)
+	if err := sr.Err(); err != nil {
+		return sr.Off(), err
 	}
 	r.vt, r.vals, r.writers = vt, vals, writers
-	return sr.off, nil
+	return sr.Off(), nil
 }
 
 // Lacks implements Resumer, as for OptP.
@@ -275,39 +229,29 @@ func (r *partialrep) AppendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.issued))
 	dst = binary.AppendUvarint(dst, uint64(r.readTok))
 	dst = appendMem(dst, r.vals, r.writers)
-	dst = binary.AppendUvarint(dst, uint64(len(r.lastOn)))
-	for _, vc := range r.lastOn {
-		dst = vc.AppendBinary(dst)
-	}
-	return dst
+	return appendClocks(dst, r.lastOn)
 }
 
 // RestoreState implements StateCodec.
 func (r *partialrep) RestoreState(data []byte) (int, error) {
-	sr := &stateReader{buf: data}
-	sr.header(PartialRep, r.n)
-	mat := sr.vc(r.n * r.n)
-	applied := sr.vc(r.n)
-	issued := sr.uvarint()
-	readTok := sr.uvarint()
+	sr := newStateReader(data)
+	readHeader(&sr, PartialRep, r.n)
+	mat := readClock(&sr, r.n*r.n)
+	applied := readClock(&sr, r.n)
+	issued := sr.Uvarint()
+	readTok := sr.Uvarint()
 	vals := make([]int64, len(r.vals))
 	writers := make([]history.WriteID, len(r.writers))
-	sr.mem(vals, writers)
-	nl := sr.uvarint()
-	if sr.err == nil && nl != uint64(len(r.lastOn)) {
-		sr.fail(fmt.Errorf("%w: %d LastOn matrices, want %d", ErrStateCorrupt, nl, len(r.lastOn)))
-	}
+	readMem(&sr, vals, writers)
 	lastOn := make([]vclock.VC, len(r.lastOn))
-	for i := range lastOn {
-		lastOn[i] = sr.vc(r.n * r.n)
-	}
-	if sr.err != nil {
-		return sr.off, sr.err
+	readClocks(&sr, "LastOn matrices", lastOn, r.n*r.n)
+	if err := sr.Err(); err != nil {
+		return sr.Off(), err
 	}
 	r.mat, r.applied = mat, applied
 	r.issued, r.readTok = int(issued), int(readTok)
 	r.vals, r.writers, r.lastOn = vals, writers, lastOn
-	return sr.off, nil
+	return sr.Off(), nil
 }
 
 // Lacks implements Resumer: p lacks a write iff p replicates its

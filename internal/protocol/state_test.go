@@ -2,9 +2,10 @@ package protocol
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/varint/varinttest"
 )
 
 // codecKinds are the kinds whose replicas carry a state codec: the ones
@@ -284,9 +285,9 @@ func restoreStateSeeds() [][]byte {
 	return append(seeds, fuzzJunk...)
 }
 
-// FuzzRestoreState: any input either fails with ErrStateCorrupt or
-// restores a state whose export restores again, consuming every byte,
-// and re-exports to the same bytes. The seed corpus is under
+// FuzzRestoreState holds the state decoder of every codec kind to
+// varinttest.Check's contract, failing with ErrStateCorrupt; a restored
+// replica is compared by its export. The seed corpus is under
 // testdata/fuzz/FuzzRestoreState.
 func FuzzRestoreState(f *testing.F) {
 	for _, s := range restoreStateSeeds() {
@@ -294,25 +295,13 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range codecKinds {
-			r := New(kind, 0, fuzzStateProcs, fuzzStateVars)
-			n, err := r.(StateCodec).RestoreState(data)
-			if err != nil {
-				if !errors.Is(err, ErrStateCorrupt) {
-					t.Fatalf("%v: error %v does not wrap ErrStateCorrupt", kind, err)
-				}
-				continue
+			restore := func(b []byte) (Replica, int, error) {
+				r := New(kind, 0, fuzzStateProcs, fuzzStateVars)
+				n, err := r.(StateCodec).RestoreState(b)
+				return r, n, err
 			}
-			if n <= 0 || n > len(data) {
-				t.Fatalf("%v: consumed %d of %d bytes", kind, n, len(data))
-			}
-			enc := ExportState(r)
-			again := New(kind, 0, fuzzStateProcs, fuzzStateVars)
-			if n2, err := again.(StateCodec).RestoreState(enc); err != nil || n2 != len(enc) {
-				t.Fatalf("%v: re-decode of %x: %v (consumed %d of %d)", kind, enc, err, n2, len(enc))
-			}
-			if enc2 := ExportState(again); !bytes.Equal(enc2, enc) {
-				t.Fatalf("%v: re-export %x, want %x", kind, enc2, enc)
-			}
+			sameState := func(a, b Replica) bool { return bytes.Equal(ExportState(a), ExportState(b)) }
+			varinttest.Check(t, data, restore, ExportState, sameState, ErrStateCorrupt)
 		}
 	})
 }

@@ -1,18 +1,19 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/history"
+	"repro/internal/varint/varinttest"
 	"repro/internal/vclock"
 )
 
 // The inter-replica decoders read what a peer's socket delivers
 // (transport.TCPNet) and what a journal segment holds: like the serving
-// tier's wire decoders they must fail with an error on any byte string,
-// never panic, never read past the input, never build a clock above
-// vclock.MaxDecodeDim, and whatever they accept must re-encode to
-// something that decodes back equal.
+// tier's wire decoders they meet varinttest.Check's contract, failing
+// with ErrUpdateTruncated or ErrClockResync. No clock above
+// vclock.MaxDecodeDim decodes: its dimension is a count under that cap.
 
 // fuzzUpdates is a stream one link might carry: clocks that grow a
 // little per message (delta's case), a far-ahead sparse clock (stab's),
@@ -75,63 +76,49 @@ func FuzzDecodeUpdate(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, n, err := DecodeUpdate(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		if u.Clock.Len() > vclock.MaxDecodeDim {
-			t.Fatalf("decoded a clock of dimension %d, cap %d", u.Clock.Len(), vclock.MaxDecodeDim)
-		}
-		buf := u.AppendBinary(nil)
-		u2, n2, err := DecodeUpdate(buf)
-		if err != nil || n2 != len(buf) || !updatesEqual(u, u2) {
-			t.Fatalf("re-decode of %+v: %+v, %v (consumed %d of %d)", u, u2, err, n2, len(buf))
-		}
+		varinttest.Check(t, data, DecodeUpdate, func(u Update) []byte { return u.AppendBinary(nil) },
+			updatesEqual, ErrUpdateTruncated)
 	})
 }
 
-// FuzzUpdateDecoder feeds one decoder a whole stream, as a connection
-// does: every frame it accepts moves its link base, so later frames
-// are decoded against state the input chose. What it accepted is then
-// sent down a fresh link in delta and in stab mode and must arrive
-// unchanged.
+// decodeStream decodes a whole stream with one fresh link decoder, as a
+// connection does: every frame it accepts moves the link base, so later
+// frames are decoded against state the input chose. It stops at the
+// first frame that fails, reporting the frames before it.
+func decodeStream(data []byte) ([]Update, int, error) {
+	dec := NewUpdateDecoder(MetaAuto)
+	var us []Update
+	off := 0
+	for off < len(data) {
+		u, n, _, err := dec.Decode(data[off:])
+		if err != nil {
+			return us, off, err
+		}
+		us = append(us, u)
+		off += n
+	}
+	return us, off, nil
+}
+
+// FuzzUpdateDecoder holds the link decoder to the contract over the
+// whole stream, and over the frames it accepted before failing: sent
+// down a fresh link in delta and in stab mode, they arrive unchanged.
 func FuzzUpdateDecoder(f *testing.F) {
 	for _, s := range updateDecoderSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewUpdateDecoder(MetaAuto)
-		var accepted []Update
-		for rest := data; len(rest) > 0; {
-			u, n, clockLen, err := dec.Decode(rest)
-			if err != nil {
-				break
-			}
-			if n <= 0 || n > len(rest) || clockLen < 0 || clockLen > n {
-				t.Fatalf("consumed %d (clock %d) of %d bytes", n, clockLen, len(rest))
-			}
-			if u.Clock.Len() > vclock.MaxDecodeDim {
-				t.Fatalf("decoded a clock of dimension %d, cap %d", u.Clock.Len(), vclock.MaxDecodeDim)
-			}
-			accepted = append(accepted, u)
-			rest = rest[n:]
-		}
+		_, accepted, _ := decodeStream(data)
 		for _, mode := range []MetaMode{MetaDelta, MetaStab} {
-			buf := encodeStream(mode, accepted)
-			back := NewUpdateDecoder(mode)
-			for i, u := range accepted {
-				u2, n, _, err := back.Decode(buf)
-				if err != nil || !updatesEqual(u, u2) {
-					t.Fatalf("%v link, frame %d: sent %+v, got %+v, %v", mode, i, u, u2, err)
-				}
-				buf = buf[n:]
-			}
-			if len(buf) != 0 {
-				t.Fatalf("%v link: %d bytes left over", mode, len(buf))
+			enc := func(us []Update) []byte { return encodeStream(mode, us) }
+			for _, in := range [][]byte{data, data[:accepted]} {
+				varinttest.Check(t, in, decodeStream, enc, updateListsEqual, ErrUpdateTruncated, ErrClockResync)
 			}
 		}
 	})
+}
+
+// updateListsEqual compares two decoded streams frame by frame.
+func updateListsEqual(a, b []Update) bool {
+	return slices.EqualFunc(a, b, updatesEqual)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/history"
+	"repro/internal/varint"
 	"repro/internal/vclock"
 )
 
@@ -263,24 +264,35 @@ func AppendToken(dst []byte, tok, base vclock.VC) []byte {
 // disagrees with the encoded one). It returns the token (nil when the
 // encoding says "no token") and the bytes consumed.
 func DecodeToken(buf []byte, base vclock.VC) (vclock.VC, int, error) {
-	dim, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, 0, fmt.Errorf("%w: token dimension", ErrWireTruncated)
+	r := newWireReader(buf)
+	tok := readToken(&r, base)
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
-	if dim == 0 {
-		return nil, k, nil
-	}
+	return tok, r.Off(), nil
+}
+
+// newWireReader reads a serving-tier payload: running out of bytes is
+// ErrWireTruncated, anything malformed ErrWireCorrupt.
+func newWireReader(buf []byte) varint.Reader {
+	return varint.NewReader(buf, ErrWireTruncated, ErrWireCorrupt)
+}
+
+// readToken reads an AppendToken encoding from r. The dimension is
+// capped by MaxTokenDim alone: a sparse token may be far wider than its
+// bytes.
+func readToken(r *varint.Reader, base vclock.VC) vclock.VC {
+	dim := r.Uvarint()
 	if dim > MaxTokenDim {
-		return nil, 0, fmt.Errorf("%w: token dimension %d exceeds %d", ErrWireCorrupt, dim, MaxTokenDim)
+		r.Fail(fmt.Errorf("%w: token dimension %d exceeds %d", ErrWireCorrupt, dim, MaxTokenDim))
+	}
+	if dim == 0 || r.Err() != nil {
+		return nil
 	}
 	if len(base) != int(dim) {
 		base = vclock.New(int(dim))
 	}
-	tok, n, err := vclock.DecodeDelta(buf[k:], base)
-	if err != nil {
-		return nil, 0, fmt.Errorf("protocol: token delta: %w", err)
-	}
-	return tok, k + n, nil
+	return vclock.ReadDelta(r, base)
 }
 
 // AppendBinary appends the wire encoding of r to dst. The token is
@@ -313,40 +325,39 @@ func (r Request) AppendBinary(dst []byte) []byte {
 // DecodeRequest decodes one request from the front of buf, returning
 // it and the bytes consumed.
 func DecodeRequest(buf []byte) (Request, int, error) {
-	var r Request
-	d := wireDecoder{buf: buf}
-	r.Tag = d.uvarint()
-	kind := d.uvarint()
-	r.Proc = int(d.varint())
-	r.Var = int(d.varint())
-	r.Val = d.varint()
-	r.Token = d.token(nil)
-	flags := d.uvarint()
-	r.SID = d.uvarint()
-	r.OpSeq = d.uvarint()
-	if d.err == nil && d.off < len(d.buf) {
+	var q Request
+	r := newWireReader(buf)
+	q.Tag = r.Uvarint()
+	kind := r.Uvarint()
+	q.Proc = int(r.Varint())
+	q.Var = int(r.Varint())
+	q.Val = r.Varint()
+	q.Token = readToken(&r, nil)
+	flags := r.Uvarint()
+	q.SID = r.Uvarint()
+	q.OpSeq = r.Uvarint()
+	if r.Err() == nil && r.Off() < len(buf) {
 		// Bytes remain past the mandatory fields: trace context.
-		r.TraceID = d.uvarint()
-		tf := d.uvarint()
-		if d.err == nil {
-			if r.TraceID == 0 {
-				return Request{}, 0, fmt.Errorf("%w: trace context with zero trace ID", ErrWireCorrupt)
-			}
-			if tf&^traceFlagsKnown != 0 {
-				return Request{}, 0, fmt.Errorf("%w: unknown trace flags %#x", ErrWireCorrupt, tf)
-			}
-			r.TraceSampled = tf&TraceSampled != 0
+		q.TraceID = r.Uvarint()
+		tf := r.Uvarint()
+		switch {
+		case r.Err() != nil:
+		case q.TraceID == 0:
+			r.Fail(fmt.Errorf("%w: trace context with zero trace ID", ErrWireCorrupt))
+		case tf&^traceFlagsKnown != 0:
+			r.Fail(fmt.Errorf("%w: unknown trace flags %#x", ErrWireCorrupt, tf))
 		}
-	}
-	if d.err != nil {
-		return Request{}, 0, d.err
+		q.TraceSampled = tf&TraceSampled != 0
 	}
 	if kind >= uint64(reqKinds) {
-		return Request{}, 0, fmt.Errorf("%w: request kind %d", ErrWireCorrupt, kind)
+		r.Fail(fmt.Errorf("%w: request kind %d", ErrWireCorrupt, kind))
 	}
-	r.Kind = uint8(kind)
-	r.NoWait = flags&FlagNoWait != 0
-	return r, d.off, nil
+	if err := r.Err(); err != nil {
+		return Request{}, 0, err
+	}
+	q.Kind = uint8(kind)
+	q.NoWait = flags&FlagNoWait != 0
+	return q, r.Off(), nil
 }
 
 // AppendBinary appends the wire encoding of r to dst, delta-encoding
@@ -356,8 +367,7 @@ func (r Response) AppendBinary(dst []byte, base vclock.VC) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Status))
 	dst = binary.AppendVarint(dst, int64(r.Proc))
 	dst = binary.AppendVarint(dst, r.Val)
-	dst = binary.AppendVarint(dst, int64(r.From.Proc))
-	dst = binary.AppendVarint(dst, int64(r.From.Seq))
+	dst = appendWriteID(dst, r.From)
 	dst = AppendToken(dst, r.Token, base)
 	err := r.Err
 	if len(err) > maxWireErr {
@@ -381,64 +391,42 @@ func (r Response) AppendBinary(dst []byte, base vclock.VC) []byte {
 // request carried, which the client looks up by peeking the tag (see
 // PeekTag). It returns the response and the bytes consumed.
 func DecodeResponse(buf []byte, base vclock.VC) (Response, int, error) {
-	var r Response
-	d := wireDecoder{buf: buf}
-	r.Tag = d.uvarint()
-	status := d.uvarint()
-	r.Proc = int(d.varint())
-	r.Val = d.varint()
-	r.From.Proc = int(d.varint())
-	r.From.Seq = int(d.varint())
-	r.Token = d.token(base)
-	errLen := d.uvarint()
-	if d.err != nil {
-		return Response{}, 0, d.err
-	}
+	var p Response
+	r := newWireReader(buf)
+	p.Tag = r.Uvarint()
+	status := r.Uvarint()
+	p.Proc = int(r.Varint())
+	p.Val = r.Varint()
+	p.From = readWriteID(&r)
+	p.Token = readToken(&r, base)
 	if status >= uint64(statusCount) {
-		return Response{}, 0, fmt.Errorf("%w: response status %d", ErrWireCorrupt, status)
+		r.Fail(fmt.Errorf("%w: response status %d", ErrWireCorrupt, status))
 	}
-	if errLen > maxWireErr {
-		return Response{}, 0, fmt.Errorf("%w: error detail %d bytes exceeds %d", ErrWireCorrupt, errLen, maxWireErr)
-	}
-	if uint64(len(d.buf)-d.off) < errLen {
-		return Response{}, 0, fmt.Errorf("%w: error detail", ErrWireTruncated)
-	}
-	r.Status = uint8(status)
-	r.Err = string(d.buf[d.off : d.off+int(errLen)])
-	d.off += int(errLen)
-	if d.off < len(d.buf) {
+	p.Status = uint8(status)
+	p.Err = string(r.Bytes(r.Count(maxWireErr)))
+	if r.Err() == nil && r.Off() < len(buf) {
 		// Bytes remain past the mandatory fields: trace echo.
-		r.TraceID = d.uvarint()
-		nstages := d.uvarint()
-		if d.err == nil {
-			if r.TraceID == 0 {
-				return Response{}, 0, fmt.Errorf("%w: trace echo with zero trace ID", ErrWireCorrupt)
-			}
-			if nstages > MaxTraceStage {
-				return Response{}, 0, fmt.Errorf("%w: %d trace stages exceeds %d", ErrWireCorrupt, nstages, MaxTraceStage)
-			}
+		p.TraceID = r.Uvarint()
+		if r.Err() == nil && p.TraceID == 0 {
+			r.Fail(fmt.Errorf("%w: trace echo with zero trace ID", ErrWireCorrupt))
 		}
-		var prev uint64
-		for i := uint64(0); i < nstages && d.err == nil; i++ {
-			stage := d.uvarint()
-			ns := d.uvarint()
-			if d.err != nil {
-				break
+		n := r.Count(MaxTraceStage)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			stage, ns := r.Uvarint(), r.Uvarint()
+			switch {
+			case r.Err() != nil:
+			case stage >= MaxTraceStage:
+				r.Fail(fmt.Errorf("%w: trace stage %d exceeds %d", ErrWireCorrupt, stage, MaxTraceStage))
+			case i > 0 && stage <= p.TraceStages[i-1][0]:
+				r.Fail(fmt.Errorf("%w: trace stages not strictly increasing", ErrWireCorrupt))
 			}
-			if stage >= MaxTraceStage {
-				return Response{}, 0, fmt.Errorf("%w: trace stage %d exceeds %d", ErrWireCorrupt, stage, MaxTraceStage)
-			}
-			if i > 0 && stage <= prev {
-				return Response{}, 0, fmt.Errorf("%w: trace stages not strictly increasing", ErrWireCorrupt)
-			}
-			prev = stage
-			r.TraceStages = append(r.TraceStages, [2]uint64{stage, ns})
-		}
-		if d.err != nil {
-			return Response{}, 0, d.err
+			p.TraceStages = append(p.TraceStages, [2]uint64{stage, ns})
 		}
 	}
-	return r, d.off, nil
+	if err := r.Err(); err != nil {
+		return Response{}, 0, err
+	}
+	return p, r.Off(), nil
 }
 
 // PeekTag reads the leading tag of an encoded request or response
@@ -446,56 +434,7 @@ func DecodeResponse(buf []byte, base vclock.VC) (Response, int, error) {
 // uses it to find the pending call (and its token base) before the
 // full DecodeResponse.
 func PeekTag(buf []byte) (uint64, error) {
-	tag, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return 0, fmt.Errorf("%w: tag", ErrWireTruncated)
-	}
-	return tag, nil
-}
-
-// wireDecoder threads an offset and first-error through the field
-// reads, so the per-message decoders read as straight-line code.
-type wireDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *wireDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(d.buf[d.off:])
-	if k <= 0 {
-		d.err = ErrWireTruncated
-		return 0
-	}
-	d.off += k
-	return v
-}
-
-func (d *wireDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, k := binary.Varint(d.buf[d.off:])
-	if k <= 0 {
-		d.err = ErrWireTruncated
-		return 0
-	}
-	d.off += k
-	return v
-}
-
-func (d *wireDecoder) token(base vclock.VC) vclock.VC {
-	if d.err != nil {
-		return nil
-	}
-	tok, n, err := DecodeToken(d.buf[d.off:], base)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.off += n
-	return tok
+	r := newWireReader(buf)
+	tag := r.Uvarint()
+	return tag, r.Err()
 }

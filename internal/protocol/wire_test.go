@@ -113,6 +113,23 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// requestsEqual compares every field the request codec carries.
+func requestsEqual(a, b Request) bool {
+	return a.Tag == b.Tag && a.Kind == b.Kind && a.Proc == b.Proc &&
+		a.Var == b.Var && a.Val == b.Val && a.NoWait == b.NoWait &&
+		a.SID == b.SID && a.OpSeq == b.OpSeq &&
+		a.TraceID == b.TraceID && a.TraceSampled == b.TraceSampled &&
+		a.Token.Equal(b.Token)
+}
+
+// responsesEqual compares every field the response codec carries.
+func responsesEqual(a, b Response) bool {
+	return a.Tag == b.Tag && a.Status == b.Status && a.Proc == b.Proc &&
+		a.Val == b.Val && a.From == b.From && a.Err == b.Err &&
+		a.TraceID == b.TraceID && traceStagesEqual(a.TraceStages, b.TraceStages) &&
+		a.Token.Equal(b.Token)
+}
+
 func traceStagesEqual(a, b [][2]uint64) bool {
 	if len(a) != len(b) {
 		return false

@@ -118,11 +118,11 @@ type Config struct {
 	TraceThreshold time.Duration
 
 	// TraceRing bounds the in-memory ring of retained trace records
-	// (overwrite-oldest). 0 defaults to 1024.
+	// (overwrite-oldest). 0 defaults to obs.DefaultCapacity (4096).
 	TraceRing int
 
 	// TraceSink, when set, receives every tail-sampled trace record —
-	// typically a reqtrace.SinkWriter streaming JSONL for cmd/dsmtrace.
+	// typically an obs.Stream writing JSONL for cmd/dsmtrace.
 	// It must not block.
 	TraceSink func(reqtrace.Record)
 }

@@ -3,6 +3,8 @@ package vclock
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/varint"
 )
 
 // Density thresholds of the Adaptive representation switch. The gap
@@ -219,40 +221,33 @@ func (a *Adaptive) AppendDeltaSigned(dst []byte, v VC) []byte {
 	return dst
 }
 
-// DecodeDeltaSigned decodes a signed delta produced against the current
-// base, returning the reconstructed clock (a fresh dense VC) and bytes
-// consumed. The base is NOT advanced; callers commit with CopyFrom.
-func (a *Adaptive) DecodeDeltaSigned(buf []byte) (VC, int, error) {
-	nz, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, 0, ErrTruncated
-	}
-	off := k
-	if nz > uint64(len(buf)) { // ≥1 byte per (index, delta) pair
-		return nil, 0, fmt.Errorf("%w: delta count %d exceeds buffer", ErrTruncated, nz)
+// ReadDeltaSigned reads a signed delta produced against the current
+// base from r, returning the reconstructed clock (a fresh dense VC).
+// The base is NOT advanced; callers commit with CopyFrom. Its pair count
+// is a count under the base's dimension.
+func (a *Adaptive) ReadDeltaSigned(r *varint.Reader) VC {
+	nz := r.Count(a.Dim())
+	if r.Err() != nil {
+		return nil
 	}
 	v := a.Dense()
-	for j := uint64(0); j < nz; j++ {
-		idx, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
+	for ; nz > 0; nz-- {
+		idx, d := r.Uvarint(), r.Varint()
+		if r.Err() != nil {
+			return nil
 		}
-		off += k
-		d, k := binary.Varint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
-		}
-		off += k
 		if idx >= uint64(len(v)) {
-			return nil, 0, fmt.Errorf("%w: delta index %d ≥ dimension %d", ErrDimension, idx, len(v))
+			r.Fail(fmt.Errorf("%w: delta index %d ≥ dimension %d", ErrDimension, idx, len(v)))
+			return nil
 		}
 		nv := int64(v[idx]) + d
 		if nv < 0 {
-			return nil, 0, fmt.Errorf("%w: delta underflows component %d", ErrDimension, idx)
+			r.Fail(fmt.Errorf("%w: delta underflows component %d", ErrDimension, idx))
+			return nil
 		}
 		v[idx] = uint64(nv)
 	}
-	return v, off, nil
+	return v
 }
 
 // diff calls fn(i, v[i]-base[i]) for every component where v and the

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/varint"
 )
 
 // Wire format: uvarint dimension, then each component as uvarint.
@@ -22,9 +24,8 @@ var (
 )
 
 // MaxDecodeDim is the hard ceiling on the dimension any clock decoder
-// accepts. The per-component buffer-length heuristic below bounds the
-// allocation a *truncated* frame can force, but a hostile frame can be
-// long: a few KB of input could otherwise declare a multi-thousand-
+// accepts. The count rule of varint.Reader bounds the allocation a
+// *truncated* frame can force, but a hostile frame can be long: a few KB of input could otherwise declare a multi-thousand-
 // component clock and make every decode allocate it. No configuration
 // in this system approaches 64Ki processes, so the cap costs nothing
 // legitimate.
@@ -52,27 +53,34 @@ func (v VC) MarshalBinary() ([]byte, error) {
 // DecodeVC decodes one clock from the front of buf, returning the clock
 // and the number of bytes consumed.
 func DecodeVC(buf []byte) (VC, int, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, 0, ErrTruncated
+	r := newReader(buf)
+	v := ReadVC(&r)
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
-	off := k
-	if n > MaxDecodeDim {
-		return nil, 0, fmt.Errorf("%w: dimension %d exceeds cap %d", ErrDimension, n, MaxDecodeDim)
-	}
-	if n > uint64(len(buf)) { // cheap sanity bound: ≥1 byte per component
-		return nil, 0, fmt.Errorf("%w: dimension %d exceeds buffer", ErrTruncated, n)
+	return v, r.Off(), nil
+}
+
+// ReadVC reads one clock in the wire encoding from r. The dimension is a
+// count under MaxDecodeDim, and the components are read in one
+// Uvarints call.
+func ReadVC(r *varint.Reader) VC {
+	n := r.Count(MaxDecodeDim)
+	if r.Err() != nil {
+		return nil
 	}
 	v := make(VC, n)
-	for i := range v {
-		x, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
-		}
-		v[i] = x
-		off += k
+	r.Uvarints(v)
+	if r.Err() != nil {
+		return nil
 	}
-	return v, off, nil
+	return v
+}
+
+// newReader reads a clock encoding, failing with ErrTruncated when the
+// bytes run out and with ErrDimension when they are malformed.
+func newReader(buf []byte) varint.Reader {
+	return varint.NewReader(buf, ErrTruncated, ErrDimension)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -116,32 +124,31 @@ func (v VC) AppendDelta(dst []byte, base VC) []byte {
 	return dst
 }
 
-// DecodeDelta decodes a delta produced by AppendDelta, applying it on
-// top of base and returning the reconstructed clock plus bytes consumed.
-func DecodeDelta(buf []byte, base VC) (VC, int, error) {
-	nz, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, 0, ErrTruncated
+// ReadDelta reads an AppendDelta encoding from r and applies it on top
+// of base, returning the reconstructed clock. Its pair count is a count
+// under base's dimension.
+func ReadDelta(r *varint.Reader, base VC) VC {
+	nz := r.Count(len(base))
+	if r.Err() != nil {
+		return nil
 	}
-	off := k
 	v := base.Clone()
-	for j := uint64(0); j < nz; j++ {
-		idx, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
+	for ; nz > 0; nz-- {
+		idx, d := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			return nil
 		}
-		off += k
-		d, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
-		}
-		off += k
 		if idx >= uint64(len(v)) {
-			return nil, 0, fmt.Errorf("%w: delta index %d ≥ dimension %d", ErrDimension, idx, len(v))
+			r.Fail(fmt.Errorf("%w: delta index %d ≥ dimension %d", ErrDimension, idx, len(v)))
+			return nil
+		}
+		if v[idx]+d < d {
+			r.Fail(fmt.Errorf("%w: delta overflows component %d", ErrDimension, idx))
+			return nil
 		}
 		v[idx] += d
 	}
-	return v, off, nil
+	return v
 }
 
 // AppendStab appends the stabilization encoding of v: uvarint
@@ -205,54 +212,41 @@ func StabSize(v VC) int {
 	return n + uvarintLen(floor) + uvarintLen(uint64(nz))
 }
 
-// DecodeStab decodes one stabilization-encoded clock from the front of
-// buf, returning the clock and bytes consumed.
-func DecodeStab(buf []byte) (VC, int, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, 0, ErrTruncated
-	}
-	off := k
+// ReadStab reads one AppendStab clock from r. The dimension is capped
+// by MaxDecodeDim alone — a stab clock may be far wider than its bytes —
+// and the residual count is a count under the dimension.
+func ReadStab(r *varint.Reader) VC {
+	n := r.Uvarint()
 	if n > MaxDecodeDim {
-		return nil, 0, fmt.Errorf("%w: dimension %d exceeds cap %d", ErrDimension, n, MaxDecodeDim)
+		r.Fail(fmt.Errorf("%w: dimension %d exceeds cap %d", ErrDimension, n, MaxDecodeDim))
+	}
+	if r.Err() != nil {
+		return nil
 	}
 	if n == 0 {
-		return VC{}, off, nil
+		return VC{}
 	}
-	floor, k := binary.Uvarint(buf[off:])
-	if k <= 0 {
-		return nil, 0, ErrTruncated
-	}
-	off += k
-	nz, k := binary.Uvarint(buf[off:])
-	if k <= 0 {
-		return nil, 0, ErrTruncated
-	}
-	off += k
-	if nz > n {
-		return nil, 0, fmt.Errorf("%w: %d residuals for dimension %d", ErrDimension, nz, n)
+	floor := r.Uvarint()
+	nz := r.Count(int(n))
+	if r.Err() != nil {
+		return nil
 	}
 	v := make(VC, n)
 	for i := range v {
 		v[i] = floor
 	}
-	for j := uint64(0); j < nz; j++ {
-		idx, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
+	for ; nz > 0; nz-- {
+		idx, res := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			return nil
 		}
-		off += k
-		r, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, 0, ErrTruncated
-		}
-		off += k
 		if idx >= n {
-			return nil, 0, fmt.Errorf("%w: residual index %d ≥ dimension %d", ErrDimension, idx, n)
+			r.Fail(fmt.Errorf("%w: residual index %d ≥ dimension %d", ErrDimension, idx, n))
+			return nil
 		}
-		v[idx] = floor + r
+		v[idx] = floor + res
 	}
-	return v, off, nil
+	return v
 }
 
 // EncodedSize returns the exact wire size of v without allocating.
