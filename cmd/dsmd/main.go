@@ -87,7 +87,7 @@ func run(args []string, ready func(addr string)) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain at shutdown")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	traceThreshold := fs.Duration("trace-threshold", 0, "request tracing: tail-sample requests at least this slow (0: default 20ms, negative: disable latency sampling)")
-	traceRing := fs.Int("trace-ring", 0, "request tracing: retained-trace ring capacity (0: default 4096)")
+	traceRing := fs.Int("trace-ring", 0, "request tracing: retained-trace ring capacity (0: default 8192)")
 	traceStream := fs.String("trace-stream", "", "request tracing: stream tail-sampled request records as JSONL to this file (\"-\" for stderr), dsmtrace's input")
 	chaosKill := fs.Float64("chaos-kill", 0, "fault injection: per-I/O probability of a connection reset")
 	chaosStall := fs.Float64("chaos-stall", 0, "fault injection: per-I/O probability of a stall")

@@ -116,7 +116,7 @@ type Config struct {
 	TraceThreshold time.Duration
 
 	// TraceRing bounds the ring of retained call records; 0 →
-	// obs.DefaultCapacity (4096).
+	// obs.DefaultCapacity (8192).
 	TraceRing int
 
 	// TraceSink, when set, receives every retained call record. It must

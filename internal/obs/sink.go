@@ -11,8 +11,9 @@ import (
 )
 
 // DefaultCapacity is the capacity a Stream or a Ring gets when asked
-// for none: 4096 values.
-const DefaultCapacity = 4096
+// for none: 8192 values. A Stream allocates its queue up front; a Ring
+// grows by append, so it costs memory only as values are retained.
+const DefaultCapacity = 8192
 
 // Stream writes values as JSON Lines while a run executes — trace
 // events (NewJSONLSink), tail-sampled request records, spans. Record

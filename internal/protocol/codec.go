@@ -23,7 +23,10 @@ import (
 // The codec is used by the TCP transport; it allocates only the
 // destination buffer and round-trips every field exactly.
 
-// ErrUpdateTruncated reports a buffer ending inside an encoded update.
+// ErrUpdateTruncated reports a buffer ending inside an encoded update,
+// or bytes that encode none: a varint overflowing 64 bits, an unknown
+// clock tag, a clock dimension above vclock.MaxDecodeDim. A link out of
+// sync is ErrClockResync, which does not match it.
 var ErrUpdateTruncated = errors.New("protocol: truncated update encoding")
 
 // MaxUpdateSize bounds one encoded update in every metadata codec mode:

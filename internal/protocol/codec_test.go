@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -164,5 +165,39 @@ func TestCutPointsTyped(t *testing.T) {
 			}
 			start = len(stream)
 		}
+	}
+}
+
+// TestMalformedTyped: a varint overflowing 64 bits is malformed, not
+// cut short, and a delta clock against the wrong link base is a resync,
+// never a truncated update.
+func TestMalformedTyped(t *testing.T) {
+	over := bytes.Repeat([]byte{0xFF}, 11)
+	only := func(what string, err, want, not error) {
+		t.Helper()
+		if !errors.Is(err, want) || errors.Is(err, not) {
+			t.Errorf("%s: %v, want %v and not %v", what, err, want, not)
+		}
+	}
+	_, _, err := DecodeRequest(over)
+	only("request", err, ErrWireCorrupt, ErrWireTruncated)
+	_, _, err = DecodeResponse(over, nil)
+	only("response", err, ErrWireCorrupt, ErrWireTruncated)
+	_, _, err = DecodeToken(over, nil)
+	only("token", err, ErrWireCorrupt, ErrWireTruncated)
+	_, _, err = DecodeUpdate(over)
+	only("update", err, ErrUpdateTruncated, ErrClockResync)
+
+	// The second frame of a delta link, decoded with no base and against
+	// another link's.
+	us := fuzzUpdates()
+	second := encodeStream(MetaDelta, us[:2])[len(encodeStream(MetaDelta, us[:1])):]
+	for _, prior := range [][]byte{nil, encodeStream(MetaDelta, us[4:5])} {
+		dec := NewUpdateDecoder(MetaDelta)
+		if _, _, _, err := dec.Decode(prior); len(prior) > 0 && err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := dec.Decode(second)
+		only(fmt.Sprintf("delta clock after %x", prior), err, ErrClockResync, ErrUpdateTruncated)
 	}
 }

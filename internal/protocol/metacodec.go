@@ -201,7 +201,8 @@ func (d *UpdateDecoder) Reset() { d.base.Reset() }
 
 // Decode decodes one update from the front of buf, returning it, the
 // bytes consumed, and the byte size of the clock field (tag included).
-// Every failure wraps ErrUpdateTruncated or ErrClockResync.
+// Every failure wraps exactly one of ErrUpdateTruncated and
+// ErrClockResync.
 func (d *UpdateDecoder) Decode(buf []byte) (Update, int, int, error) {
 	if d.mode == MetaOff {
 		u, n, err := DecodeUpdate(buf)
@@ -232,9 +233,9 @@ func (d *UpdateDecoder) readClock(r *varint.Reader) vclock.VC {
 		switch {
 		case r.Err() != nil:
 		case d.base.Dim() == 0:
-			r.Fail(fmt.Errorf("%w: no base on this link", ErrClockResync))
+			r.Stop(fmt.Errorf("%w: no base on this link", ErrClockResync))
 		case d.base.Checksum() != sum:
-			r.Fail(fmt.Errorf("%w: base checksum %#x, frame expects %#x",
+			r.Stop(fmt.Errorf("%w: base checksum %#x, frame expects %#x",
 				ErrClockResync, d.base.Checksum(), sum))
 		}
 		c = d.base.ReadDeltaSigned(r)

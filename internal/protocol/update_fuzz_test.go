@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -76,23 +77,37 @@ func FuzzDecodeUpdate(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		varinttest.Check(t, data, DecodeUpdate, func(u Update) []byte { return u.AppendBinary(nil) },
+		u, ok := varinttest.Check(t, data, DecodeUpdate, func(u Update) []byte { return u.AppendBinary(nil) },
 			updatesEqual, ErrUpdateTruncated)
+		if ok && u.Clock.Len() > vclock.MaxDecodeDim {
+			t.Fatalf("decoded a clock of dimension %d, cap %d", u.Clock.Len(), vclock.MaxDecodeDim)
+		}
 	})
 }
 
 // decodeStream decodes a whole stream with one fresh link decoder, as a
 // connection does: every frame it accepts moves the link base, so later
 // frames are decoded against state the input chose. It stops at the
-// first frame that fails, reporting the frames before it.
-func decodeStream(data []byte) ([]Update, int, error) {
+// first frame that fails, reporting the frames before it. An error
+// matching both sentinels, or a frame whose clock field does not lie
+// within its bytes or whose clock is above vclock.MaxDecodeDim, fails t.
+func decodeStream(t testing.TB, data []byte) ([]Update, int, error) {
 	dec := NewUpdateDecoder(MetaAuto)
 	var us []Update
 	off := 0
 	for off < len(data) {
-		u, n, _, err := dec.Decode(data[off:])
+		u, n, clockLen, err := dec.Decode(data[off:])
+		if errors.Is(err, ErrUpdateTruncated) && errors.Is(err, ErrClockResync) {
+			t.Fatalf("frame at %d: %v matches both sentinels", off, err)
+		}
 		if err != nil {
 			return us, off, err
+		}
+		if clockLen < 0 || clockLen > n {
+			t.Fatalf("frame at %d: clock field of %d bytes in a %d-byte frame", off, clockLen, n)
+		}
+		if u.Clock.Len() > vclock.MaxDecodeDim {
+			t.Fatalf("frame at %d: decoded a clock of dimension %d, cap %d", off, u.Clock.Len(), vclock.MaxDecodeDim)
 		}
 		us = append(us, u)
 		off += n
@@ -108,11 +123,12 @@ func FuzzUpdateDecoder(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, accepted, _ := decodeStream(data)
+		decode := func(b []byte) ([]Update, int, error) { return decodeStream(t, b) }
+		_, accepted, _ := decode(data)
 		for _, mode := range []MetaMode{MetaDelta, MetaStab} {
 			enc := func(us []Update) []byte { return encodeStream(mode, us) }
 			for _, in := range [][]byte{data, data[:accepted]} {
-				varinttest.Check(t, in, decodeStream, enc, updateListsEqual, ErrUpdateTruncated, ErrClockResync)
+				varinttest.Check(t, in, decode, enc, updateListsEqual, ErrUpdateTruncated, ErrClockResync)
 			}
 		}
 	})

@@ -361,14 +361,17 @@ func TestStatusStringExhaustive(t *testing.T) {
 
 func TestPeekTagTruncated(t *testing.T) {
 	for name, buf := range map[string][]byte{
-		"empty":              {},
-		"unterminated":       {0x80},
-		"unterminated long":  bytes.Repeat([]byte{0xFF}, 5),
-		"overflowing varint": bytes.Repeat([]byte{0xFF}, 11),
+		"empty":             {},
+		"unterminated":      {0x80},
+		"unterminated long": bytes.Repeat([]byte{0xFF}, 5),
 	} {
 		if _, err := PeekTag(buf); !errors.Is(err, ErrWireTruncated) {
 			t.Errorf("PeekTag(%s) = %v, want ErrWireTruncated", name, err)
 		}
+	}
+	// Ten bytes hold any uint64: an eleventh is malformed, not missing.
+	if _, err := PeekTag(bytes.Repeat([]byte{0xFF}, 11)); !errors.Is(err, ErrWireCorrupt) || errors.Is(err, ErrWireTruncated) {
+		t.Errorf("PeekTag(overflowing varint) = %v, want ErrWireCorrupt", err)
 	}
 	tag, err := PeekTag(Request{Tag: 1 << 40, Kind: ReqPing}.AppendBinary(nil))
 	if err != nil || tag != 1<<40 {

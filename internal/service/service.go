@@ -118,7 +118,7 @@ type Config struct {
 	TraceThreshold time.Duration
 
 	// TraceRing bounds the in-memory ring of retained trace records
-	// (overwrite-oldest). 0 defaults to obs.DefaultCapacity (4096).
+	// (overwrite-oldest). 0 defaults to obs.DefaultCapacity (8192).
 	TraceRing int
 
 	// TraceSink, when set, receives every tail-sampled trace record —

@@ -8,8 +8,10 @@
 // and leaves the offset alone, so a decoder reads as straight-line code
 // and checks Err once at the end. Every failure wraps one of the two
 // sentinel errors the caller built the reader with — short when the
-// bytes run out, bad for anything malformed — so each decoder keeps a
-// single error contract however deeply its fields nest.
+// bytes run out, bad for anything malformed (a varint overflowing 64
+// bits, a count above its cap) — so each decoder keeps a single error
+// contract however deeply its fields nest. Stop latches a failure that
+// must match neither, such as a link out of sync.
 //
 // Count is the one length-prefix rule: a count is rejected when it is
 // above the caller's cap or above the bytes left, since every counted
@@ -34,8 +36,9 @@ type Reader struct {
 }
 
 // NewReader returns a reader over buf. Reads past the end of buf fail
-// with short; counts above their cap and every error passed to Fail
-// fail with bad. Most decoders have one sentinel and pass it twice.
+// with short; overflowing varints, counts above their cap and every
+// error passed to Fail fail with bad. Most decoders have one sentinel
+// and pass it twice.
 func NewReader(buf []byte, short, bad error) Reader {
 	return Reader{buf: buf, short: short, bad: bad}
 }
@@ -59,12 +62,32 @@ func (r *Reader) Fail(err error) {
 	r.err = err
 }
 
+// Stop latches err as it is, unless a failure is latched already: a
+// failure the caller's contract names beside the two sentinels, which
+// must match neither of them.
+func (r *Reader) Stop(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // truncated latches the short sentinel for a read at the current
 // offset.
 func (r *Reader) truncated(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s at offset %d of %d", r.short, what, r.off, len(r.buf))
 	}
+}
+
+// varintFailed latches the failure of a varint read whose length k
+// from encoding/binary is not positive: 0 when the bytes ran out, below
+// 0 when the varint overflows 64 bits.
+func (r *Reader) varintFailed(k int, what string) {
+	if k == 0 {
+		r.truncated(what)
+		return
+	}
+	r.Fail(fmt.Errorf("%w: %s at offset %d overflows 64 bits", r.bad, what, r.off))
 }
 
 // Uvarint reads one unsigned varint.
@@ -74,7 +97,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	x, k := binary.Uvarint(r.buf[r.off:])
 	if k <= 0 {
-		r.truncated("uvarint")
+		r.varintFailed(k, "uvarint")
 		return 0
 	}
 	r.off += k
@@ -88,7 +111,7 @@ func (r *Reader) Varint() int64 {
 	}
 	x, k := binary.Varint(r.buf[r.off:])
 	if k <= 0 {
-		r.truncated("varint")
+		r.varintFailed(k, "varint")
 		return 0
 	}
 	r.off += k
@@ -125,28 +148,40 @@ func (r *Reader) Bytes(n int) []byte {
 }
 
 // Uvarints fills dst with consecutive unsigned varints: the component
-// loop of a clock, in one call, so the per-component cost stays that of
-// an inlined single-byte check rather than a method call. On failure
-// dst holds a prefix of the values and the reader is latched.
+// loop of a clock, in one call and one pass over the bytes. It applies
+// binary.Uvarint's rules — out of bytes is short, an eleventh byte or a
+// tenth above 1 overflows — without re-slicing the buffer per
+// component, which costs a multi-byte clock more than the loop itself.
+// On failure dst holds a prefix of the values and the reader is latched
+// at the start of the varint that failed.
 func (r *Reader) Uvarints(dst []uint64) {
 	if r.err != nil {
 		return
 	}
 	buf, off := r.buf, r.off
 	for i := range dst {
-		if off < len(buf) && buf[off] < 0x80 {
-			dst[i] = uint64(buf[off])
+		start := off
+		var x uint64
+		for s := uint(0); ; s += 7 {
+			if off == len(buf) {
+				r.off = start
+				r.varintFailed(0, "uvarint")
+				return
+			}
+			b := buf[off]
 			off++
-			continue
-		}
-		x, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			r.off = off
-			r.truncated("uvarint")
-			return
+			if s > 63 || s == 63 && b > 1 && b < 0x80 {
+				r.off = start
+				r.varintFailed(-1, "uvarint")
+				return
+			}
+			if b < 0x80 {
+				x |= uint64(b) << s
+				break
+			}
+			x |= uint64(b&0x7f) << s
 		}
 		dst[i] = x
-		off += k
 	}
 	r.off = off
 }

@@ -1,6 +1,7 @@
 package varint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -61,6 +62,10 @@ func TestCountRule(t *testing.T) {
 		{[]byte{3, 0, 0}, 3, 0, errShort},
 		{binary.AppendUvarint(nil, 1<<62), 1 << 20, 0, errBad},
 		{nil, 1, 0, errShort},
+		// Ten continuation bytes may still end in a valid varint; a
+		// tenth byte above 1 overflows 64 bits.
+		{bytes.Repeat([]byte{0xFF}, 10), 1 << 20, 0, errShort},
+		{append(bytes.Repeat([]byte{0xFF}, 9), 2), 1 << 20, 0, errBad},
 	}
 	for _, tc := range cases {
 		r := NewReader(tc.buf, errShort, errBad)
@@ -84,6 +89,39 @@ func TestFailWrapsUnderBad(t *testing.T) {
 		r.Fail(own)
 		if r.Err() != own {
 			t.Fatalf("Fail(%v) latched %v", own, r.Err())
+		}
+	}
+	r = NewReader(nil, errShort, errBad)
+	r.Stop(foreign)
+	if r.Err() != foreign {
+		t.Fatalf("Stop(foreign) latched %v", r.Err())
+	}
+}
+
+// TestOverflowIsBad: a varint overflowing 64 bits is malformed in every
+// read, one cut short is short. Each read takes a valid one-byte value
+// first, so the failure lands past the start of the buffer.
+func TestOverflowIsBad(t *testing.T) {
+	reads := map[string]func(*Reader){
+		"Uvarint":  func(r *Reader) { r.Uvarint(); r.Uvarint() },
+		"Varint":   func(r *Reader) { r.Varint(); r.Varint() },
+		"Uvarints": func(r *Reader) { r.Uvarints(make([]uint64, 2)) },
+	}
+	ff := func(n int, last ...byte) []byte { return append(bytes.Repeat([]byte{0xFF}, n), last...) }
+	for name, read := range reads {
+		for _, tc := range []struct {
+			tail []byte
+			want error
+		}{
+			{ff(11), errBad},      // an eleventh byte
+			{ff(9, 0x02), errBad}, // a tenth byte above 1
+			{ff(10), errShort},
+		} {
+			buf := append([]byte{1}, tc.tail...)
+			r := NewReader(buf, errShort, errBad)
+			if read(&r); !errors.Is(r.Err(), tc.want) || r.Off() != 1 {
+				t.Errorf("%s of %x: %v at offset %d, want %v at 1", name, buf, r.Err(), r.Off(), tc.want)
+			}
 		}
 	}
 }
@@ -111,5 +149,32 @@ func BenchmarkUvarints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := NewReader(buf, errShort, errBad)
 		r.Uvarints(dst)
+	}
+}
+
+// TestUvarintsMatchesBinary: Uvarints, which decodes its own bytes,
+// agrees with binary.Uvarint on every length and final byte around the
+// ten-byte limit: same value, same length, short where it reports 0 and
+// bad where it reports an overflow.
+func TestUvarintsMatchesBinary(t *testing.T) {
+	for n := 0; n <= 11; n++ {
+		for _, fill := range []byte{0x80, 0xFF} {
+			for _, last := range []int{-1, 0x00, 0x01, 0x02, 0x7F} {
+				buf := bytes.Repeat([]byte{fill}, n)
+				if last >= 0 {
+					buf = append(buf, byte(last))
+				}
+				want, k := binary.Uvarint(buf)
+				dst := []uint64{0}
+				r := NewReader(buf, errShort, errBad)
+				r.Uvarints(dst)
+				switch {
+				case k > 0 && (r.Err() != nil || dst[0] != want || r.Off() != k),
+					k == 0 && !errors.Is(r.Err(), errShort),
+					k < 0 && !errors.Is(r.Err(), errBad):
+					t.Errorf("Uvarints(%x) = %d at %d, %v; binary.Uvarint = %d, %d", buf, dst[0], r.Off(), r.Err(), want, k)
+				}
+			}
+		}
 	}
 }

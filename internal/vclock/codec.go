@@ -19,7 +19,8 @@ import (
 var (
 	// ErrTruncated reports a buffer that ends inside an encoded clock.
 	ErrTruncated = errors.New("vclock: truncated encoding")
-	// ErrDimension reports a decoded dimension that disagrees with the caller's.
+	// ErrDimension reports a malformed clock encoding: a dimension, count
+	// or index out of range, or a varint overflowing 64 bits.
 	ErrDimension = errors.New("vclock: dimension mismatch")
 )
 
