@@ -146,7 +146,7 @@ transport-stress:
 ## after Quiesce, so a trace event lost to an unlucky interleaving fails
 ## it (~35 s on 2 CPUs).
 core-stress:
-	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestPartialReadFailsOnServerCrash' ./internal/core
+	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestClusterOverTCPHeartbeat|TestPartialReadFailsOnServerCrash' ./internal/core
 
 ## bench: the experiment sweeps as runnable benchmarks.
 bench:

@@ -225,9 +225,6 @@ func main() {
 		if chaos.Enabled() {
 			usage("chaos flags apply to the built-in channel transport, not -tcp")
 		}
-		if *heartbeat > 0 {
-			usage("-heartbeat applies to the built-in channel transport, not -tcp")
-		}
 		// The TCP transport codes the wire per connection (with resync on
 		// reconnect), so the codec lives inside it rather than in core.
 		tn, err := transport.NewTCPMeta(*procs, meta)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/history"
 	"repro/internal/protocol"
-	"repro/internal/transport"
 )
 
 func quiesce(t *testing.T, c *Cluster) {
@@ -24,14 +23,6 @@ func quiesce(t *testing.T, c *Cluster) {
 		t.Fatalf("quiesce: %v", err)
 	}
 }
-
-// nopTransport stands in for a custom transport in Validate tests.
-type nopTransport struct{}
-
-func (nopTransport) Register(int, transport.Handler) {}
-func (nopTransport) Send(transport.Message)          {}
-func (nopTransport) Flush()                          {}
-func (nopTransport) Close() error                    { return nil }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
@@ -51,8 +42,6 @@ func TestConfigValidate(t *testing.T) {
 		{Processes: 2, Variables: 1, WALDir: "x", Crashes: []CrashWindow{{Proc: 0, Start: 2 * time.Millisecond, End: time.Millisecond}}},
 		// A restart window without a journal to restart from.
 		{Processes: 2, Variables: 1, Crashes: []CrashWindow{{Proc: 0, Start: time.Millisecond, End: 2 * time.Millisecond}}},
-		// Heartbeats cannot ride a custom transport.
-		{Processes: 2, Variables: 1, Transport: nopTransport{}, HeartbeatInterval: time.Millisecond},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {

@@ -107,9 +107,9 @@ type Config struct {
 	BackoffMax time.Duration
 
 	// Transport optionally replaces the built-in transport. The Cluster
-	// takes ownership and closes it. It carries protocol messages and
-	// catch-up summaries, not heartbeats, so HeartbeatInterval requires
-	// the built-in transport.
+	// takes ownership and closes it. It carries protocol messages,
+	// catch-up summaries and, with HeartbeatInterval set, heartbeat
+	// probes.
 	Transport transport.Transport
 
 	// Meta engages the causality-metadata codec on the inter-replica
@@ -152,8 +152,8 @@ type Config struct {
 
 	// HeartbeatInterval > 0 starts the heartbeat failure detector:
 	// every interval each live process probes every peer, and silence
-	// beyond SuspectAfter raises a Suspect trace event. Requires the
-	// built-in transport.
+	// beyond SuspectAfter raises a Suspect trace event. The probes ride
+	// the cluster's transport, built-in or custom.
 	HeartbeatInterval time.Duration
 	// SuspectAfter is the detector's silence threshold; 0 defaults to
 	// 4×HeartbeatInterval.
@@ -239,9 +239,6 @@ func (c Config) Validate() error {
 		if w.End != 0 && c.WALDir == "" {
 			return fmt.Errorf("core: crash window %d schedules a restart but WALDir is unset", i)
 		}
-	}
-	if c.Transport != nil && c.HeartbeatInterval > 0 {
-		return fmt.Errorf("core: the heartbeat detector requires the built-in transport")
 	}
 	if c.Obs != nil && c.Obs.Procs() != c.Processes {
 		return fmt.Errorf("core: observer built for %d processes, cluster has %d", c.Obs.Procs(), c.Processes)

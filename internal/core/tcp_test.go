@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/checker"
 	"repro/internal/protocol"
@@ -114,4 +116,59 @@ func TestClusterOverTCPCrashRestart(t *testing.T) {
 	if !rep.WriteDelayOptimal() {
 		t.Fatalf("unnecessary delays over TCP: %+v", rep.Delays)
 	}
+}
+
+// TestClusterOverTCPHeartbeat: heartbeat probes ride real sockets with
+// the metadata codec on. A crashed process is suspected, its restart
+// clears the suspicion, and the probes interleaved with updates on each
+// link leave the run audited clean.
+func TestClusterOverTCPHeartbeat(t *testing.T) {
+	tn, err := transport.NewTCPMeta(3, protocol.MetaAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(Config{
+		Processes: 3, Variables: 3, Transport: tn, WALDir: t.TempDir(),
+		HeartbeatInterval: time.Millisecond,
+		SuspectAfter:      4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	suspected := func(p int) bool {
+		for o := 0; o < 3; o++ {
+			if slices.Contains(c.Detector().Suspects(o), p) {
+				return true
+			}
+		}
+		return false
+	}
+	waitFor := func(what string, pred func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !pred() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	crashWorkload(t, c, []int{0, 1, 2}, 20, 100)
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("suspicion of p2", func() bool { return suspected(1) && c.Log().SuspectCount() > 0 })
+	crashWorkload(t, c, []int{0, 2}, 20, 200)
+	if _, err := c.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("p2 trusted again", func() bool { return !suspected(1) && c.Log().AliveCount() > 0 })
+	crashWorkload(t, c, []int{0, 1, 2}, 20, 300)
+	quiesce(t, c)
+	rep, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditCrashRun(t, rep, 1)
 }

@@ -1,7 +1,7 @@
 // Package netchaos injects connection-level faults into the serving
 // tier's TCP path, the socket-layer counterpart of the replica
-// transport's chaos layer (internal/transport.Chaos): where that one
-// loses and reorders inter-replica protocol messages, this one abuses
+// transport's fault injection: where that loses and reorders
+// inter-replica protocol messages, this one abuses
 // the client-facing byte streams — connection resets mid-request,
 // read/write stalls, truncated writes, and connections killed at
 // accept time.

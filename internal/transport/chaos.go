@@ -8,8 +8,9 @@ import (
 )
 
 // NetEventKind enumerates transport-level observability events emitted
-// by the chaos and reliability layers. They are distinct from protocol
-// trace events: they describe the fate of frames, not of writes.
+// by fault injection, the reliability sublayer and the failure
+// detector. They are distinct from protocol trace events: they describe
+// the fate of frames, not of writes.
 type NetEventKind int
 
 // Transport-level events.
@@ -143,124 +144,62 @@ func (c ChaosConfig) Enabled() bool {
 	return c.LossRate > 0 || c.DupRate > 0 || c.ReorderRate > 0 || len(c.Partitions) > 0
 }
 
-// Chaos wraps a Transport with fault injection: frames may be lost,
-// duplicated, held back (reordered), or cut by timed partitions. It
+// faults decides the fate of each frame on a faulty Net: cut by a
+// partition, lost, duplicated, or held back for a reorder burst. It
 // deliberately WEAKENS the Transport contract — Flush only waits for
-// frames chaos chose to transmit — so it must sit underneath a
+// the copies it lets through — so a faulty Net must sit underneath a
 // Reliable layer whenever the exactly-once contract is required.
-type Chaos struct {
+type faults struct {
 	cfg   ChaosConfig
-	inner Transport
 	obs   Observer
-	start time.Time
+	start time.Time // partition windows are measured from it
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand
-
-	closeMu sync.RWMutex
-	closed  bool
-
-	// holdback delays burst frames by ReorderDelay before they reach
-	// inner; nil when ReorderRate is 0. held counts what it holds.
-	holdback *delayQueue
-	held     counter
 }
 
-// NewChaos wraps inner with fault injection. obs may be nil.
-func NewChaos(inner Transport, cfg ChaosConfig, obs Observer) (*Chaos, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func newFaults(cfg ChaosConfig, obs Observer) *faults {
 	if cfg.ReorderRate > 0 && cfg.ReorderDelay == 0 {
 		cfg.ReorderDelay = 2 * time.Millisecond
 	}
-	c := &Chaos{
-		cfg:   cfg,
-		inner: inner,
-		obs:   obs,
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.ReorderRate > 0 {
-		c.holdback = newDelayQueue(cfg.Seed, cfg.ReorderDelay, cfg.ReorderDelay, 0, &c.held, inner.Send)
-	}
-	return c, nil
+	return &faults{cfg: cfg, obs: obs, start: time.Now(), rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// Register implements Transport.
-func (c *Chaos) Register(id int, h Handler) { c.inner.Register(id, h) }
-
-// Send implements Transport: it transmits m zero, one, or two times.
-func (c *Chaos) Send(m Message) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed {
-		return
-	}
-	elapsed := time.Since(c.start)
-	for _, p := range c.cfg.Partitions {
-		if p.cuts(m.From, m.To, elapsed) {
-			c.emit(NetEvent{Kind: EvDrop, From: m.From, To: m.To, Msg: m})
-			return
+// fate returns how many copies of m to deliver (0, 1 or 2) and how long
+// to hold the first back. A partition cut draws nothing from the
+// sampler; otherwise loss, dup and burst are drawn in that order.
+func (f *faults) fate(m Message) (copies int, hold time.Duration) {
+	if len(f.cfg.Partitions) > 0 {
+		elapsed := time.Since(f.start)
+		for _, p := range f.cfg.Partitions {
+			if p.cuts(m.From, m.To, elapsed) {
+				f.emit(EvDrop, m)
+				return 0, 0
+			}
 		}
 	}
-	loss, dup, burst := c.sample()
+	f.mu.Lock()
+	loss := f.cfg.LossRate > 0 && f.rng.Float64() < f.cfg.LossRate
+	dup := !loss && f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate
+	burst := !loss && f.cfg.ReorderRate > 0 && f.rng.Float64() < f.cfg.ReorderRate
+	f.mu.Unlock()
 	if loss {
-		c.emit(NetEvent{Kind: EvDrop, From: m.From, To: m.To, Msg: m})
-		return
+		f.emit(EvDrop, m)
+		return 0, 0
+	}
+	copies = 1
+	if dup {
+		f.emit(EvDuplicate, m)
+		copies = 2
 	}
 	if burst {
-		c.held.add(1)
-		c.holdback.push(m)
-	} else {
-		c.inner.Send(m)
+		hold = f.cfg.ReorderDelay
 	}
-	if dup {
-		c.emit(NetEvent{Kind: EvDuplicate, From: m.From, To: m.To, Msg: m})
-		c.inner.Send(m)
-	}
+	return copies, hold
 }
 
-// sample draws this frame's fault outcomes under one lock acquisition.
-func (c *Chaos) sample() (loss, dup, burst bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cfg.LossRate > 0 && c.rng.Float64() < c.cfg.LossRate {
-		return true, false, false
-	}
-	if c.cfg.DupRate > 0 && c.rng.Float64() < c.cfg.DupRate {
-		dup = true
-	}
-	if c.cfg.ReorderRate > 0 && c.rng.Float64() < c.cfg.ReorderRate {
-		burst = true
-	}
-	return false, dup, burst
-}
-
-// Flush implements Transport: it waits for every frame chaos actually
-// transmitted (dropped frames are gone by design).
-func (c *Chaos) Flush() {
-	c.held.wait()
-	c.inner.Flush()
-}
-
-// Close implements Transport. Frames still held back are discarded.
-func (c *Chaos) Close() error {
-	c.closeMu.Lock()
-	if c.closed {
-		c.closeMu.Unlock()
-		return ErrClosed
-	}
-	c.closed = true
-	c.closeMu.Unlock()
-	if c.holdback != nil {
-		c.holdback.stop()
-	}
-	return c.inner.Close()
-}
-
-func (c *Chaos) emit(e NetEvent) {
-	if c.obs != nil {
-		c.obs(e)
+func (f *faults) emit(k NetEventKind, m Message) {
+	if f.obs != nil {
+		f.obs(NetEvent{Kind: k, From: m.From, To: m.To, Msg: m})
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,12 +29,8 @@ func TestChaosConfigValidate(t *testing.T) {
 }
 
 func TestChaosLossDropsFrames(t *testing.T) {
-	inner, err := New(Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var obs collectObs
-	ch, err := NewChaos(inner, ChaosConfig{LossRate: 0.5, Seed: 42}, obs.obs)
+	ch, err := newNet(Config{Procs: 2}, ChaosConfig{LossRate: 0.5, Seed: 42}, obs.obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +57,8 @@ func TestChaosLossDropsFrames(t *testing.T) {
 }
 
 func TestChaosDuplicatesFrames(t *testing.T) {
-	inner, err := New(Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var obs collectObs
-	ch, err := NewChaos(inner, ChaosConfig{DupRate: 0.5, Seed: 7}, obs.obs)
+	ch, err := newNet(Config{Procs: 2}, ChaosConfig{DupRate: 0.5, Seed: 7}, obs.obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +81,8 @@ func TestChaosDuplicatesFrames(t *testing.T) {
 }
 
 func TestChaosPartitionWindow(t *testing.T) {
-	inner, err := New(Config{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var obs collectObs
-	ch, err := NewChaos(inner, ChaosConfig{
+	ch, err := newNet(Config{Procs: 4}, ChaosConfig{
 		Partitions: []Partition{{Start: 0, End: 40 * time.Millisecond, A: []int{0, 1}, B: []int{2, 3}}},
 	}, obs.obs)
 	if err != nil {
@@ -134,8 +123,52 @@ func TestChaosPartitionWindow(t *testing.T) {
 	ch.Close()
 }
 
+// TestFaultDecisionsPinned: the faulty Net drops and duplicates exactly
+// the frames the Chaos wrapper it replaced did for the same seed and
+// send sequence, recorded below from that wrapper. Every 0→2 frame
+// falls to the partition, and the 0→1 decisions show that those cuts
+// drew nothing from the sampler.
+func TestFaultDecisionsPinned(t *testing.T) {
+	var obs collectObs
+	n, err := newNet(Config{Procs: 3}, ChaosConfig{
+		LossRate: 0.3, DupRate: 0.3, Seed: 11,
+		Partitions: []Partition{{Start: 0, End: time.Hour, A: []int{0}, B: []int{2}}},
+	}, obs.obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var delivered atomic.Int64
+	for p := 0; p < 3; p++ {
+		n.Register(p, func(Message) { delivered.Add(1) })
+	}
+	const msgs = 60
+	for i := 1; i <= msgs; i++ {
+		n.Send(Message{From: 0, To: 1 + i%2, Update: upd(0, i)})
+	}
+	n.Flush()
+	var drops, dups []int
+	for _, e := range obs.events {
+		switch e.Kind {
+		case EvDrop:
+			drops = append(drops, e.Msg.Update.ID.Seq)
+		case EvDuplicate:
+			dups = append(dups, e.Msg.Update.ID.Seq)
+		}
+	}
+	wantDrops := []int{1, 2, 3, 5, 7, 8, 9, 11, 13, 14, 15, 16, 17, 19, 21, 23, 25, 27, 29,
+		31, 32, 33, 34, 35, 37, 39, 40, 41, 43, 45, 47, 48, 49, 50, 51, 52, 53, 54, 55, 57, 58, 59}
+	wantDups := []int{20, 28}
+	if !slices.Equal(drops, wantDrops) || !slices.Equal(dups, wantDups) {
+		t.Fatalf("dropped %v, duplicated %v; want %v and %v", drops, dups, wantDrops, wantDups)
+	}
+	if got, want := delivered.Load(), int64(msgs-len(wantDrops)+len(wantDups)); got != want {
+		t.Fatalf("delivered %d frames, want %d", got, want)
+	}
+}
+
 // TestFaultyStackExactlyOnce is the end-to-end transport property: the
-// full Net→Chaos→Reliable stack under heavy loss, duplication and
+// full faulty-Net→Reliable stack under heavy loss, duplication and
 // reordering still delivers every message exactly once.
 func TestFaultyStackExactlyOnce(t *testing.T) {
 	var obs collectObs

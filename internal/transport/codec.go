@@ -25,14 +25,10 @@ import (
 // reliability sublayer stores the already-recoded message), so a
 // re-sent frame never re-encodes.
 type Codec struct {
+	wireStats
 	inner Transport
 	procs int
-	mode  protocol.MetaMode
 	links []codecLink
-
-	frames       atomic.Uint64
-	metaBytes    atomic.Uint64
-	payloadBytes atomic.Uint64
 }
 
 // codecLink is the per-(from,to) codec state.
@@ -41,6 +37,50 @@ type codecLink struct {
 	enc *protocol.UpdateEncoder
 	dec *protocol.UpdateDecoder
 	buf []byte
+}
+
+// wireStats is the frame and byte accounting of a link layer that runs
+// the metadata codec; Codec and TCPNet embed it for Stats and
+// RegisterMetrics.
+type wireStats struct {
+	mode         protocol.MetaMode
+	frames       atomic.Uint64
+	metaBytes    atomic.Uint64
+	payloadBytes atomic.Uint64
+}
+
+// count adds one frame of size bytes, meta of them clock fields.
+func (w *wireStats) count(size, meta int) {
+	w.frames.Add(1)
+	w.metaBytes.Add(uint64(meta))
+	w.payloadBytes.Add(uint64(size - meta))
+}
+
+// Stats snapshots the byte accounting.
+func (w *wireStats) Stats() CodecStats {
+	return CodecStats{
+		Frames:       w.frames.Load(),
+		MetaBytes:    w.metaBytes.Load(),
+		PayloadBytes: w.payloadBytes.Load(),
+	}
+}
+
+// RegisterMetrics publishes the byte split on reg as scrape-time
+// counters, so the metadata share of wire traffic is visible live:
+//
+//	dsm_net_meta_bytes_total, dsm_net_payload_bytes_total,
+//	dsm_net_frames_total
+func (w *wireStats) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	labels = append(labels, obs.L("codec", w.mode.String()))
+	reg.CounterFunc("dsm_net_meta_bytes_total",
+		"bytes of causality metadata (encoded clock fields) shipped on inter-replica links",
+		func() uint64 { return w.metaBytes.Load() }, labels...)
+	reg.CounterFunc("dsm_net_payload_bytes_total",
+		"bytes of non-clock update payload shipped on inter-replica links",
+		func() uint64 { return w.payloadBytes.Load() }, labels...)
+	reg.CounterFunc("dsm_net_frames_total",
+		"protocol messages encoded onto inter-replica links by the metadata codec",
+		func() uint64 { return w.frames.Load() }, labels...)
 }
 
 // CodecStats is a snapshot of the wrapper's byte accounting.
@@ -58,7 +98,7 @@ type CodecStats struct {
 // wrapper still recodes through the legacy format (useful for byte
 // accounting), so callers normally only wrap when mode.Enabled().
 func WithCodec(inner Transport, procs int, mode protocol.MetaMode) *Codec {
-	c := &Codec{inner: inner, procs: procs, mode: mode, links: make([]codecLink, procs*procs)}
+	c := &Codec{wireStats: wireStats{mode: mode}, inner: inner, procs: procs, links: make([]codecLink, procs*procs)}
 	for i := range c.links {
 		c.links[i].enc = protocol.NewUpdateEncoder(mode)
 		c.links[i].dec = protocol.NewUpdateDecoder(mode)
@@ -87,18 +127,6 @@ func (c *Codec) Send(m Message) {
 	c.inner.Send(m)
 }
 
-// SendAll implements Broadcaster. The broadcast fans out through the
-// per-destination recode — each link's delta chain is its own — so the
-// wrapped transport's batched accept is traded for per-link encodes,
-// the same cost a real network pays.
-func (c *Codec) SendAll(from int, u protocol.Update) {
-	for q := 0; q < c.procs; q++ {
-		if q != from {
-			c.Send(Message{From: from, To: q, Update: u})
-		}
-	}
-}
-
 // recode runs u through the link's encoder and decoder, returning the
 // decoded update (what the wire would have delivered) and folding the
 // byte split into the counters.
@@ -116,45 +144,6 @@ func (c *Codec) recode(from, to int, u protocol.Update) protocol.Update {
 		panic(fmt.Sprintf("transport: codec %d->%d: consumed %d of %d bytes (meta %d vs %d)",
 			from, to, n, len(buf), meta, decMeta))
 	}
-	c.frames.Add(1)
-	c.metaBytes.Add(uint64(meta))
-	c.payloadBytes.Add(uint64(len(buf) - meta))
+	c.count(len(buf), meta)
 	return out
-}
-
-// Stats snapshots the byte accounting.
-func (c *Codec) Stats() CodecStats {
-	return CodecStats{
-		Frames:       c.frames.Load(),
-		MetaBytes:    c.metaBytes.Load(),
-		PayloadBytes: c.payloadBytes.Load(),
-	}
-}
-
-// RegisterMetrics publishes the byte split on reg as scrape-time
-// counters, so the metadata share of wire traffic is visible live:
-//
-//	dsm_net_meta_bytes_total, dsm_net_payload_bytes_total,
-//	dsm_net_frames_total
-func (c *Codec) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	labels = append(labels, obs.L("codec", c.mode.String()))
-	reg.CounterFunc("dsm_net_meta_bytes_total",
-		"bytes of causality metadata (encoded clock fields) shipped on inter-replica links",
-		func() uint64 { return c.metaBytes.Load() }, labels...)
-	reg.CounterFunc("dsm_net_payload_bytes_total",
-		"bytes of non-clock update payload shipped on inter-replica links",
-		func() uint64 { return c.payloadBytes.Load() }, labels...)
-	reg.CounterFunc("dsm_net_frames_total",
-		"protocol messages recoded by the metadata codec",
-		func() uint64 { return c.frames.Load() }, labels...)
-}
-
-// SendTo implements Multicaster, fanning out through the
-// per-destination recode exactly like SendAll.
-func (c *Codec) SendTo(from int, dests []int, u protocol.Update) {
-	for _, q := range dests {
-		if q != from {
-			c.Send(Message{From: from, To: q, Update: u})
-		}
-	}
 }

@@ -38,7 +38,7 @@ func TestCodecDeliversEqualUpdates(t *testing.T) {
 			clock[i%3]++
 			u := clockUpd(0, i+1, clock.Clone())
 			sent = append(sent, u)
-			c.SendAll(0, u)
+			Broadcast(c, 3, 0, u)
 		}
 		c.Flush()
 		mu.Lock()
@@ -112,7 +112,7 @@ func TestCodecDeltaShrinksSteadyState(t *testing.T) {
 		clock := vclock.New(procs)
 		for i := 0; i < 200; i++ {
 			clock[0]++
-			c.SendAll(0, clockUpd(0, i+1, clock.Clone()))
+			Broadcast(c, procs, 0, clockUpd(0, i+1, clock.Clone()))
 		}
 		c.Flush()
 		st := c.Stats()

@@ -19,7 +19,8 @@ import (
 // key, so a queue with no delay at all (every frame due at once) still
 // reorders whatever is queued together. In fifo mode frames of one
 // source are instead due strictly after their predecessor: link order
-// is kept while the delays of successive frames overlap.
+// is kept while the delays of successive frames overlap. A frame pushed
+// with a hold (a fault-injected reorder burst) is the one exception.
 //
 // The owner adds each frame to pending before pushing it; the queue takes
 // it off once sink has returned for it (or stop discarded it), which is
@@ -73,16 +74,21 @@ func newDelayQueue(seed int64, min, max time.Duration, sources int, pending *cou
 // push queues m, already counted in pending. It never blocks on
 // delivery; the queue is unbounded. The owner must not push once it has
 // called stop.
-func (q *delayQueue) push(m Message) {
+func (q *delayQueue) push(m Message) { q.pushAfter(m, 0) }
+
+// pushAfter is push with m held back an extra hold on top of its drawn
+// delay. A held frame skips the fifo clamp and leaves it where it was,
+// so the later frames of its source may overtake it: a reorder burst.
+func (q *delayQueue) pushAfter(m Message, hold time.Duration) {
 	q.mu.Lock()
 	// One draw serves both: its high bits break ties, its remainder over
 	// the delay range (off uniform by range/2^63) is the jitter.
 	r := uint64(q.rng.Int63())
 	f := timedFrame{key: uint32(r >> 31), m: m}
-	if q.max > 0 {
-		f.due = time.Since(q.epoch) + q.min + time.Duration(r%uint64(q.max-q.min+1))
+	if q.max > 0 || hold > 0 {
+		f.due = time.Since(q.epoch) + hold + q.min + time.Duration(r%uint64(q.max-q.min+1))
 	}
-	if q.last != nil {
+	if q.last != nil && hold == 0 {
 		if prev := q.last[m.From]; f.due <= prev {
 			f.due = prev + 1
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -291,54 +292,94 @@ func TestDelayedFIFOPipelines(t *testing.T) {
 	}
 }
 
-// TestChaosReorderHoldsBack: a burst-delayed frame reaches the inner
-// transport ReorderDelay late, Flush waits for it, and Close discards
-// the ones still held without leaving the hold-back goroutine behind.
+// TestChaosReorderHoldsBack: on a FIFO link a burst-delayed frame
+// arrives ReorderDelay late, Flush waits for it, and Close discards the
+// ones still held without leaving the queue goroutine behind. At a
+// burst rate below 1 the later frames overtake the held ones, while the
+// frames that were not held keep their send order.
 func TestChaosReorderHoldsBack(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const hold = 5 * time.Millisecond
-	inner, err := New(Config{Procs: 2, FIFO: true})
-	if err != nil {
-		t.Fatal(err)
+	type arrival struct {
+		seq int
+		at  time.Duration
 	}
-	ch, err := NewChaos(inner, ChaosConfig{ReorderRate: 1, ReorderDelay: hold, Seed: 7}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var arrived []time.Duration
-	begin := time.Now()
-	ch.Register(0, func(Message) {})
-	ch.Register(1, func(Message) {
-		mu.Lock()
-		arrived = append(arrived, time.Since(begin))
-		mu.Unlock()
-	})
-	for i := 1; i <= 50; i++ {
-		ch.Send(Message{From: 0, To: 1, Update: upd(0, i)})
-	}
-	ch.Flush()
-	mu.Lock()
-	if len(arrived) != 50 {
-		t.Fatalf("delivered %d of 50 held-back frames after Flush", len(arrived))
-	}
-	for _, d := range arrived {
-		if d < hold {
-			t.Fatalf("a frame arrived after %v, held back less than ReorderDelay %v", d, hold)
+	run := func(rate float64, frames int) (*Net, func() []arrival) {
+		n, err := newNet(Config{Procs: 2, FIFO: true}, ChaosConfig{ReorderRate: rate, ReorderDelay: hold, Seed: 7}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var arrived []arrival
+		begin := time.Now()
+		n.Register(0, func(Message) {})
+		n.Register(1, func(m Message) {
+			mu.Lock()
+			arrived = append(arrived, arrival{m.Update.ID.Seq, time.Since(begin)})
+			mu.Unlock()
+		})
+		for i := 1; i <= frames; i++ {
+			n.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+		}
+		n.Flush()
+		return n, func() []arrival {
+			mu.Lock()
+			defer mu.Unlock()
+			return slices.Clone(arrived)
 		}
 	}
-	mu.Unlock()
+
+	// Half the frames held: replaying the sampler on the same sequence
+	// tells which.
+	n, arrivals := run(0.5, 50)
+	replay := newFaults(ChaosConfig{ReorderRate: 0.5, ReorderDelay: hold, Seed: 7}, nil)
+	held := map[int]bool{}
 	for i := 1; i <= 50; i++ {
-		ch.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+		if _, d := replay.fate(Message{From: 0, To: 1}); d > 0 {
+			held[i] = true
+		}
 	}
-	if err := ch.Close(); err != nil {
+	got := arrivals()
+	if len(got) != 50 {
+		t.Fatalf("delivered %d of 50 frames after Flush", len(got))
+	}
+	prev, overtaken := 0, 0
+	for i, a := range got {
+		if held[a.seq] {
+			if a.at < hold {
+				t.Fatalf("held frame %d arrived after %v, sooner than ReorderDelay %v", a.seq, a.at, hold)
+			}
+			if i > 0 && got[i-1].seq > a.seq {
+				overtaken++
+			}
+			continue
+		}
+		if a.seq < prev {
+			t.Fatalf("frame %d arrived after frame %d, though neither was held", a.seq, prev)
+		}
+		prev = a.seq
+	}
+	if len(held) == 0 || overtaken == 0 {
+		t.Fatalf("%d frames held, %d overtaken at ReorderRate 0.5", len(held), overtaken)
+	}
+	n.Close()
+
+	// Every frame held.
+	n, arrivals = run(1, 50)
+	for _, a := range arrivals() {
+		if a.at < hold {
+			t.Fatalf("a frame arrived after %v, held back less than ReorderDelay %v", a.at, hold)
+		}
+	}
+	for i := 1; i <= 50; i++ {
+		n.Send(Message{From: 0, To: 1, Update: upd(0, i)})
+	}
+	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ch.Flush()
-	mu.Lock()
-	if len(arrived) != 50 {
-		t.Fatalf("%d frames delivered after Close discarded them", len(arrived)-50)
+	n.Flush()
+	if got := len(arrivals()); got != 50 {
+		t.Fatalf("%d frames delivered after Close discarded them", got-50)
 	}
-	mu.Unlock()
 	settleGoroutines(t, base)
 }

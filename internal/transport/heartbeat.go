@@ -16,7 +16,7 @@ type HeartbeatConfig struct {
 	// SuspectAfter is the silence threshold: an observer that has not
 	// heard a peer for longer suspects it. 0 defaults to 4×Interval —
 	// loose enough that jitter and a lost probe or two cause no false
-	// suspicion, tight enough to unblock token circulation quickly.
+	// suspicion, tight enough to report a crash within a few probes.
 	SuspectAfter time.Duration
 }
 
@@ -40,9 +40,9 @@ func (c HeartbeatConfig) Validate() error {
 // (EvSuspect), cleared when the peer is heard again (EvAlive). The
 // detector piggybacks on the normal transport, so everything that
 // delays or drops frames — jitter, chaos loss, partitions — feeds
-// suspicion, which is the point: suspicion is the cluster's signal to
-// route around a peer (token skipping, quiesce accounting) instead of
-// hanging on it.
+// suspicion, which is the point: what the detector reports is what the
+// links let through. Its output is the Suspect/Alive event stream and
+// the dsm_suspected_pairs gauge (SuspectedPairs).
 //
 // The engine tells the detector about orchestrated crash-stops via
 // SetDown so a down process neither probes nor accuses anyone.
@@ -178,23 +178,6 @@ func (d *Detector) SetDown(p int, down bool) {
 			d.suspected[p][j] = false
 		}
 	}
-}
-
-// Up reports whether p is neither crash-stopped nor suspected by any
-// live observer — the predicate token circulation uses to pick a
-// holder that will actually answer.
-func (d *Detector) Up(p int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down[p] {
-		return false
-	}
-	for obs := 0; obs < d.cfg.Procs; obs++ {
-		if obs != p && !d.down[obs] && d.suspected[obs][p] {
-			return false
-		}
-	}
-	return true
 }
 
 // Suspects returns the peers currently suspected by observer, for

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,15 +86,24 @@ func TestDetectorSuspectAndRecover(t *testing.T) {
 		t.Fatalf("timed out waiting for %s", what)
 	}
 
+	trusted := func(p int) bool {
+		for o := 0; o < 3; o++ {
+			if slices.Contains(det.Suspects(o), p) {
+				return false
+			}
+		}
+		return true
+	}
+
 	// Everyone is probing: no suspicions in steady state.
-	waitFor("steady probing", func() bool { return det.Up(0) && det.Up(1) && det.Up(2) })
+	waitFor("steady probing", func() bool { return trusted(0) && trusted(1) && trusted(2) })
 	if n := count(EvSuspect, 1); n != 0 {
 		t.Fatalf("%d premature suspicions", n)
 	}
 
 	det.SetDown(1, true)
 	waitFor("suspicion of p2", func() bool {
-		return !det.Up(1) && count(EvSuspect, 1) >= 1
+		return !trusted(1) && count(EvSuspect, 1) >= 1
 	})
 	// Both live observers eventually suspect the silent peer.
 	waitFor("both observers", func() bool {
@@ -107,7 +117,7 @@ func TestDetectorSuspectAndRecover(t *testing.T) {
 
 	det.SetDown(1, false)
 	waitFor("p2 trusted again", func() bool {
-		return det.Up(1) && count(EvAlive, 1) >= 1
+		return trusted(1) && count(EvAlive, 1) >= 1
 	})
 
 	// Close is idempotent.

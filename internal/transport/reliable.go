@@ -177,7 +177,7 @@ func (l *relLink) ack(seq int) bool {
 }
 
 // Reliable restores the exactly-once reliable-channel contract over a
-// faulty inner transport (typically a Chaos-wrapped Net): every frame
+// faulty inner transport (typically the Net NewFaulty builds): every frame
 // carries a per-link sequence number, receivers acknowledge and
 // deduplicate, and a background loop retransmits unacked frames with
 // exponential backoff and jitter. Protocol replicas run over it
@@ -247,23 +247,19 @@ func NewReliable(inner Transport, cfg ReliableConfig, obs Observer) (*Reliable, 
 	return r, nil
 }
 
-// NewFaulty assembles the full chaos stack — Net under Chaos under
-// Reliable — returning a Transport that injects the configured faults
-// yet still honors the exactly-once contract.
+// NewFaulty assembles the full chaos stack — a Net that injects the
+// configured faults under Reliable — returning a Transport that still
+// honors the exactly-once contract. With ChaosConfig{} the Net injects
+// nothing.
 func NewFaulty(net Config, chaos ChaosConfig, rel ReliableConfig, obs Observer) (*Reliable, error) {
-	n, err := New(net)
+	n, err := newNet(net, chaos, obs)
 	if err != nil {
-		return nil, err
-	}
-	ch, err := NewChaos(n, chaos, obs)
-	if err != nil {
-		n.Close()
 		return nil, err
 	}
 	rel.Procs = net.Procs
-	r, err := NewReliable(ch, rel, obs)
+	r, err := NewReliable(n, rel, obs)
 	if err != nil {
-		ch.Close()
+		n.Close()
 		return nil, err
 	}
 	return r, nil

@@ -6,21 +6,21 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
 // TCPNet is a Transport over real loopback TCP sockets: every process
 // listens on 127.0.0.1 and keeps one outbound connection per peer.
 // Frames are length-prefixed (uvarint) encoded updates plus a one-byte
-// sender id, so the receiving end reconstructs the Message exactly.
+// sender id, so the receiving end reconstructs the Message exactly. A
+// heartbeat probe is the sender id alone.
 //
 // Per-link ordering is whatever TCP provides — FIFO — so this transport
 // models the common deployment; cross-link reordering (the source of
 // write delays) still happens freely.
 type TCPNet struct {
+	wireStats
 	procs    int
-	mode     protocol.MetaMode
 	handlers []atomic.Pointer[Handler]
 
 	listeners []net.Listener
@@ -29,10 +29,6 @@ type TCPNet struct {
 	mu    sync.Mutex
 	conns [][]net.Conn                // conns[from][to], lazily dialed
 	encs  [][]*protocol.UpdateEncoder // encs[from][to], created with the conn
-
-	frames       atomic.Uint64
-	metaBytes    atomic.Uint64
-	payloadBytes atomic.Uint64
 
 	inflight sync.WaitGroup
 	accept   sync.WaitGroup
@@ -57,11 +53,11 @@ func NewTCPMeta(n int, mode protocol.MetaMode) (*TCPNet, error) {
 		return nil, fmt.Errorf("transport: invalid meta codec mode %v", mode)
 	}
 	t := &TCPNet{
-		procs:    n,
-		mode:     mode,
-		handlers: make([]atomic.Pointer[Handler], n),
-		conns:    make([][]net.Conn, n),
-		encs:     make([][]*protocol.UpdateEncoder, n),
+		wireStats: wireStats{mode: mode},
+		procs:     n,
+		handlers:  make([]atomic.Pointer[Handler], n),
+		conns:     make([][]net.Conn, n),
+		encs:      make([][]*protocol.UpdateEncoder, n),
 	}
 	for i := range t.conns {
 		t.conns[i] = make([]net.Conn, n)
@@ -117,45 +113,22 @@ func (t *TCPNet) Send(m Message) {
 	}
 	// Encoding happens under the same lock as the write: the per-link
 	// encoder is stateful (delta bases), so encode order must equal
-	// socket order exactly.
+	// socket order exactly. A probe bypasses the encoder and the frame
+	// accounting.
 	t.mu.Lock()
-	enc := t.encs[m.From][m.To]
-	payload, meta := enc.Append([]byte{byte(m.From)}, m.Update)
+	payload, meta := []byte{byte(m.From)}, 0
+	if !m.Heartbeat {
+		payload, meta = t.encs[m.From][m.To].Append(payload, m.Update)
+	}
 	frame := protocol.AppendFrame(nil, payload)
 	_, err = conn.Write(frame)
 	t.mu.Unlock()
-	t.frames.Add(1)
-	t.metaBytes.Add(uint64(meta))
-	t.payloadBytes.Add(uint64(len(frame) - meta))
+	if !m.Heartbeat {
+		t.count(len(frame), meta)
+	}
 	if err != nil && !t.closed.Load() {
 		panic(fmt.Sprintf("transport: write %d->%d: %v", m.From, m.To, err))
 	}
-}
-
-// Stats snapshots the frame/byte accounting of frames sent so far.
-func (t *TCPNet) Stats() CodecStats {
-	return CodecStats{
-		Frames:       t.frames.Load(),
-		MetaBytes:    t.metaBytes.Load(),
-		PayloadBytes: t.payloadBytes.Load(),
-	}
-}
-
-// RegisterMetrics publishes the byte split on reg as scrape-time
-// counters (dsm_net_meta_bytes_total, dsm_net_payload_bytes_total,
-// dsm_net_frames_total), mirroring Codec.RegisterMetrics for runs over
-// real sockets.
-func (t *TCPNet) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	labels = append(labels, obs.L("codec", t.mode.String()))
-	reg.CounterFunc("dsm_net_meta_bytes_total",
-		"bytes of causality metadata (encoded clock fields) shipped on inter-replica links",
-		func() uint64 { return t.metaBytes.Load() }, labels...)
-	reg.CounterFunc("dsm_net_payload_bytes_total",
-		"bytes of non-clock update payload shipped on inter-replica links",
-		func() uint64 { return t.payloadBytes.Load() }, labels...)
-	reg.CounterFunc("dsm_net_frames_total",
-		"protocol frames written to inter-replica sockets",
-		func() uint64 { return t.frames.Load() }, labels...)
 }
 
 // conn returns (dialing if needed) the from→to connection.
@@ -212,19 +185,20 @@ func (t *TCPNet) readLoop(p int, conn net.Conn) {
 		if err != nil || len(buf) < 1 {
 			return
 		}
-		from := int(buf[0])
-		u, _, _, err := dec.Decode(buf[1:])
-		if err != nil {
-			if !t.closed.Load() {
-				panic(fmt.Sprintf("transport: decode frame for p%d: %v", p+1, err))
+		m := Message{From: int(buf[0]), To: p, Heartbeat: len(buf) == 1}
+		if !m.Heartbeat {
+			if m.Update, _, _, err = dec.Decode(buf[1:]); err != nil {
+				if !t.closed.Load() {
+					panic(fmt.Sprintf("transport: decode frame for p%d: %v", p+1, err))
+				}
+				return
 			}
-			return
 		}
 		hp := t.handlers[p].Load()
 		if hp == nil {
 			panic(fmt.Sprintf("transport: no handler registered for process %d", p))
 		}
-		(*hp)(Message{From: from, To: p, Update: u})
+		(*hp)(m)
 	}
 }
 

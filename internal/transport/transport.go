@@ -92,13 +92,20 @@ func (c Config) Validate() error {
 
 // Net is the standard Transport implementation: one queue and one
 // delivery goroutine per destination, in one of two shapes fixed at
-// construction. Immediate FIFO links (FIFO set, no delay) are a lane:
-// frames leave in arrival order. Every other mode — delayed,
-// reordering, or both — is a delayQueue. Send never blocks in either.
+// construction. Immediate FIFO links (FIFO set, no delay, no reorder
+// bursts) are a lane: frames leave in arrival order. Every other mode —
+// delayed, reordering, bursty, or any mix — is a delayQueue. Send never
+// blocks in either.
+//
+// A Net built by NewFaulty also decides each frame's fate at Send: it
+// may cut, lose, duplicate or hold the frame back (see faults). The
+// batched SendAll and SendTo skip that decision; only Reliable, which
+// sends frame by frame, sits on a faulty Net.
 type Net struct {
 	cfg      Config
 	handlers []atomic.Pointer[Handler]
 	queues   []queue // queues[to]
+	faults   *faults // nil unless NewFaulty configured a fault
 
 	// closeMu makes Send-vs-Close atomic: Send holds the read side from
 	// the closed check through enqueue, so no message can be accepted
@@ -150,8 +157,15 @@ func (c *counter) wait() {
 }
 
 // New constructs a started Net.
-func New(cfg Config) (*Net, error) {
+func New(cfg Config) (*Net, error) { return newNet(cfg, ChaosConfig{}, nil) }
+
+// newNet constructs a started Net that injects the faults of chaos,
+// reporting drops and duplicates to obs (which may be nil).
+func newNet(cfg Config, chaos ChaosConfig, obs Observer) (*Net, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := chaos.Validate(); err != nil {
 		return nil, err
 	}
 	n := &Net{
@@ -159,12 +173,15 @@ func New(cfg Config) (*Net, error) {
 		handlers: make([]atomic.Pointer[Handler], cfg.Procs),
 		queues:   make([]queue, cfg.Procs),
 	}
+	if chaos.Enabled() {
+		n.faults = newFaults(chaos, obs)
+	}
 	sources := 0
 	if cfg.FIFO {
 		sources = cfg.Procs
 	}
 	for to := range n.queues {
-		if cfg.FIFO && cfg.MaxDelay == 0 {
+		if cfg.FIFO && cfg.MaxDelay == 0 && chaos.ReorderRate == 0 {
 			n.queues[to] = newLane(&n.inflight, n.deliver)
 		} else {
 			n.queues[to] = newDelayQueue(cfg.Seed+int64(to), cfg.MinDelay, cfg.MaxDelay, sources, &n.inflight, n.deliver)
@@ -191,8 +208,25 @@ func (n *Net) Send(m Message) {
 	if n.closed {
 		return
 	}
-	n.inflight.add(1)
-	n.queues[m.To].push(m)
+	q := n.queues[m.To]
+	if n.faults == nil {
+		n.inflight.add(1)
+		q.push(m)
+		return
+	}
+	copies, hold := n.faults.fate(m)
+	if copies == 0 {
+		return
+	}
+	n.inflight.add(copies)
+	if hold > 0 {
+		q.(*delayQueue).pushAfter(m, hold) // bursts always get a delayQueue
+	} else {
+		q.push(m)
+	}
+	if copies == 2 {
+		q.push(m)
+	}
 }
 
 // Flush implements Transport.
@@ -305,8 +339,8 @@ func (n *Net) SendTo(from int, dests []int, u protocol.Update) {
 
 // Multicast sends u from process `from` to every process in dests
 // except the sender, using the transport's batched path when it has
-// one. The per-destination fallback keeps the reliability, chaos and
-// metadata-codec wrappers — none of which need a batched accept —
+// one. The per-destination fallback keeps the reliability and
+// metadata-codec wrappers — neither of which needs a batched accept —
 // working unchanged.
 func Multicast(t Transport, from int, dests []int, u protocol.Update) {
 	if mc, ok := t.(Multicaster); ok {
