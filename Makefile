@@ -119,12 +119,16 @@ test:
 
 ## bench-smoke: the repo benchmark (BENCHMARK.json) lives in bench/, a
 ## module of its own compiled against this tree, so `go build ./...`
-## here never sees it. Vet and test it, then run the one workload that
-## journals for a second with tracing on: a change under internal/ that
-## stops bench/ compiling, or makes a workload fail its audit and exit
-## non-zero, fails this gate before it fails the benchmark driver.
+## here never sees it. Vet and test it, then run each of the five
+## workloads for a second, the one that journals (embed-wan) with
+## tracing on: a change under internal/ that stops bench/ compiling, or
+## makes any workload fail its audit and exit non-zero, fails this gate
+## before it fails the benchmark run (~15 s).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	for w in serve-write serve-read serve-open embed-fifo; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 	bash bench/run.sh --workload embed-wan --seed 1 --seconds 1 --trace 1
 
 ## race: race-detector pass over the library; short mode keeps the
@@ -141,12 +145,13 @@ transport-stress:
 ## core-stress: the live cluster's chaos and crash/restart property
 ## tests twenty times under the race detector, every live protocol
 ## kind, plus the asynchronous catch-up after a restart (partial
-## replication, TCP, its frame volume, the sole-copy push) and forwarded
-## reads whose server crashes: each run audits the whole journal right
-## after Quiesce, so a trace event lost to an unlucky interleaving fails
-## it (~35 s on 2 CPUs).
+## replication, TCP, its frame volume, the sole-copy push), the failure
+## detector's liveness summaries (over TCP, across a partition, never
+## answered) and forwarded reads whose server crashes: each run audits
+## the whole journal right after Quiesce, so a trace event lost to an
+## unlucky interleaving fails it (~40 s on 2 CPUs).
 core-stress:
-	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestClusterOverTCPHeartbeat|TestPartialReadFailsOnServerCrash' ./internal/core
+	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestClusterOverTCPHeartbeat|TestHeartbeatPartitionSuspects|TestHeartbeatSummaryNeverAnswered|TestPartialReadFailsOnServerCrash' ./internal/core
 
 ## bench: the experiment sweeps as runnable benchmarks.
 bench:

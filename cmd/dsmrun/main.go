@@ -64,7 +64,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "crash recovery: write-ahead log directory (one subdir per process)")
 	walSync := flag.Bool("wal-sync", false, "crash recovery: fsync the journal after every record")
 	snapshotEvery := flag.Int("snapshot-every", 0, "crash recovery: journal records between snapshots (default 0: snapshot when the journal outgrows the last snapshot)")
-	heartbeat := flag.Duration("heartbeat", 0, "failure detector: probe interval (0 disables)")
+	heartbeat := flag.Duration("heartbeat", 0, "failure detector: summary interval (0 disables)")
 	suspectAfter := flag.Duration("suspect-after", 0, "failure detector: silence threshold (default 4×heartbeat)")
 	crash := flag.String("crash", "", "crash schedule, e.g. 1@5ms or 1@5ms,2@10ms (proc@start)")
 	restartAfter := flag.Duration("restart-after", 0, "restart each crashed process this long after its crash (0: stay down)")

@@ -44,7 +44,7 @@ type Cluster struct {
 	tr    transport.Transport
 	codec *transport.Codec // non-nil when cfg.Meta is enabled
 	nodes []*Node
-	det   *transport.Detector
+	det   *detector // nil unless cfg.HeartbeatInterval > 0
 	start time.Time
 
 	// shares is the partial-replication assignment; the zero value means
@@ -171,7 +171,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// The codec wraps the outermost transport layer (above the
 		// reliability sublayer), so each protocol message is recoded
 		// once per link; retransmissions below re-send the already
-		// decoded message and heartbeats/acks pass through untouched.
+		// decoded message and acks pass through untouched.
 		c.codec = transport.WithCodec(tr, cfg.Processes, cfg.Meta)
 		tr = c.codec
 	}
@@ -201,18 +201,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	if cfg.HeartbeatInterval > 0 {
-		det, err := transport.NewDetector(tr, transport.HeartbeatConfig{
-			Procs:        cfg.Processes,
-			Interval:     cfg.HeartbeatInterval,
-			SuspectAfter: cfg.SuspectAfter,
-		}, c.noteNetEvent)
-		if err != nil {
-			c.closeWALs()
-			tr.Close()
-			return nil, err
-		}
-		c.det = det
-		det.Start()
+		c.startDetector()
 	}
 	if len(cfg.Crashes) > 0 {
 		c.crashStop = make(chan struct{})
@@ -236,8 +225,8 @@ func (c *Cluster) observeWAL(n *Node) {
 // registerObsGauges exposes scrape-time gauges for state other
 // subsystems already track: per-node pending-buffer depth is derived
 // from events inside the observer, but the reliability sublayer's
-// resend buffer and the failure detector's suspicion matrix live in
-// the transport layer and are polled here instead of mirrored.
+// resend buffer and the failure detector's suspicion matrix are polled
+// here instead of mirrored.
 func (c *Cluster) registerObsGauges() {
 	if c.cfg.Obs == nil {
 		return
@@ -258,7 +247,7 @@ func (c *Cluster) registerObsGauges() {
 	if det := c.det; det != nil {
 		reg.GaugeFunc("dsm_suspected_pairs",
 			"failure-detector (observer, peer) pairs currently under suspicion",
-			func() int64 { return int64(det.SuspectedPairs()) }, proto)
+			func() int64 { return int64(det.suspectedPairs()) }, proto)
 	}
 }
 
@@ -327,9 +316,14 @@ func (c *Cluster) PartiallyReplicated() bool {
 	return !c.shares.IsFull()
 }
 
-// Detector returns the heartbeat failure detector, or nil when
-// HeartbeatInterval is unset.
-func (c *Cluster) Detector() *transport.Detector { return c.det }
+// Suspects returns the peers the failure detector at observer currently
+// suspects; nil when HeartbeatInterval is unset.
+func (c *Cluster) Suspects(observer int) []int {
+	if c.det == nil {
+		return nil
+	}
+	return c.det.suspects(observer)
+}
 
 // MetaCodec returns the causality-metadata codec wrapper (for byte
 // accounting and metric registration), or nil when Config.Meta is off.
@@ -382,25 +376,13 @@ func (c *Cluster) appendEvent(e trace.Event) {
 	}
 }
 
-// noteNetEvent records chaos-stack and failure-detector occurrences in
-// the trace. Frame fates never feed Quiesce accounting — the
-// reliability sublayer guarantees the protocol-level events come out
-// exactly as on a fault-free transport.
+// noteNetEvent records chaos-stack occurrences in the trace. Frame
+// fates never feed Quiesce accounting — the reliability sublayer
+// guarantees the protocol-level events come out exactly as on a
+// fault-free transport.
 func (c *Cluster) noteNetEvent(e transport.NetEvent) {
-	switch e.Kind {
-	case transport.EvSuspect, transport.EvAlive:
-		kind := trace.Suspect
-		if e.Kind == transport.EvAlive {
-			kind = trace.Alive
-		}
-		// Detector events carry From=peer, To=observer.
-		c.appendEvent(trace.Event{
-			Kind: kind, Proc: e.To, Time: c.now(), Val: int64(e.From),
-		})
-		return
-	}
-	if e.Msg.Heartbeat {
-		return // lost or duplicated probes are the detector's business
+	if e.Msg.Update.Summary {
+		return // a summary carries no write; its fate is no write's fate
 	}
 	var kind trace.EventKind
 	proc := e.From
@@ -508,7 +490,7 @@ func (c *Cluster) Close() error {
 		<-c.crashDone
 	}
 	if c.det != nil {
-		c.det.Close()
+		c.det.close()
 	}
 	err := c.closeWALs()
 	// Frontier waiters must not sleep through the close.

@@ -107,9 +107,9 @@ type Config struct {
 	BackoffMax time.Duration
 
 	// Transport optionally replaces the built-in transport. The Cluster
-	// takes ownership and closes it. It carries protocol messages,
-	// catch-up summaries and, with HeartbeatInterval set, heartbeat
-	// probes.
+	// takes ownership and closes it. It carries protocol messages and
+	// the Apply-vector summaries of catch-up and, with
+	// HeartbeatInterval set, of failure detection.
 	Transport transport.Transport
 
 	// Meta engages the causality-metadata codec on the inter-replica
@@ -150,10 +150,11 @@ type Config struct {
 	// recovery replay length.
 	SnapshotEvery int
 
-	// HeartbeatInterval > 0 starts the heartbeat failure detector:
-	// every interval each live process probes every peer, and silence
-	// beyond SuspectAfter raises a Suspect trace event. The probes ride
-	// the cluster's transport, built-in or custom.
+	// HeartbeatInterval > 0 starts the failure detector: every interval
+	// each live process sends every peer a summary of its Apply vector,
+	// and silence on a peer's summaries beyond SuspectAfter raises a
+	// Suspect trace event. The summaries ride the cluster's transport,
+	// built-in or custom.
 	HeartbeatInterval time.Duration
 	// SuspectAfter is the detector's silence threshold; 0 defaults to
 	// 4×HeartbeatInterval.

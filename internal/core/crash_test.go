@@ -432,9 +432,6 @@ func TestHeartbeatSuspectAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Detector() == nil {
-		t.Fatal("no detector")
-	}
 	if err := c.Crash(1); err != nil {
 		t.Fatal(err)
 	}
@@ -450,13 +447,13 @@ func TestHeartbeatSuspectAlive(t *testing.T) {
 		t.Fatalf("timed out waiting for %s", what)
 	}
 	waitFor("suspicion of p2", func() bool {
-		return slices.Contains(c.Detector().Suspects(0), 1) && c.Log().SuspectCount() > 0
+		return slices.Contains(c.Suspects(0), 1) && c.Log().SuspectCount() > 0
 	})
 	if _, err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
 	waitFor("p2 trusted again", func() bool {
-		return !slices.Contains(c.Detector().Suspects(0), 1) && !slices.Contains(c.Detector().Suspects(2), 1)
+		return !slices.Contains(c.Suspects(0), 1) && !slices.Contains(c.Suspects(2), 1)
 	})
 	waitFor("alive events", func() bool { return c.Log().AliveCount() > 0 })
 	if s := c.Stats(); s.Crashes != 1 || s.Recoveries != 1 || s.Suspects == 0 {

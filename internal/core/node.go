@@ -279,16 +279,19 @@ func (n *Node) check(x int) error {
 	return nil
 }
 
-// handle is the transport delivery callback.
+// handle is the transport delivery callback. Every summary counts as
+// heard by the failure detector; a liveness summary does nothing else.
 func (n *Node) handle(m transport.Message) {
-	if m.Heartbeat {
-		if !n.down.Load() && n.c.det != nil {
-			n.c.det.Heard(n.id, m.From)
-		}
-		return
-	}
 	if n.down.Load() {
 		return // crash-stop: in-flight messages are dropped
+	}
+	if m.Update.Summary {
+		if n.c.det != nil {
+			n.c.det.heard(n.id, m.From)
+		}
+		if m.Update.Val == liveSummary {
+			return
+		}
 	}
 	n.mu.Lock()
 	if n.down.Load() {
@@ -308,8 +311,9 @@ func (n *Node) handle(m transport.Message) {
 	}
 }
 
-// summaryLocked is this node's catch-up summary; ask = 1 requests the
-// receiver's in return. Caller holds n.mu.
+// summaryLocked is this node's Apply-vector summary: ask = 1 requests
+// the receiver's in return, liveSummary only says this node is up.
+// Caller holds n.mu.
 func (n *Node) summaryLocked(ask int64) protocol.Update {
 	apply := n.drv.Replica().(protocol.Introspector).ApplyClock()
 	return protocol.Update{ID: history.WriteID{Proc: n.id}, Val: ask, Clock: apply, Summary: true}

@@ -92,9 +92,6 @@ func (c *Cluster) crashLocked(n *Node, journalErr error) {
 	// disk and its peers, exactly like a real process death.
 	n.drv = nil
 	n.archive = nil
-	if c.det != nil {
-		c.det.SetDown(n.id, true)
-	}
 	c.appendEvent(trace.Event{Kind: trace.Crash, Proc: n.id, Time: c.now()})
 	// Admission waiters parked on n must observe the crash and fail
 	// over (or fail fast) instead of running out their deadline.
@@ -184,7 +181,7 @@ func (c *Cluster) recoverLocked(n *Node, st *RecoveryStats) error {
 	c.mu.Unlock()
 	c.acct.bump() // p rejoins the Quiesce accounting
 	if c.det != nil {
-		c.det.SetDown(p, false)
+		c.det.reset(p)
 	}
 	c.appendEvent(trace.Event{
 		Kind: trace.Recover, Proc: p, Time: c.now(), Val: int64(st.Replayed),

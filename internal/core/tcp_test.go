@@ -118,10 +118,10 @@ func TestClusterOverTCPCrashRestart(t *testing.T) {
 	}
 }
 
-// TestClusterOverTCPHeartbeat: heartbeat probes ride real sockets with
-// the metadata codec on. A crashed process is suspected, its restart
-// clears the suspicion, and the probes interleaved with updates on each
-// link leave the run audited clean.
+// TestClusterOverTCPHeartbeat: liveness summaries ride real sockets
+// with the metadata codec on. A crashed process is suspected, its
+// restart clears the suspicion, and the summaries interleaved with
+// updates on each link leave the run audited clean.
 func TestClusterOverTCPHeartbeat(t *testing.T) {
 	tn, err := transport.NewTCPMeta(3, protocol.MetaAuto)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestClusterOverTCPHeartbeat(t *testing.T) {
 	defer c.Close()
 	suspected := func(p int) bool {
 		for o := 0; o < 3; o++ {
-			if slices.Contains(c.Detector().Suspects(o), p) {
+			if slices.Contains(c.Suspects(o), p) {
 				return true
 			}
 		}

@@ -227,8 +227,8 @@ func TestLiveMetricsMatchPostHocStats(t *testing.T) {
 	}
 }
 
-// TestChaosGaugesScrape covers the scrape-time gauges the transport
-// stack registers (un-acked frames, dedup window, suspected pairs):
+// TestChaosGaugesScrape covers the scrape-time gauges the cluster
+// registers (un-acked frames, dedup window, suspected pairs):
 // a chaos + heartbeat run must expose them, and concurrent scraping
 // during the run must be race-free (this test matters under -race).
 func TestChaosGaugesScrape(t *testing.T) {

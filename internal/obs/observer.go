@@ -9,17 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
-// kindFamilies names the counter family for every trace event kind.
-// The obs tests assert the table is exhaustive against trace.NumKinds.
+// kindFamilies names the counter family for every trace event kind a
+// live cluster emits. Discard, Drop and Token occur only in simulator
+// traces, which never reach an Observer, so they have none; the obs
+// tests assert every other kind against trace.NumKinds.
 var kindFamilies = [trace.NumKinds]struct{ name, help string }{
 	trace.Issue:      {"dsm_writes_total", "writes issued (w_p(x)v operations)"},
 	trace.Send:       {"dsm_sends_total", "update broadcasts entering the transport"},
 	trace.Receipt:    {"dsm_receipts_total", "protocol updates received (delayed or not)"},
 	trace.Apply:      {"dsm_applies_total", "remote updates applied to the replica"},
-	trace.Discard:    {"dsm_discards_total", "writing-semantics logical applies of skipped writes"},
-	trace.Drop:       {"dsm_drops_total", "late messages of skipped writes dropped"},
 	trace.Return:     {"dsm_reads_total", "reads returned (r_p(x) operations)"},
-	trace.Token:      {"dsm_tokens_total", "token events at WS-send style protocols"},
 	trace.NetDrop:    {"dsm_net_drops_total", "frames lost to chaos fault injection"},
 	trace.Retransmit: {"dsm_retransmits_total", "reliability-sublayer re-sends"},
 	trace.DupDiscard: {"dsm_dup_discards_total", "duplicate frames suppressed by receiver dedup"},
@@ -33,7 +32,7 @@ var kindFamilies = [trace.NumKinds]struct{ name, help string }{
 
 // Span is one causal-propagation record: the write identified by
 // (proc, seq) — the same ID Write_co stamps on the update — traveling
-// from its issue to its (logical) apply at one remote replica, with
+// from its issue to its apply at one remote replica, with
 // the buffered-wait sub-span when the receipt was a write delay per
 // Definition 3.
 type Span struct {
@@ -50,9 +49,6 @@ type Span struct {
 	// BufferedWaitNs is the receipt→apply sub-span when the update was
 	// buffered (0 when it applied immediately).
 	BufferedWaitNs int64 `json:"buffered_wait_ns"`
-	// Discarded marks spans resolved by a writing-semantics logical
-	// apply rather than a physical one.
-	Discarded bool `json:"discarded,omitempty"`
 }
 
 // PropagationNs returns the issue→apply propagation latency — the
@@ -162,9 +158,10 @@ func NewObserver(opts Options) *Observer {
 	for p := 0; p < opts.Procs; p++ {
 		pl := L("proc", fmt.Sprint(p))
 		o.perKind[p] = make([]*Counter, trace.NumKinds)
-		for k := 0; k < trace.NumKinds; k++ {
-			f := kindFamilies[k]
-			o.perKind[p][k] = reg.Counter(f.name, f.help, proto, pl)
+		for k, f := range kindFamilies {
+			if f.name != "" {
+				o.perKind[p][k] = reg.Counter(f.name, f.help, proto, pl)
+			}
 		}
 		o.delays[p] = reg.Counter("dsm_delays_total",
 			"write delays: receipts buffered awaiting causal predecessors (Definition 3)", proto, pl)
@@ -174,9 +171,9 @@ func NewObserver(opts Options) *Observer {
 			"write-ahead-log fsync latency", nil, proto, pl)
 	}
 	o.delayWait = reg.Histogram("dsm_delay_wait_ns",
-		"how long buffered updates waited before (logical) apply", nil, proto)
+		"how long buffered updates waited before apply", nil, proto)
 	o.propagation = reg.Histogram("dsm_propagation_ns",
-		"write propagation latency: issue to (logical) apply at a remote replica", nil, proto)
+		"write propagation latency: issue to apply at a remote replica", nil, proto)
 	return o
 }
 
@@ -211,7 +208,8 @@ func (o *Observer) inflightIdx(p int, w history.WriteID) int {
 // under the cluster's tee lock (Observe must not be invoked
 // concurrently with itself).
 func (o *Observer) Observe(e trace.Event) {
-	if e.Proc < 0 || e.Proc >= o.procs || e.Kind < 0 || int(e.Kind) >= trace.NumKinds {
+	if e.Proc < 0 || e.Proc >= o.procs || e.Kind < 0 || int(e.Kind) >= trace.NumKinds ||
+		o.perKind[e.Proc][e.Kind] == nil { // a simulator-only kind
 		return
 	}
 	o.perKind[e.Proc][e.Kind].Inc()
@@ -233,26 +231,14 @@ func (o *Observer) Observe(e trace.Event) {
 			}
 			o.inflight[i] = receiptSlot{seq: e.Write.Seq, at: e.Time, buffered: e.Buffered}
 		}
-	case trace.Apply, trace.Discard:
-		o.resolve(e, e.Kind == trace.Discard)
-	case trace.Drop:
-		// The late message of a skipped write: resolves any buffered
-		// wait, but the logical apply (Discard) already closed the span.
-		if i := o.inflightIdx(e.Proc, e.Write); i >= 0 {
-			if rec := &o.inflight[i]; rec.seq == e.Write.Seq {
-				if rec.buffered {
-					o.pending[e.Proc].Add(-1)
-					o.delayWait.Observe(e.Time - rec.at)
-				}
-				rec.seq = -1
-			}
-		}
+	case trace.Apply:
+		o.resolve(e)
 	}
 }
 
-// resolve closes the span of one (logical) apply. Only the completed-
-// span ring needs the lock; the tracking windows are Observe-private.
-func (o *Observer) resolve(e trace.Event, discarded bool) {
+// resolve closes the span of one apply. Only the completed-span ring
+// needs the lock; the tracking windows are Observe-private.
+func (o *Observer) resolve(e trace.Event) {
 	var rec receiptSlot
 	hadReceipt := false
 	if i := o.inflightIdx(e.Proc, e.Write); i >= 0 && o.inflight[i].seq == e.Write.Seq {
@@ -284,7 +270,6 @@ func (o *Observer) resolve(e trace.Event, discarded bool) {
 	sp := Span{
 		WriteProc: e.Write.Proc, WriteSeq: e.Write.Seq, Proc: e.Proc,
 		IssueNs: issueT, ReceiptNs: rec.at, ApplyNs: e.Time,
-		Discarded: discarded,
 	}
 	if hadReceipt && rec.buffered {
 		sp.BufferedWaitNs = e.Time - rec.at
@@ -328,7 +313,7 @@ func (o *Observer) SpanTotal() uint64 {
 // Snapshot is a one-line-report summary of the run so far.
 type Snapshot struct {
 	Writes, Reads, Receipts, Delays    uint64
-	Applies, Discards                  uint64
+	Applies                            uint64
 	NetDrops, Retransmits, DupDiscards uint64
 	Crashes, Recoveries, Suspects      uint64
 	Pending                            int64
@@ -350,7 +335,6 @@ func (o *Observer) Stats() Snapshot {
 	s.Reads = sum(trace.Return)
 	s.Receipts = sum(trace.Receipt)
 	s.Applies = sum(trace.Apply)
-	s.Discards = sum(trace.Discard)
 	s.NetDrops = sum(trace.NetDrop)
 	s.Retransmits = sum(trace.Retransmit)
 	s.DupDiscards = sum(trace.DupDiscard)

@@ -119,7 +119,7 @@ func TestStreamSpans(t *testing.T) {
 	st := NewStream[Span](&buf, 16, nil)
 	spans := []Span{
 		{WriteProc: 0, WriteSeq: 0, Proc: 1, IssueNs: 10, ReceiptNs: 20, ApplyNs: 30},
-		{WriteProc: 0, WriteSeq: 1, Proc: 1, IssueNs: 40, ReceiptNs: 50, ApplyNs: 90, BufferedWaitNs: 40, Discarded: true},
+		{WriteProc: 0, WriteSeq: 1, Proc: 1, IssueNs: 40, ReceiptNs: 50, ApplyNs: 90, BufferedWaitNs: 40},
 	}
 	for _, sp := range spans {
 		st.Record(sp)

@@ -109,9 +109,12 @@ type Update struct {
 	// per-requester token), and its answer carrying (Val, Prev, Clock).
 	ReadReq   bool
 	ReadReply bool
-	// Summary flags a restart catch-up summary from ID.Proc: Clock is its
-	// Apply vector (Introspector.ApplyClock), and Val = 1 asks the
-	// receiver to answer with its own summary. Never journaled.
+	// Summary flags an Apply-vector summary from ID.Proc: Clock is its
+	// Apply vector (Introspector.ApplyClock). Val says what it is for:
+	// 1 is a restart catch-up summary that asks the receiver to answer
+	// with its own summary, 0 is that answer, and 2 is a liveness
+	// summary of the failure detector, which is never answered. Never
+	// journaled.
 	Summary bool
 }
 

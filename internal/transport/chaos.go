@@ -8,9 +8,9 @@ import (
 )
 
 // NetEventKind enumerates transport-level observability events emitted
-// by fault injection, the reliability sublayer and the failure
-// detector. They are distinct from protocol trace events: they describe
-// the fate of frames, not of writes.
+// by fault injection and the reliability sublayer. They are distinct
+// from protocol trace events: they describe the fate of frames, not of
+// writes.
 type NetEventKind int
 
 // Transport-level events.
@@ -24,12 +24,6 @@ const (
 	// EvDupDiscard: the reliability sublayer discarded a frame whose
 	// sequence number it had already delivered.
 	EvDupDiscard
-	// EvSuspect: the failure detector at process To stopped hearing
-	// heartbeats from process From and now suspects it crashed.
-	EvSuspect
-	// EvAlive: the failure detector at process To heard from a
-	// previously suspected process From again.
-	EvAlive
 
 	// numNetEventKinds is the exhaustiveness sentinel: every kind above
 	// must have a name in netEventKindNames (enforced by tests).
@@ -43,8 +37,6 @@ var netEventKindNames = [numNetEventKinds]string{
 	EvDuplicate:  "net-dup",
 	EvRetransmit: "retransmit",
 	EvDupDiscard: "dup-discard",
-	EvSuspect:    "suspect",
-	EvAlive:      "alive",
 }
 
 // String implements fmt.Stringer.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,5 +205,29 @@ func TestFaultyStackExactlyOnce(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNetEventKindStringExhaustive mirrors the trace-side test: every
+// kind up to the sentinel must have a name.
+func TestNetEventKindStringExhaustive(t *testing.T) {
+	want := map[NetEventKind]string{
+		EvDrop: "net-drop", EvDuplicate: "net-dup", EvRetransmit: "retransmit",
+		EvDupDiscard: "dup-discard",
+	}
+	if len(want) != int(numNetEventKinds) {
+		t.Fatalf("test table has %d kinds, sentinel says %d", len(want), int(numNetEventKinds))
+	}
+	for k := NetEventKind(0); k < numNetEventKinds; k++ {
+		got := k.String()
+		if got != want[k] {
+			t.Errorf("kind %d = %q, want %q", int(k), got, want[k])
+		}
+		if strings.Contains(got, "NetEventKind(") {
+			t.Errorf("kind %d has no name entry", int(k))
+		}
+	}
+	if got := NetEventKind(99).String(); !strings.Contains(got, "99") {
+		t.Errorf("unknown kind = %q", got)
 	}
 }

@@ -15,9 +15,8 @@ import (
 // wrapped transport, exactly as real wire bytes would round-trip. The
 // in-process transports ship Update structs, not bytes, so this wrapper
 // is what makes codec-on runs exercise (and account) the encoding on
-// the built-in channel stack — chaos, reliability sublayer, WAL and
-// heartbeats included. Heartbeats and acks carry no update and bypass
-// the codec.
+// the built-in channel stack, chaos and reliability sublayer included.
+// Acks carry no update and bypass the codec.
 //
 // Encode and decode happen back-to-back under one per-link lock, so
 // encoder and decoder state can never diverge, whatever the delivery
@@ -119,9 +118,9 @@ func (c *Codec) Flush() { c.inner.Flush() }
 func (c *Codec) Close() error { return c.inner.Close() }
 
 // Send implements Transport: protocol messages are recoded on their
-// link; control frames (heartbeats, acks) pass through untouched.
+// link; acks pass through untouched.
 func (c *Codec) Send(m Message) {
-	if !m.Heartbeat && !m.Ack {
+	if !m.Ack {
 		m.Update = c.recode(m.From, m.To, m.Update)
 	}
 	c.inner.Send(m)

@@ -71,22 +71,22 @@ func TestCodecBypassesControlFrames(t *testing.T) {
 	}
 	c := WithCodec(inner, 2, protocol.MetaDelta)
 	var mu sync.Mutex
-	var beats int
+	var acks int
 	c.Register(0, func(Message) {})
 	c.Register(1, func(m Message) {
-		if m.Heartbeat {
+		if m.Ack {
 			mu.Lock()
-			beats++
+			acks++
 			mu.Unlock()
 		}
 	})
-	for i := 0; i < 5; i++ {
-		c.Send(Message{From: 0, To: 1, Heartbeat: true})
+	for i := 1; i <= 5; i++ {
+		c.Send(Message{From: 0, To: 1, Seq: i, Ack: true})
 	}
 	c.Flush()
 	mu.Lock()
-	if beats != 5 {
-		t.Fatalf("delivered %d heartbeats", beats)
+	if acks != 5 {
+		t.Fatalf("delivered %d acks", acks)
 	}
 	mu.Unlock()
 	if st := c.Stats(); st.Frames != 0 {

@@ -281,13 +281,6 @@ func (r *Reliable) Send(m Message) {
 	if r.closed {
 		return
 	}
-	if m.Heartbeat {
-		// Heartbeats bypass the sublayer: a lost probe IS the failure
-		// signal, and seq/ack machinery would dedup-discard every probe
-		// (Seq 0 sits below the dedup floor) and retransmit the rest.
-		r.inner.Send(m)
-		return
-	}
 	l := r.links[m.From][m.To]
 	l.mu.Lock()
 	l.nextSeq++
@@ -304,10 +297,6 @@ func (r *Reliable) Send(m Message) {
 
 // receive handles every frame arriving at process id.
 func (r *Reliable) receive(id int, h Handler, m Message) {
-	if m.Heartbeat {
-		h(m) // bypasses seq/ack/dedup; see Send
-		return
-	}
 	if m.Ack {
 		// The ack for link from→to travels to→from.
 		l := r.links[m.To][m.From]

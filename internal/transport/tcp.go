@@ -12,8 +12,7 @@ import (
 // TCPNet is a Transport over real loopback TCP sockets: every process
 // listens on 127.0.0.1 and keeps one outbound connection per peer.
 // Frames are length-prefixed (uvarint) encoded updates plus a one-byte
-// sender id, so the receiving end reconstructs the Message exactly. A
-// heartbeat probe is the sender id alone.
+// sender id, so the receiving end reconstructs the Message exactly.
 //
 // Per-link ordering is whatever TCP provides — FIFO — so this transport
 // models the common deployment; cross-link reordering (the source of
@@ -30,7 +29,7 @@ type TCPNet struct {
 	conns [][]net.Conn                // conns[from][to], lazily dialed
 	encs  [][]*protocol.UpdateEncoder // encs[from][to], created with the conn
 
-	inflight sync.WaitGroup
+	inflight counter // Sends in progress
 	accept   sync.WaitGroup
 	closed   atomic.Bool
 }
@@ -93,16 +92,18 @@ func (t *TCPNet) Register(id int, h Handler) {
 // by a per-link mutex embedded in conn access; TCP preserves their
 // order.
 func (t *TCPNet) Send(m Message) {
-	if t.closed.Load() {
-		return
-	}
 	if m.To < 0 || m.To >= t.procs || m.From < 0 || m.From >= t.procs || m.To == m.From {
 		panic(fmt.Sprintf("transport: bad route %d -> %d", m.From, m.To))
 	}
-	t.inflight.Add(1)
 	// Synchronous framing keeps per-link FIFO without extra goroutines;
-	// loopback writes are fast and the kernel buffers them.
-	defer t.inflight.Done()
+	// loopback writes are fast and the kernel buffers them. The closed
+	// check follows the count, so a Send that Close's wait missed sees
+	// closed and touches no socket.
+	t.inflight.add(1)
+	defer t.inflight.add(-1)
+	if t.closed.Load() {
+		return
+	}
 
 	conn, err := t.conn(m.From, m.To)
 	if err != nil {
@@ -113,19 +114,13 @@ func (t *TCPNet) Send(m Message) {
 	}
 	// Encoding happens under the same lock as the write: the per-link
 	// encoder is stateful (delta bases), so encode order must equal
-	// socket order exactly. A probe bypasses the encoder and the frame
-	// accounting.
+	// socket order exactly.
 	t.mu.Lock()
-	payload, meta := []byte{byte(m.From)}, 0
-	if !m.Heartbeat {
-		payload, meta = t.encs[m.From][m.To].Append(payload, m.Update)
-	}
+	payload, meta := t.encs[m.From][m.To].Append([]byte{byte(m.From)}, m.Update)
 	frame := protocol.AppendFrame(nil, payload)
 	_, err = conn.Write(frame)
 	t.mu.Unlock()
-	if !m.Heartbeat {
-		t.count(len(frame), meta)
-	}
+	t.count(len(frame), meta)
 	if err != nil && !t.closed.Load() {
 		panic(fmt.Sprintf("transport: write %d->%d: %v", m.From, m.To, err))
 	}
@@ -185,14 +180,12 @@ func (t *TCPNet) readLoop(p int, conn net.Conn) {
 		if err != nil || len(buf) < 1 {
 			return
 		}
-		m := Message{From: int(buf[0]), To: p, Heartbeat: len(buf) == 1}
-		if !m.Heartbeat {
-			if m.Update, _, _, err = dec.Decode(buf[1:]); err != nil {
-				if !t.closed.Load() {
-					panic(fmt.Sprintf("transport: decode frame for p%d: %v", p+1, err))
-				}
-				return
+		m := Message{From: int(buf[0]), To: p}
+		if m.Update, _, _, err = dec.Decode(buf[1:]); err != nil {
+			if !t.closed.Load() {
+				panic(fmt.Sprintf("transport: decode frame for p%d: %v", p+1, err))
 			}
+			return
 		}
 		hp := t.handlers[p].Load()
 		if hp == nil {
@@ -207,7 +200,7 @@ func (t *TCPNet) readLoop(p int, conn net.Conn) {
 // side is confirmed by the callers' own accounting (core.Quiesce), as
 // with any real network.
 func (t *TCPNet) Flush() {
-	t.inflight.Wait()
+	t.inflight.wait()
 }
 
 // Close implements Transport.
@@ -215,7 +208,7 @@ func (t *TCPNet) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	t.inflight.Wait()
+	t.inflight.wait()
 	t.mu.Lock()
 	for _, row := range t.conns {
 		for _, c := range row {

@@ -136,44 +136,6 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	n.Close()
 }
 
-// TestTCPHeartbeatProbe: a probe crosses the socket as the sender byte
-// alone and arrives with Heartbeat set, without touching the link's
-// delta encoder or the frame count, so the next update still decodes.
-func TestTCPHeartbeatProbe(t *testing.T) {
-	n, err := NewTCPMeta(2, protocol.MetaDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	got := make(chan Message, 4)
-	n.Register(0, func(Message) {})
-	n.Register(1, func(m Message) { got <- m })
-	sent := []Message{
-		{From: 0, To: 1, Update: clockUpd(0, 1, vclock.VC{1, 0})},
-		{From: 0, To: 1, Heartbeat: true},
-		{From: 0, To: 1, Update: clockUpd(0, 2, vclock.VC{2, 0})},
-		{From: 0, To: 1, Heartbeat: true},
-	}
-	for _, m := range sent {
-		n.Send(m)
-	}
-	for i, want := range sent {
-		var m Message
-		select {
-		case m = <-got:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timeout waiting for frame %d", i)
-		}
-		if m.From != 0 || m.To != 1 || m.Heartbeat != want.Heartbeat ||
-			m.Update.ID != want.Update.ID || !m.Update.Clock.Equal(want.Update.Clock) {
-			t.Fatalf("frame %d = %+v, want %+v", i, m, want)
-		}
-	}
-	if st := n.Stats(); st.Frames != 2 {
-		t.Fatalf("Frames = %d, want 2: probes are not protocol frames", st.Frames)
-	}
-}
-
 func TestTCPValidation(t *testing.T) {
 	if _, err := NewTCP(0); err == nil {
 		t.Error("accepted 0 procs")

@@ -33,12 +33,6 @@ type Message struct {
 	// link. Ack frames carry no update and are consumed by the
 	// sublayer, never delivered to handlers.
 	Ack bool
-	// Heartbeat marks a failure-detector liveness probe. Heartbeats
-	// carry no update and bypass the reliability sublayer entirely —
-	// losing one is the signal, so retransmitting or deduplicating them
-	// would defeat the detector. They are delivered to handlers, which
-	// route them to the detector instead of the protocol replica.
-	Heartbeat bool
 }
 
 // Handler consumes delivered messages at a destination process. It is

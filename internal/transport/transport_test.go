@@ -185,11 +185,20 @@ func TestBroadcastHelper(t *testing.T) {
 // Send/Close race: a message used to be acceptable after `closed`
 // flipped but before the links closed, panicking on a closed channel
 // (FIFO) or leaking an inflight.Add that hung Flush. Send now holds
-// the close lock from the closed check through enqueue.
+// the close lock from the closed check through enqueue. TCPNet's Sends
+// are counted by the same Flush-safe counter: a sync.WaitGroup there
+// panics when a Send's Add races a Flush's Wait at zero.
 func TestConcurrentSendFlushClose(t *testing.T) {
-	for _, fifo := range []bool{false, true} {
+	for _, stack := range []struct {
+		name  string
+		build func(round int) (Transport, error)
+	}{
+		{"delayQueue", func(r int) (Transport, error) { return New(Config{Procs: 3, Seed: int64(r)}) }},
+		{"lane", func(r int) (Transport, error) { return New(Config{Procs: 3, FIFO: true, Seed: int64(r)}) }},
+		{"tcp", func(int) (Transport, error) { return NewTCP(3) }},
+	} {
 		for round := 0; round < 20; round++ {
-			n, err := New(Config{Procs: 3, FIFO: fifo, Seed: int64(round)})
+			n, err := stack.build(round)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +238,7 @@ func TestConcurrentSendFlushClose(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(5 * time.Second):
-				t.Fatalf("fifo=%v round %d: Flush hung after Close", fifo, round)
+				t.Fatalf("%s round %d: Flush hung after Close", stack.name, round)
 			}
 		}
 	}
