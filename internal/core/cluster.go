@@ -346,16 +346,46 @@ func (c *Cluster) appendEvent(e trace.Event) {
 	if c.tee {
 		c.obsMu.Lock()
 		c.journal.Record(&e)
-		if c.cfg.Obs != nil {
-			c.cfg.Obs.Observe(e)
-		}
-		if c.cfg.Sink != nil {
-			c.cfg.Sink.Record(e)
-		}
+		c.teeLocked(e)
 		c.obsMu.Unlock()
 	} else {
 		c.journal.Record(&e)
 	}
+	c.account(&e)
+}
+
+// appendPair is appendEvent for e and its Twin (an Issue and its Send,
+// an unbuffered Receipt and its Apply), journaled as one record. The
+// tee sees both events, in ticket order, and the twin's accounting is
+// done before appendPair returns.
+func (c *Cluster) appendPair(e trace.Event) {
+	if c.tee {
+		c.obsMu.Lock()
+		c.journal.RecordPair(&e)
+		c.teeLocked(e)
+		c.teeLocked(e.Twin())
+		c.obsMu.Unlock()
+	} else {
+		c.journal.RecordPair(&e)
+	}
+	twin := e.Twin()
+	c.account(&twin)
+}
+
+// teeLocked hands a journaled event to the observer and the sink.
+// Caller holds obsMu.
+func (c *Cluster) teeLocked(e trace.Event) {
+	if c.cfg.Obs != nil {
+		c.cfg.Obs.Observe(e)
+	}
+	if c.cfg.Sink != nil {
+		c.cfg.Sink.Record(e)
+	}
+}
+
+// account folds a Send or an Apply of a write into the Quiesce
+// accounting; other events leave it alone.
+func (c *Cluster) account(e *trace.Event) {
 	switch e.Kind {
 	case trace.Send:
 		if e.Write.Seq > 0 {

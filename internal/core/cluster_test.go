@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -28,6 +29,9 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Processes: 0, Variables: 1},
 		{Processes: 1, Variables: 0},
+		// The journal's process and variable indexes are 32 bits wide.
+		{Processes: math.MaxInt32 + 1, Variables: 1},
+		{Processes: 1, Variables: math.MaxInt32 + 1},
 		{Processes: 1, Variables: 1, MinDelay: 5, MaxDelay: 1},
 		// Kinds outside the live set run only in the simulator.
 		{Processes: 1, Variables: 1, Protocol: protocol.WSRecv},

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -197,6 +198,10 @@ func (c Config) Validate() error {
 	}
 	if c.Variables < 1 {
 		return fmt.Errorf("core: Variables = %d", c.Variables)
+	}
+	// The trace journal stores process and variable indexes in 32 bits.
+	if c.Processes > math.MaxInt32 || c.Variables > math.MaxInt32 {
+		return fmt.Errorf("core: %d processes over %d variables exceeds the journal's 32-bit indexes", c.Processes, c.Variables)
 	}
 	if err := checkLive(c.Protocol); err != nil {
 		return err

@@ -421,42 +421,71 @@ func TestQuiesceSkipsDown(t *testing.T) {
 }
 
 // TestHeartbeatSuspectAlive: silence from a crashed process raises
-// suspicions at every live observer; its restart clears them.
+// suspicions at every live observer; its restart clears them, and the
+// run, writes on both sides of the crash included, audits clean. It
+// runs every live kind, and PartialRep with two replicas per variable.
 func TestHeartbeatSuspectAlive(t *testing.T) {
-	c, err := NewCluster(Config{
-		Processes: 3, Variables: 1, WALDir: t.TempDir(),
-		HeartbeatInterval: time.Millisecond,
-		SuspectAfter:      4 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type tc struct {
+		name   string
+		kind   protocol.Kind
+		shares [][]int
 	}
-	defer c.Close()
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
+	var cases []tc
+	for _, kind := range LiveKinds() {
+		cases = append(cases, tc{kind.String(), kind, nil})
 	}
-	waitFor := func(what string, pred func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if pred() {
-				return
+	cases = append(cases, tc{"PartialRep-r2", protocol.PartialRep, protocol.Modulo(3, 3, 2).Raw()})
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(Config{
+				Processes: 3, Variables: 3, Protocol: tc.kind, ShareSets: tc.shares,
+				WALDir:            t.TempDir(),
+				HeartbeatInterval: time.Millisecond,
+				SuspectAfter:      4 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", what)
-	}
-	waitFor("suspicion of p2", func() bool {
-		return slices.Contains(c.Suspects(0), 1) && c.Log().SuspectCount() > 0
-	})
-	if _, err := c.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	waitFor("p2 trusted again", func() bool {
-		return !slices.Contains(c.Suspects(0), 1) && !slices.Contains(c.Suspects(2), 1)
-	})
-	waitFor("alive events", func() bool { return c.Log().AliveCount() > 0 })
-	if s := c.Stats(); s.Crashes != 1 || s.Recoveries != 1 || s.Suspects == 0 {
-		t.Fatalf("stats = %+v", s)
+			defer c.Close()
+			crashWorkload(t, c, []int{0, 1, 2}, 10, 400)
+			if err := c.Crash(1); err != nil {
+				t.Fatal(err)
+			}
+			waitFor := func(what string, pred func() bool) {
+				t.Helper()
+				deadline := time.Now().Add(10 * time.Second)
+				for time.Now().Before(deadline) {
+					if pred() {
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			waitFor("suspicion of p2", func() bool {
+				return slices.Contains(c.Suspects(0), 1) && c.Log().SuspectCount() > 0
+			})
+			if _, err := c.Restart(1); err != nil {
+				t.Fatal(err)
+			}
+			waitFor("p2 trusted again", func() bool {
+				return !slices.Contains(c.Suspects(0), 1) && !slices.Contains(c.Suspects(2), 1)
+			})
+			waitFor("alive events", func() bool { return c.Log().AliveCount() > 0 })
+			if s := c.Stats(); s.Crashes != 1 || s.Recoveries != 1 || s.Suspects == 0 {
+				t.Fatalf("stats = %+v", s)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := c.Quiesce(ctx); err != nil {
+				t.Fatalf("quiesce after restart: %v", err)
+			}
+			rep, err := c.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			auditCrashRun(t, rep, 1)
+		})
 	}
 }

@@ -98,13 +98,9 @@ func (n *Node) Write(x int, v int64) error {
 		return fmt.Errorf("write at p%d: %w: %w", n.id+1, ErrDown, err)
 	}
 	n.archiveLocked(u)
-	now := n.c.now()
-	n.c.appendEvent(trace.Event{
-		Kind: trace.Issue, Proc: n.id, Time: now,
-		Write: u.ID, Var: x, Val: v,
-	})
-	n.c.appendEvent(trace.Event{
-		Kind: trace.Send, Proc: n.id, Time: now,
+	// The Issue and its Send, one record with one timestamp.
+	n.c.appendPair(trace.Event{
+		Kind: trace.Issue, Proc: n.id, Time: n.c.now(),
 		Write: u.ID, Var: x, Val: v,
 	})
 	// The local apply advanced this replica's frontier; wake admission
@@ -370,6 +366,13 @@ func (h nodeHost) Record(e trace.Event) {
 	if e.Kind == trace.Apply {
 		h.wakeFrontierLocked()
 	}
+}
+
+// RecordPair traces a Receipt and its Apply through appendPair, then
+// wakes the admission waiters the Apply satisfied, as Record does.
+func (h nodeHost) RecordPair(e trace.Event) {
+	h.c.appendPair(e)
+	h.wakeFrontierLocked()
 }
 
 // ReadDone hands the reply to its parked reader. The waiter channel is

@@ -23,9 +23,13 @@ type Host interface {
 	Now() int64
 	// Record appends e to the engine's trace.
 	Record(e trace.Event)
+	// RecordPair appends an unbuffered Receipt e and its Twin, the
+	// Apply, to the engine's trace, with nothing between them.
+	RecordPair(e trace.Event)
 	// Applied runs after the replica installed u, before its Apply event
-	// is recorded. An error stops the driver on the spot: the apply is
-	// not traced, and nothing more is received or drained.
+	// (and, for an unbuffered receipt, its Receipt) is recorded. An error
+	// stops the driver on the spot: the apply is not traced, and nothing
+	// more is received or drained.
 	Applied(u protocol.Update) error
 	// Send ships a forwarded-read reply to process to.
 	Send(to int, reply protocol.Update)
@@ -111,31 +115,46 @@ func (d *Driver) receive(u protocol.Update) {
 			return
 		}
 	}
-	now := d.host.Now() // one timestamp for the whole receipt
-	d.host.Record(trace.Event{
-		Kind: trace.Receipt, Proc: d.id, Time: now,
+	// One timestamp for the whole receipt, apply included.
+	receipt := trace.Event{
+		Kind: trace.Receipt, Proc: d.id, Time: d.host.Now(),
 		Write: u.ID, Var: u.Var, Val: u.Val,
 		Buffered: st == protocol.Blocked,
-	})
+	}
 	if st == protocol.Blocked {
+		d.host.Record(receipt)
 		d.pending.add(u)
-	} else {
-		d.apply(u, now)
+		return
+	}
+	// Nothing happens here between an unbuffered receipt and its apply,
+	// so both are recorded together, once the host's post-apply hook
+	// has succeeded. If it fails, the process has crash-stopped and the
+	// message counts as arriving after the crash: no receipt.
+	if d.install(u) {
+		d.host.RecordPair(receipt)
 	}
 }
 
 // apply installs u and records it at now, unless the host's post-apply
 // hook fails.
 func (d *Driver) apply(u protocol.Update, now int64) {
+	if d.install(u) {
+		d.host.Record(trace.Event{
+			Kind: trace.Apply, Proc: d.id, Time: now,
+			Write: u.ID, Var: u.Var, Val: u.Val,
+		})
+	}
+}
+
+// install applies u to the replica and runs the host's post-apply hook,
+// reporting whether the hook succeeded; a failure stops the driver.
+func (d *Driver) install(u protocol.Update) bool {
 	d.replica.Apply(u)
 	if d.host.Applied(u) != nil {
 		d.stopped = true
-		return
+		return false
 	}
-	d.host.Record(trace.Event{
-		Kind: trace.Apply, Proc: d.id, Time: now,
-		Write: u.ID, Var: u.Var, Val: u.Val,
-	})
+	return true
 }
 
 // deliverRead serves a deliverable forwarded-read request or hands a

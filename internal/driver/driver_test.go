@@ -24,6 +24,7 @@ var errJournal = errors.New("journal full")
 
 func (h *host) Now() int64                     { h.now++; return h.now }
 func (h *host) Record(e trace.Event)           { h.events = append(h.events, e) }
+func (h *host) RecordPair(e trace.Event)       { h.events = append(h.events, e, e.Twin()) }
 func (h *host) Send(_ int, u protocol.Update)  { h.sent = append(h.sent, u) }
 func (h *host) ReadDone(protocol.Update, bool) {}
 
@@ -213,5 +214,20 @@ func TestDrainStopsOnFailedApplyHook(t *testing.T) {
 	d.Receive(u1)
 	if len(h.events) != events || len(h.applied) != 2 {
 		t.Fatalf("stopped driver acted: %v", h.kinds(events))
+	}
+}
+
+// TestFailedApplyRecordsNoReceipt: an unbuffered receipt is recorded
+// together with its apply, after the post-apply hook. When the hook
+// fails, the process has crash-stopped and the message counts as
+// arriving after the crash: nothing is recorded, not even the receipt.
+func TestFailedApplyRecordsNoReceipt(t *testing.T) {
+	origin := protocol.New(protocol.OptP, 0, 2, 1)
+	u1, _ := origin.LocalWrite(0, 1)
+	h := &host{failOn: u1.ID}
+	d := New(h, protocol.New(protocol.OptP, 1, 2, 1), 2, false)
+	d.Receive(u1)
+	if len(h.applied) != 1 || len(h.events) != 0 {
+		t.Fatalf("hook ran %d times, events %v; want 1 and none", len(h.applied), h.kinds(0))
 	}
 }

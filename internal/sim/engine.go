@@ -170,11 +170,12 @@ func (n *node) pending() []protocol.Update {
 	return n.wsPending
 }
 
-// Now, Record, Applied, Send and ReadDone make a node the driver.Host
-// of its replica: virtual time, the run's log, and the simulated
-// network.
+// Now, Record, RecordPair, Applied, Send and ReadDone make a node the
+// driver.Host of its replica: virtual time, the run's log, and the
+// simulated network.
 func (n *node) Now() int64                     { return n.e.now }
 func (n *node) Record(ev trace.Event)          { n.e.log.Append(ev) }
+func (n *node) RecordPair(ev trace.Event)      { n.Record(ev); n.Record(ev.Twin()) }
 func (n *node) Applied(protocol.Update) error  { return nil }
 func (n *node) Send(to int, u protocol.Update) { n.e.send(n.id, to, u) }
 

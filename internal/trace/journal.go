@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"runtime"
-	"sort"
 	"sync/atomic"
+
+	"repro/internal/history"
 )
 
 // Journal is the live runtime's concurrent event recorder: a sharded,
@@ -33,6 +36,10 @@ import (
 // after Quiesce: chaos-stack events (retransmits, duplicate discards)
 // are still being appended then, and one preempted between its ticket
 // and its slot must not cut the Apply events drawn after it.
+//
+// The shards hold compact records, not Events (see record), and a pair
+// record (RecordPair) stands for an event and its Twin on two
+// consecutive tickets. Snapshot decodes both back into Events.
 type Journal struct {
 	numProcs  int
 	numVars   int
@@ -45,17 +52,43 @@ type Journal struct {
 	shards []shard
 }
 
-// chunkSize is the shard chunk capacity. A chunk of 512 events is
-// 47 120 bytes (≈ 46 KiB: 88-byte events plus a 4-byte ready flag
-// each): large enough that chunk allocation is a ~1/512-per-event
+// record is one event in a shard: 56 bytes where an Event takes 88.
+// Proc is the shard's index and Seq the published ticket, so neither
+// is stored. Process and variable indexes are narrowed to 32 bits,
+// which NewJournal's bound on the process and variable counts makes
+// exact; every other field keeps its full width.
+type record struct {
+	// seq is the event's ticket + 1, stored last: 0 means the slot is
+	// reserved but its event is not written yet.
+	seq       atomic.Int64
+	time      int64
+	val       int64
+	writeSeq  int64
+	fromSeq   int64
+	writeProc int32
+	fromProc  int32
+	variable  int32
+	kind      uint8
+	flags     uint8
+}
+
+// Record flags.
+const (
+	flagBuffered = 1 << iota // Event.Buffered
+	flagPair                 // the record also stands for the event's Twin
+)
+
+// chunkSize is the shard chunk capacity. A chunk of 584 records is
+// 32 720 bytes (56-byte records, publish word included, plus a 16-byte
+// header), which fills the allocator's 32 KiB size class with 48 bytes
+// to spare: large enough that chunk allocation is a ~1/584-per-record
 // amortized cost, small enough that short runs don't balloon.
-const chunkSize = 512
+const chunkSize = 584
 
 type chunk struct {
-	idx    int // position in the shard's chunk list, fixed at creation
-	next   atomic.Pointer[chunk]
-	events [chunkSize]Event
-	ready  [chunkSize]atomic.Bool
+	idx     int // position in the shard's chunk list, fixed at creation
+	next    atomic.Pointer[chunk]
+	records [chunkSize]record
 }
 
 // shard is one process's append lane. cursor reserves slots; slot k
@@ -71,7 +104,12 @@ type shard struct {
 }
 
 // NewJournal returns an empty journal for n processes over m variables.
+// Both must fit in 32 bits: a record stores process and variable
+// indexes in 32-bit fields.
 func NewJournal(n, m int) *Journal {
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: journal for %d processes over %d variables exceeds 32-bit indexes", n, m))
+	}
 	j := &Journal{numProcs: n, numVars: m, shards: make([]shard, n)}
 	for i := range j.shards {
 		c := new(chunk)
@@ -92,26 +130,66 @@ func (j *Journal) NumVars() int { return j.numVars }
 // first Snapshot; the journal does not copy the slices.
 func (j *Journal) SetShareSets(sets [][]int) { j.shareSets = sets }
 
-// Record stores *e, stamping its global ticket into e.Seq in place —
-// the copy-free form of Append for hot paths. It is safe for
-// concurrent use and lock-free: one atomic add for the ticket, one for
-// the shard slot, a release store to publish. e.Proc must be in
-// [0, NumProcs). Record does not retain e.
+// Record stores *e, stamping its global ticket into e.Seq in place. It
+// is safe for concurrent use and lock-free: one atomic add for the
+// ticket, one for the shard slot, a release store to publish. e.Proc
+// must be in [0, NumProcs), and e.Var, e.Write.Proc and e.From.Proc
+// must fit in 32 bits. Record does not retain e.
 func (j *Journal) Record(e *Event) {
 	e.Seq = int(j.ticket.Add(1) - 1)
-	s := &j.shards[e.Proc]
-	slot := s.cursor.Add(1) - 1
-	c := s.chunkFor(int(slot / chunkSize))
-	off := int(slot % chunkSize)
-	c.events[off] = *e
-	c.ready[off].Store(true)
+	j.slot(e.Proc).store(e, 0)
 }
 
-// Append records e, stamping its global ticket into Seq, and returns
-// the stored event.
-func (j *Journal) Append(e Event) Event {
-	j.Record(&e)
-	return e
+// RecordPair stores *e and its Twin as one record on two consecutive
+// tickets, stamping the first into e.Seq. Both tickets come from one
+// atomic add, so a Snapshot holds both events or neither. e must be an
+// Issue or an unbuffered Receipt; otherwise the contract is Record's.
+func (j *Journal) RecordPair(e *Event) {
+	if !e.hasTwin() {
+		panic(fmt.Sprintf("trace: %v event has no twin", e.Kind))
+	}
+	e.Seq = int(j.ticket.Add(2) - 2)
+	j.slot(e.Proc).store(e, flagPair)
+}
+
+// slot reserves the next record of process p's shard.
+func (j *Journal) slot(p int) *record {
+	s := &j.shards[p]
+	k := s.cursor.Add(1) - 1
+	return &s.chunkFor(int(k / chunkSize)).records[k%chunkSize]
+}
+
+// store writes e into r and then publishes it.
+func (r *record) store(e *Event, flags uint8) {
+	if e.Buffered {
+		flags |= flagBuffered
+	}
+	r.time = e.Time
+	r.val = e.Val
+	r.writeSeq = int64(e.Write.Seq)
+	r.fromSeq = int64(e.From.Seq)
+	r.writeProc = int32(e.Write.Proc)
+	r.fromProc = int32(e.From.Proc)
+	r.variable = int32(e.Var)
+	r.kind = uint8(e.Kind)
+	r.flags = flags
+	r.seq.Store(int64(e.Seq) + 1)
+}
+
+// event decodes a published record of process proc's shard, whose
+// ticket is seq.
+func (r *record) event(proc, seq int) Event {
+	return Event{
+		Seq:      seq,
+		Kind:     EventKind(r.kind),
+		Proc:     proc,
+		Time:     r.time,
+		Write:    history.WriteID{Proc: int(r.writeProc), Seq: int(r.writeSeq)},
+		Var:      int(r.variable),
+		Val:      r.val,
+		From:     history.WriteID{Proc: int(r.fromProc), Seq: int(r.fromSeq)},
+		Buffered: r.flags&flagBuffered != 0,
+	}
 }
 
 // chunkFor walks (extending as needed) to chunk index ci of the shard.
@@ -153,11 +231,13 @@ func (j *Journal) Len() int { return int(j.ticket.Load()) }
 // is the ticket count when Snapshot begins. It waits, yielding, for any
 // of them whose append is still in flight (the slot reservation and the
 // publish are a handful of instructions after the ticket), and skips
-// events with later tickets. The result is a causally-closed prefix of
-// the run, indistinguishable from a log built by Log.Append.
+// events with later tickets. A pair record fills its two tickets with
+// its event and that event's Twin. The result is a causally-closed
+// prefix of the run, indistinguishable from a log built by Log.Append.
 func (j *Journal) Snapshot() *Log {
 	drawn := int(j.ticket.Load())
-	events := make([]Event, 0, drawn)
+	events := make([]Event, drawn)
+	filled := 0
 	type position struct {
 		c    *chunk
 		off  int
@@ -177,23 +257,32 @@ func (j *Journal) Snapshot() *Log {
 					p.c = p.c.successor()
 					p.off = 0
 				}
-				for !p.c.ready[p.off].Load() {
+				r := &p.c.records[p.off]
+				seq := r.seq.Load()
+				for ; seq == 0; seq = r.seq.Load() {
 					runtime.Gosched()
 				}
-				if e := p.c.events[p.off]; e.Seq < drawn {
-					events = append(events, e)
+				// Tickets are dense, and a pair's two come from one
+				// add, so both of them are below drawn or neither is.
+				if seq--; seq < int64(drawn) {
+					e := r.event(i, int(seq))
+					events[seq] = e
+					filled++
+					if r.flags&flagPair != 0 {
+						events[seq+1] = e.Twin()
+						filled++
+					}
 				}
 				p.off++
 			}
 		}
-		if len(events) == drawn {
+		if filled == drawn {
 			break
 		}
 		// A ticket below drawn has no slot yet: its appender was
 		// preempted between the two. Let it run, then read on.
 		runtime.Gosched()
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
 	l := NewLog(j.numProcs, j.numVars)
 	l.Events = events
 	l.ShareSets = j.shareSets

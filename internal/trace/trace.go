@@ -159,6 +159,29 @@ func (e Event) String() string {
 	}
 }
 
+// Twin returns the event that follows e with nothing in between at its
+// process: the Send of an Issue, the Apply of an unbuffered Receipt.
+// The twin keeps e's process, time, write, variable and value, and
+// takes the next sequence number. Twin panics on any other event.
+func (e Event) Twin() Event {
+	if !e.hasTwin() {
+		panic(fmt.Sprintf("trace: %v event has no twin", e.Kind))
+	}
+	if e.Kind == Issue {
+		e.Kind = Send
+	} else {
+		e.Kind = Apply
+	}
+	e.Seq++
+	return e
+}
+
+// hasTwin reports whether e is an Issue or an unbuffered Receipt, the
+// events Twin is defined for.
+func (e *Event) hasTwin() bool {
+	return e.Kind == Issue || (e.Kind == Receipt && !e.Buffered)
+}
+
 // Sink consumes events live, as they are recorded — the streaming
 // counterpart of the post-hoc Log. Implementations must never block
 // the caller on I/O (the cluster invokes Record under its
