@@ -149,12 +149,16 @@ transport-stress:
 ## detector's liveness summaries (over TCP, across a partition, never
 ## answered) and forwarded reads whose server crashes: each run audits
 ## the whole journal right after Quiesce, so a trace event lost to an
-## unlucky interleaving fails it. Then the trace journal's own tests,
-## twenty times under the race detector too: concurrent single and pair
-## appenders, snapshots taken while they run, and the interleavings a
-## snapshot must wait out (~55 s on 2 CPUs).
+## unlucky interleaving fails it. The Quiesce accounting's tests run
+## with them: its owner-written rows must equal the trace after
+## Quiesce, a poll must never call a ring with a write in flight
+## quiescent, and the rows must keep to their own cache lines. Then
+## the trace journal's own tests, twenty times under the race detector
+## too: concurrent single and pair appenders, snapshots taken while
+## they run, and the interleavings a snapshot must wait out (~60 s on
+## 2 CPUs).
 core-stress:
-	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestClusterOverTCPHeartbeat|TestHeartbeatPartitionSuspects|TestHeartbeatSummaryNeverAnswered|TestPartialReadFailsOnServerCrash' ./internal/core
+	$(GO) test -race -count=20 -run 'TestChaosPropertyAllProtocols|TestCrashRestartAllProtocols|TestCatchUp|TestClusterOverTCPCrashRestart|TestClusterOverTCPHeartbeat|TestHeartbeatPartitionSuspects|TestHeartbeatSummaryNeverAnswered|TestPartialReadFailsOnServerCrash|TestAccounting|TestQuiesceCollectsTwice' ./internal/core
 	$(GO) test -race -count=20 -run TestJournal ./internal/trace
 
 ## bench: the experiment sweeps as runnable benchmarks.

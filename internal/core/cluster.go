@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/checker"
 	"repro/internal/durability"
@@ -31,14 +32,18 @@ var (
 
 // Cluster hosts the processes of a live DSM system.
 //
-// The event hot path is lock-free: appendEvent writes into a sharded
-// trace.Journal (one append lane per process) and maintains the
-// Quiesce accounting in padded atomics, so concurrent writers and
-// delivery goroutines never serialize on a cluster-wide mutex. The
-// only cluster-level lock left is mu, guarding the crash-stop mirror
-// on the (slow) Crash/Restart control paths, plus obsMu, which
-// serializes the observer/sink tee when live observability is
-// configured. Lock order is always Node.mu before Cluster.mu.
+// No counter on the message path is written from two CPUs. appendEvent
+// writes into a sharded trace.Journal (one append lane per process;
+// the one shared word is its ticket) and keeps the Quiesce accounting
+// in per-process rows that only their owner writes, so concurrent
+// writers and delivery goroutines never serialize on a cluster-wide
+// mutex or counter. The fields above the pad are read on every event
+// and written only at construction (closed: once, by Close); the locks
+// below it sit on other cache lines. The only cluster-level lock left
+// is mu, guarding the crash-stop mirror on the (slow) Crash/Restart
+// control paths, plus obsMu, which serializes the observer/sink tee
+// when live observability is configured. Lock order is always Node.mu
+// before Cluster.mu.
 type Cluster struct {
 	cfg   Config
 	tr    transport.Transport
@@ -54,17 +59,19 @@ type Cluster struct {
 	readAbort chan struct{}
 
 	journal *trace.Journal
+	acct    quiesceAcct
 	closed  atomic.Bool
 
 	// tee is set when cfg.Obs or cfg.Sink is non-nil; obsMu then
 	// serializes ticket draw + journal append + Observe/Record so the
 	// observer sees events exactly in global order, preserving the
 	// Observer.Observe no-concurrent-calls contract. With observability
-	// off the hot path never touches it.
-	tee   bool
-	obsMu sync.Mutex
+	// off the hot path never touches obsMu.
+	tee bool
 
-	acct quiesceAcct
+	_ [cacheLine]byte
+
+	obsMu sync.Mutex
 
 	// mu guards down, the crash-stop mirror (control paths only), and
 	// crashed: crashed[p] closes when p crash-stops, waking forwarded
@@ -77,41 +84,126 @@ type Cluster struct {
 	crashDone chan struct{}
 }
 
-// paddedInt64 is an atomic counter alone on its cache line, so
-// per-process counters touched by different goroutines don't false-share.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
+// cacheLine is the coherence unit the layout keeps writers apart by.
+const cacheLine = 64
+
+// quiesceAcct is the Quiesce accounting: one row of counters per
+// process, each row starting on its own cache line. Row p holds
+//
+//	epoch    odd while p is down; bumped by Crash and by Restart
+//	applied  writes applied at p
+//	sent[q]  writes p sent toward q (under partial replication, only
+//	         toward the replicas of the written variable)
+//
+// Only p's own events write row p, under p's Node.mu: a Send comes only
+// from Node.Write, an Apply only from p's driver, and Crash and Restart
+// hold p's lock. So each counter has one writer, and all of them only
+// grow. A process's own issues are applied as they are issued, so an
+// Issue needs no accounting.
+//
+// The writes sent toward q and not yet applied there number
+// Σ_p sent[p][q] − applied[q]; the cluster is quiescent iff that is zero
+// at every process up (even epoch). Nothing sums them per event:
+// Quiesce collects the counters (see quiescePoll).
+type quiesceAcct struct {
+	rows [][]atomic.Uint64 // rows[p][rowEpoch], rows[p][rowApplied], rows[p][rowSent+q]
 }
 
-// quiesceAcct is the lock-free replacement for the old
-// issuedBy/propagatedBy/counted tallies. Instead of absolute counts it
-// tracks, per process, only the outstanding work:
-//
-//	lag[p] = updates sent toward p and not yet applied there — a Send
-//	         from s adds 1 to every lag[q], q ≠ s, that the update is
-//	         addressed to; an Apply at p subtracts 1. A process's own
-//	         issues cancel out of the old formula (counted[p] and
-//	         issuedBy[p] moved in lockstep), so Issue events need no
-//	         accounting at all.
-//
-// The cluster is quiescent iff every live process has lag = 0. gen
-// increments on every accounting change; Quiesce reads gen, checks the
-// counters, and re-reads gen — an unchanged gen proves the zeros were
-// all true at one instant, so the poll can never report a false
-// quiescence from a torn multi-counter read.
-type quiesceAcct struct {
-	gen paddedInt64
-	lag []paddedInt64
-}
+// Word indexes within a row.
+const (
+	rowEpoch = iota
+	rowApplied
+	rowSent
+)
 
 func newQuiesceAcct(procs int) quiesceAcct {
-	return quiesceAcct{lag: make([]paddedInt64, procs)}
+	const lineWords = cacheLine / 8
+	stride := (rowSent + procs + lineWords - 1) / lineWords * lineWords
+	slab := make([]atomic.Uint64, procs*stride+lineWords-1)
+	// Skip to the first cache-line boundary in the slab; every row then
+	// starts on one, and the last ends on one.
+	off := int(-uintptr(unsafe.Pointer(&slab[0])) % cacheLine / 8)
+	a := quiesceAcct{rows: make([][]atomic.Uint64, procs)}
+	for p := range a.rows {
+		base := off + p*stride
+		a.rows[p] = slab[base : base+rowSent+procs : base+rowSent+procs]
+	}
+	return a
 }
 
-// bump marks an accounting change, invalidating in-flight quiescence
-// checks and waking pollers.
-func (a *quiesceAcct) bump() { a.gen.v.Add(1) }
+// inc adds one to word i of row p. Only p's own events call it, under
+// p's Node.mu, so the load and the store need no read-modify-write.
+func (a *quiesceAcct) inc(p, i int) {
+	w := &a.rows[p][i]
+	w.Store(w.Load() + 1)
+}
+
+// sent accounts p's write of variable x toward every other process
+// that replicates x. Caller holds p's Node.mu.
+func (a *quiesceAcct) sent(p, x int, shares protocol.ShareSets) {
+	for q := range a.rows {
+		if q != p && shares.Replicates(q, x) {
+			a.inc(p, rowSent+q)
+		}
+	}
+}
+
+// quiescePoll is one Quiesce call's view of the accounting: the sum of
+// every counter at the last collect, and scratch for the next.
+type quiescePoll struct {
+	a    *quiesceAcct
+	in   []uint64 // in[q] = Σ_p sent[p][q], at the current collect
+	prev uint64   // starts at a sum no collect reaches
+}
+
+func (a *quiesceAcct) poll() *quiescePoll {
+	return &quiescePoll{a: a, in: make([]uint64, len(a.rows)), prev: ^uint64(0)}
+}
+
+// quiet reports whether the last two collects show the cluster
+// quiescent at one instant. A collect reads the rows one after another
+// while their owners keep writing, so on its own it proves nothing: a
+// write sent after its sender's row was read, and applied before its
+// destination's row was read, can hide a write still in flight toward
+// the same destination. But every counter only grows, so when two
+// successive collects sum to the same total, every counter held still
+// between them, and the second read them all as they were at one
+// instant. The first quiet collect since the counters last moved is
+// confirmed at once, not after the caller's backoff.
+func (qp *quiescePoll) quiet() bool {
+	sum, quiet := qp.collect()
+	if quiet && sum != qp.prev {
+		qp.prev = sum
+		sum, quiet = qp.collect()
+	}
+	same := sum == qp.prev
+	qp.prev = sum
+	return quiet && same
+}
+
+// collect reads every counter once. It returns their sum and whether
+// the values read show, at every process up, as many writes sent
+// toward it as applied there.
+func (qp *quiescePoll) collect() (sum uint64, quiet bool) {
+	clear(qp.in)
+	for _, row := range qp.a.rows {
+		sent := row[rowSent:]
+		for q := range sent {
+			n := sent[q].Load()
+			qp.in[q] += n
+			sum += n
+		}
+	}
+	quiet = true
+	for q, row := range qp.a.rows {
+		epoch, applied := row[rowEpoch].Load(), row[rowApplied].Load()
+		sum += epoch + applied
+		if epoch%2 == 0 && qp.in[q] != applied {
+			quiet = false
+		}
+	}
+	return sum, quiet
+}
 
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
@@ -337,11 +429,9 @@ func (c *Cluster) StartTime() time.Time { return c.start }
 func (c *Cluster) now() int64 { return time.Since(c.start).Nanoseconds() }
 
 // appendEvent records e in the sharded journal (lock-free unless live
-// observability needs the serializing tee) and folds it into the
-// Quiesce accounting. The accounting update happens before appendEvent
-// returns, i.e. before the caller broadcasts the message the event
-// describes — so a Send's lag increments are always visible before any
-// resulting Apply decrements them.
+// observability needs the serializing tee) and counts an Apply of a
+// write in its process's accounting row. The count is made before
+// appendEvent returns; the caller holds the process's Node.mu.
 func (c *Cluster) appendEvent(e trace.Event) {
 	if c.tee {
 		c.obsMu.Lock()
@@ -351,13 +441,17 @@ func (c *Cluster) appendEvent(e trace.Event) {
 	} else {
 		c.journal.Record(&e)
 	}
-	c.account(&e)
+	if e.Kind == trace.Apply && e.Write.Seq > 0 {
+		c.acct.inc(e.Proc, rowApplied)
+	}
 }
 
 // appendPair is appendEvent for e and its Twin (an Issue and its Send,
 // an unbuffered Receipt and its Apply), journaled as one record. The
-// tee sees both events, in ticket order, and the twin's accounting is
-// done before appendPair returns.
+// tee sees both events, in ticket order. The twin's accounting is done
+// from e's own fields before appendPair returns — for a Send, before
+// the caller hands the write to the transport, so a Send is always
+// counted before any Apply of it.
 func (c *Cluster) appendPair(e trace.Event) {
 	if c.tee {
 		c.obsMu.Lock()
@@ -368,8 +462,13 @@ func (c *Cluster) appendPair(e trace.Event) {
 	} else {
 		c.journal.RecordPair(&e)
 	}
-	twin := e.Twin()
-	c.account(&twin)
+	switch {
+	case e.Write.Seq <= 0:
+	case e.Kind == trace.Issue:
+		c.acct.sent(e.Proc, e.Var, c.shares)
+	default:
+		c.acct.inc(e.Proc, rowApplied)
+	}
 }
 
 // teeLocked hands a journaled event to the observer and the sink.
@@ -380,29 +479,6 @@ func (c *Cluster) teeLocked(e trace.Event) {
 	}
 	if c.cfg.Sink != nil {
 		c.cfg.Sink.Record(e)
-	}
-}
-
-// account folds a Send or an Apply of a write into the Quiesce
-// accounting; other events leave it alone.
-func (c *Cluster) account(e *trace.Event) {
-	switch e.Kind {
-	case trace.Send:
-		if e.Write.Seq > 0 {
-			// Under partial replication the update reaches (and is
-			// applied at) the share-set only.
-			for q := range c.acct.lag {
-				if q != e.Proc && c.shares.Replicates(q, e.Var) {
-					c.acct.lag[q].v.Add(1)
-				}
-			}
-			c.acct.bump()
-		}
-	case trace.Apply:
-		if e.Write.Seq > 0 {
-			c.acct.lag[e.Proc].v.Add(-1)
-			c.acct.bump()
-		}
 	}
 }
 
@@ -434,29 +510,16 @@ func (c *Cluster) noteNetEvent(e transport.NetEvent) {
 	})
 }
 
-// quiesced reports whether every propagated write has been applied
-// everywhere live. Crash-stopped processes are exempt until they
-// restart: their missed updates arrive through catch-up, which
-// re-enters them into the accounting.
-func (c *Cluster) quiesced() bool {
-	for p := range c.nodes {
-		if !c.nodes[p].down.Load() && c.acct.lag[p].v.Load() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Quiesce blocks until every write issued so far has been applied at
 // every live replica it is addressed to, or ctx is done. Crash-stopped
 // processes are excluded; Restart them first for full convergence.
 // Quiesce on a closed cluster returns ErrClosed.
 //
-// The wait is a generation-counter poll rather than a condvar: the hot
-// path only bumps an atomic, and the (rare) waiter yields, then sleeps
-// briefly, between checks. The gen double-read makes the multi-counter
-// zero test sound without any lock.
+// The wait is a poll rather than a condvar: the hot path only writes
+// its own accounting row, and the (rare) waiter yields, then sleeps
+// briefly, between collects (quiescePoll.quiet).
 func (c *Cluster) Quiesce(ctx context.Context) error {
+	poll := c.acct.poll()
 	for spin := 0; ; spin++ {
 		if c.closed.Load() {
 			return fmt.Errorf("core: quiesce: %w", ErrClosed)
@@ -464,8 +527,7 @@ func (c *Cluster) Quiesce(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: quiesce: %w", err)
 		}
-		g := c.acct.gen.v.Load()
-		if c.quiesced() && c.acct.gen.v.Load() == g {
+		if poll.quiet() {
 			if c.closed.Load() {
 				return fmt.Errorf("core: quiesce: %w", ErrClosed)
 			}
@@ -509,10 +571,9 @@ func (c *Cluster) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Invalidate in-flight quiescence checks; pollers re-read closed
-	// on their next iteration and observe the close. Forwarded reads
-	// parked on their reply channel wake and return ErrClosed.
-	c.acct.bump()
+	// Quiesce pollers re-read closed on their next iteration, and after
+	// a quiet collect, and observe the close. Forwarded reads parked on
+	// their reply channel wake and return ErrClosed.
 	close(c.readAbort)
 
 	if c.crashStop != nil {

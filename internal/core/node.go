@@ -93,9 +93,11 @@ func (n *Node) Write(x int, v int64) error {
 	}
 	// Every live kind propagates each write at once.
 	u, _ := n.drv.Replica().LocalWrite(x, v)
-	if err := n.journalLocked(durability.Entry{Kind: durability.EntryLocalWrite, Var: x, Val: v}); err != nil {
-		n.mu.Unlock()
-		return fmt.Errorf("write at p%d: %w: %w", n.id+1, ErrDown, err)
+	if n.wal != nil {
+		if err := n.journalLocked(durability.Entry{Kind: durability.EntryLocalWrite, Var: x, Val: v}); err != nil {
+			n.mu.Unlock()
+			return fmt.Errorf("write at p%d: %w: %w", n.id+1, ErrDown, err)
+		}
 	}
 	n.archiveLocked(u)
 	// The Issue and its Send, one record with one timestamp.
@@ -147,7 +149,7 @@ func (n *Node) ReadMeta(x int) (int64, history.WriteID, error) {
 	v, from := r.Read(x)
 	// OptP-family reads mutate Write_co (read-merge); journal them or a
 	// recovered replica under-approximates its →co knowledge.
-	if n.c.cfg.Protocol.ReadMutatesState() {
+	if n.wal != nil && n.c.cfg.Protocol.ReadMutatesState() {
 		if err := n.journalLocked(durability.Entry{Kind: durability.EntryRead, Var: x}); err != nil {
 			n.mu.Unlock()
 			return 0, history.Bottom, fmt.Errorf("read at p%d: %w: %w", n.id+1, ErrDown, err)
@@ -349,18 +351,21 @@ func (h nodeHost) Send(to int, u protocol.Update) { h.outbox = append(h.outbox, 
 
 // Applied journals and archives u. A journal failure has already
 // crash-stopped the node (journalLocked); the driver stops on the error.
+// The journal entry is built only when there is a journal.
 func (h nodeHost) Applied(u protocol.Update) error {
-	if err := h.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u}); err != nil {
-		return err
+	if h.wal != nil {
+		if err := h.journalLocked(durability.Entry{Kind: durability.EntryApply, Update: u}); err != nil {
+			return err
+		}
 	}
 	h.archiveLocked(u)
 	return nil
 }
 
-// Record traces e through appendEvent, which keeps the Quiesce
-// accounting. An Apply advanced the frontier: wake the admission
-// waiters it satisfied only now, after the event, so a woken waiter
-// finds n.mu about to be released.
+// Record traces e through appendEvent, which counts an Apply in this
+// node's accounting row. An Apply advanced the frontier: wake the
+// admission waiters it satisfied only now, after the event, so a woken
+// waiter finds n.mu about to be released.
 func (h nodeHost) Record(e trace.Event) {
 	h.c.appendEvent(e)
 	if e.Kind == trace.Apply {

@@ -77,9 +77,8 @@ func (c *Cluster) crashLocked(n *Node, journalErr error) {
 	close(c.crashed[n.id])
 	c.mu.Unlock()
 	n.down.Store(true)
-	// n's liveness changed under the Quiesce accounting: it is exempt
-	// from now on, so a poll blocked on n's lag must re-evaluate.
-	c.acct.bump()
+	// An odd epoch exempts n from Quiesce until it restarts.
+	c.acct.inc(n.id, rowEpoch)
 	n.walErr = journalErr
 	if n.wal != nil {
 		// After a journaling failure Close only fails the same way again.
@@ -179,7 +178,7 @@ func (c *Cluster) recoverLocked(n *Node, st *RecoveryStats) error {
 	c.down[p] = false
 	c.crashed[p] = make(chan struct{})
 	c.mu.Unlock()
-	c.acct.bump() // p rejoins the Quiesce accounting
+	c.acct.inc(p, rowEpoch) // p rejoins the Quiesce accounting
 	if c.det != nil {
 		c.det.reset(p)
 	}

@@ -22,12 +22,11 @@ import (
 // is kept while the delays of successive frames overlap. A frame pushed
 // with a hold (a fault-injected reorder burst) is the one exception.
 //
-// The owner adds each frame to pending before pushing it; the queue takes
-// it off once sink has returned for it (or stop discarded it), which is
-// what makes Flush sound: a zero count means no handler is still running.
+// A frame counts as finished once sink has returned for it (or stop
+// discarded it), which is what makes Flush sound: a queue that finished
+// all it accepted is running no handler.
 type delayQueue struct {
 	sink     func(Message)
-	pending  *counter
 	min, max time.Duration
 	epoch    time.Time     // due times are offsets from it
 	wake     chan struct{} // cap 1: a push beat wakeAt, or stop
@@ -39,6 +38,8 @@ type delayQueue struct {
 	last    []time.Duration // fifo only: latest due time per source
 	wakeAt  time.Duration   // when run next reads the heap unprompted; 0 while it is delivering
 	stopped bool
+
+	accepted, finished uint64
 }
 
 type timedFrame struct {
@@ -53,16 +54,15 @@ func (a *timedFrame) before(b *timedFrame) bool {
 
 // newDelayQueue starts a queue delaying each frame by a uniform draw
 // from [min, max]. sources > 0 selects fifo mode for that many senders.
-func newDelayQueue(seed int64, min, max time.Duration, sources int, pending *counter, sink func(Message)) *delayQueue {
+func newDelayQueue(seed int64, min, max time.Duration, sources int, sink func(Message)) *delayQueue {
 	q := &delayQueue{
-		sink:    sink,
-		pending: pending,
-		min:     min,
-		max:     max,
-		epoch:   time.Now(),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
+		sink:  sink,
+		min:   min,
+		max:   max,
+		epoch: time.Now(),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 	if sources > 0 {
 		q.last = make([]time.Duration, sources)
@@ -71,9 +71,8 @@ func newDelayQueue(seed int64, min, max time.Duration, sources int, pending *cou
 	return q
 }
 
-// push queues m, already counted in pending. It never blocks on
-// delivery; the queue is unbounded. The owner must not push once it has
-// called stop.
+// push queues m. It never blocks on delivery; the queue is unbounded.
+// Once the queue is stopped it drops m.
 func (q *delayQueue) push(m Message) { q.pushAfter(m, 0) }
 
 // pushAfter is push with m held back an extra hold on top of its drawn
@@ -81,6 +80,11 @@ func (q *delayQueue) push(m Message) { q.pushAfter(m, 0) }
 // so the later frames of its source may overtake it: a reorder burst.
 func (q *delayQueue) pushAfter(m Message, hold time.Duration) {
 	q.mu.Lock()
+	if q.stopped {
+		q.mu.Unlock()
+		return
+	}
+	q.accepted++
 	// One draw serves both: its high bits break ties, its remainder over
 	// the delay range (off uniform by range/2^63) is the jitter.
 	r := uint64(q.rng.Int63())
@@ -143,14 +147,18 @@ func (q *delayQueue) pop() Message {
 	}
 }
 
-// run is the queue's goroutine.
+// run is the queue's goroutine. A batch counts as finished when run
+// next takes the lock, after its last handler has returned.
 func (q *delayQueue) run() {
 	defer close(q.done)
 	timer := time.NewTimer(math.MaxInt64)
 	defer timer.Stop()
 	var batch []Message
 	for {
+		clear(batch)
 		q.mu.Lock()
+		q.finished += uint64(len(batch))
+		batch = batch[:0]
 		now := time.Since(q.epoch)
 		for len(q.heap) > 0 && q.heap[0].due <= now {
 			batch = append(batch, q.pop())
@@ -161,9 +169,6 @@ func (q *delayQueue) run() {
 			for _, m := range batch {
 				q.sink(m)
 			}
-			q.pending.add(-len(batch))
-			clear(batch)
-			batch = batch[:0]
 			continue
 		}
 		if q.stopped {
@@ -195,7 +200,7 @@ func (q *delayQueue) run() {
 func (q *delayQueue) stop() {
 	q.mu.Lock()
 	q.stopped = true
-	q.pending.add(-len(q.heap))
+	q.finished += uint64(len(q.heap))
 	q.heap = nil
 	q.mu.Unlock()
 	q.signal()
@@ -207,4 +212,10 @@ func (q *delayQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.heap)
+}
+
+func (q *delayQueue) counts() (accepted, finished uint64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.accepted, q.finished
 }

@@ -29,13 +29,12 @@ func settleGoroutines(t *testing.T, base int) {
 func TestQueueDueOrder(t *testing.T) {
 	const frames = 300
 	const min, max = 40 * time.Millisecond, 50 * time.Millisecond
-	var pending counter
 	var q *delayQueue
 	var order []int
 	var early atomic.Int64
 	due := make(map[int]time.Duration, frames)
 	ready := make(chan struct{})
-	q = newDelayQueue(1, min, max, 0, &pending, func(m Message) {
+	q = newDelayQueue(1, min, max, 0, func(m Message) {
 		<-ready // due is complete; closed before the first frame can be due
 		order = append(order, m.Update.ID.Seq)
 		if time.Since(q.epoch) < due[m.Update.ID.Seq] {
@@ -43,7 +42,6 @@ func TestQueueDueOrder(t *testing.T) {
 		}
 	})
 	start := time.Since(q.epoch)
-	pending.add(frames)
 	for i := 1; i <= frames; i++ {
 		q.push(Message{From: 0, To: 1, Update: upd(0, i)})
 	}
@@ -54,7 +52,7 @@ func TestQueueDueOrder(t *testing.T) {
 	}
 	q.mu.Unlock()
 	close(ready)
-	pending.wait()
+	flush([]queue{q})
 	q.stop()
 	if len(order) != frames || len(due) != frames {
 		t.Fatalf("delivered %d of %d frames (%d were queued)", len(order), frames, len(due))
@@ -189,6 +187,42 @@ func TestFlushWaitsForHandlerReturn(t *testing.T) {
 		n.Flush()
 		if got := returned.Load(); got != 10 {
 			t.Fatalf("%+v: Flush returned with %d of 10 handlers finished", cfg, got)
+		}
+		n.Close()
+	}
+}
+
+// TestFlushCoversRelays: each handler forwards its frame from
+// destination k to k−1, so the frame moves into a queue that a single
+// pass over the queues, in index order, may already have read. Flush
+// must still return only after the last relay's handler has returned.
+func TestFlushCoversRelays(t *testing.T) {
+	const procs, rounds = 8, 300
+	for _, cfg := range []Config{
+		{Procs: procs, FIFO: true}, // lanes
+		{Procs: procs},             // delayQueues
+	} {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var arrived atomic.Int64
+		for p := 0; p < procs; p++ {
+			p := p
+			n.Register(p, func(m Message) {
+				if p > 0 {
+					n.Send(Message{From: p, To: p - 1, Update: m.Update})
+					return
+				}
+				arrived.Add(1)
+			})
+		}
+		for r := 1; r <= rounds; r++ {
+			n.Send(Message{From: 0, To: procs - 1, Update: upd(0, r)})
+			n.Flush()
+			if got := arrived.Load(); got != int64(r) {
+				t.Fatalf("%+v: Flush returned with %d of %d relays at the end of the chain", cfg, got, r)
+			}
 		}
 		n.Close()
 	}

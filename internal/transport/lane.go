@@ -10,23 +10,22 @@ import "sync"
 // their send order without any per-source bookkeeping. It keeps Net's
 // queue contract, like delayQueue.
 type lane struct {
-	sink    func(Message)
-	pending *counter
-	wake    chan struct{} // cap 1: a push found the goroutine idle, or stop
-	done    chan struct{} // closed when run has returned
+	sink func(Message)
+	wake chan struct{} // cap 1: a push found the goroutine idle, or stop
+	done chan struct{} // closed when run has returned
 
-	mu      sync.Mutex
-	frames  []Message
-	idle    bool // run is waiting on wake
-	stopped bool
+	mu                 sync.Mutex
+	frames             []Message
+	idle               bool // run is waiting on wake
+	stopped            bool
+	accepted, finished uint64
 }
 
-func newLane(pending *counter, sink func(Message)) *lane {
+func newLane(sink func(Message)) *lane {
 	l := &lane{
-		sink:    sink,
-		pending: pending,
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		sink: sink,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	go l.run()
 	return l
@@ -34,7 +33,12 @@ func newLane(pending *counter, sink func(Message)) *lane {
 
 func (l *lane) push(m Message) {
 	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
+		return
+	}
 	l.frames = append(l.frames, m)
+	l.accepted++
 	idle := l.idle
 	l.idle = false
 	l.mu.Unlock()
@@ -51,12 +55,17 @@ func (l *lane) signal() {
 }
 
 // run is the lane's goroutine. The two slices trade places on every
-// batch, so a steady state allocates nothing.
+// batch, so a steady state allocates nothing. A batch counts as
+// finished when run next takes the lock, after its last handler has
+// returned.
 func (l *lane) run() {
 	defer close(l.done)
 	var batch []Message
 	for {
+		clear(batch)
 		l.mu.Lock()
+		l.finished += uint64(len(batch))
+		batch = batch[:0]
 		if l.stopped {
 			l.mu.Unlock()
 			return
@@ -67,20 +76,18 @@ func (l *lane) run() {
 			<-l.wake
 			continue
 		}
-		batch, l.frames = l.frames, batch[:0]
+		batch, l.frames = l.frames, batch
 		l.mu.Unlock()
 		for _, m := range batch {
 			l.sink(m)
 		}
-		l.pending.add(-len(batch))
-		clear(batch)
 	}
 }
 
 func (l *lane) stop() {
 	l.mu.Lock()
 	l.stopped = true
-	l.pending.add(-len(l.frames))
+	l.finished += uint64(len(l.frames))
 	l.frames = nil
 	l.mu.Unlock()
 	l.signal()
@@ -91,4 +98,10 @@ func (l *lane) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.frames)
+}
+
+func (l *lane) counts() (accepted, finished uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.accepted, l.finished
 }

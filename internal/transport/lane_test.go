@@ -113,8 +113,8 @@ func TestCloseDiscardsQueuedFrames(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		if f := n.inflight.n.Load(); f != 0 {
-			t.Fatalf("%+v: %d frames in flight after Close", cfg, f)
+		if acc, fin := n.queues[1].counts(); acc != fin {
+			t.Fatalf("%+v: %d frames accepted, %d finished after Close", cfg, acc, fin)
 		}
 		n.Send(Message{From: 0, To: 1, Update: upd(0, queued+2)})
 		n.Flush()

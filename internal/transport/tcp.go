@@ -3,8 +3,10 @@ package transport
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/protocol"
 )
@@ -32,6 +34,29 @@ type TCPNet struct {
 	inflight counter // Sends in progress
 	accept   sync.WaitGroup
 	closed   atomic.Bool
+}
+
+// counter is a Flush-safe in-flight counter. Unlike sync.WaitGroup it
+// allows add to race wait through zero — exactly what happens when a
+// Send is accepted while a concurrent Flush is already waiting, a
+// pattern the WaitGroup contract forbids (and the race detector
+// reports). It is a bare atomic so a Send never takes a lock for it;
+// the rare waiter polls with a yield-then-sleep backoff.
+type counter struct {
+	n atomic.Int64
+}
+
+func (c *counter) add(d int) { c.n.Add(int64(d)) }
+
+// wait blocks until the count reaches zero.
+func (c *counter) wait() {
+	for spin := 0; c.n.Load() != 0; spin++ {
+		if spin < 64 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 }
 
 // NewTCP starts a TCP mesh for n processes on loopback, shipping the

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -100,54 +99,66 @@ type Net struct {
 	handlers []atomic.Pointer[Handler]
 	queues   []queue // queues[to]
 	faults   *faults // nil unless NewFaulty configured a fault
-
-	// closeMu makes Send-vs-Close atomic: Send holds the read side from
-	// the closed check through enqueue, so no message can be accepted
-	// (inflight.Add, queue push) after Close flips closed: a push into a
-	// stopped queue would leak its inflight count and hang Flush.
-	closeMu sync.RWMutex
-	closed  bool
-
-	inflight counter // every accepted message whose handler has not returned
+	closed   atomic.Bool
 }
 
 // ErrClosed is returned by Close when called twice.
 var ErrClosed = errors.New("transport: already closed")
 
 // queue is one destination's delivery queue, a lane or a delayQueue;
-// both keep the contract of DESIGN §8. push never blocks, and the frame
-// is already counted in inflight, which the queue lowers only after the
-// handler has returned for it (or stop discarded it). stop discards
-// what is queued, lets a batch already taken finish, and returns once
-// the queue's goroutine has exited. len counts the frames not yet taken.
+// both keep the contract of DESIGN §8. push never blocks, and refuses
+// the frame once the queue is stopped. Each queue counts, under the
+// lock it already takes, the frames it accepted and the frames it
+// finished: a frame is finished once its handler has returned, or
+// when stop discarded it. Both counts only grow (see flush). stop
+// discards what is queued, lets a batch already taken finish, and
+// returns once the queue's goroutine has exited. len counts the frames
+// not yet taken.
 type queue interface {
 	push(m Message)
 	stop()
 	len() int
+	counts() (accepted, finished uint64)
 }
 
-// counter is a Flush-safe in-flight counter. Unlike sync.WaitGroup it
-// allows add to race wait through zero — exactly what happens when a
-// Send is accepted while a concurrent Flush is already waiting, a
-// pattern the WaitGroup contract forbids (and the race detector
-// reports). It is a bare atomic so the per-message hot path (one add at
-// the sender, one at delivery) never takes a lock; the rare waiter
-// polls with a yield-then-sleep backoff.
-type counter struct {
-	n atomic.Int64
-}
-
-func (c *counter) add(d int) { c.n.Add(int64(d)) }
-
-// wait blocks until the count reaches zero.
-func (c *counter) wait() {
-	for spin := 0; c.n.Load() != 0; spin++ {
+// flush blocks until every frame the queues accepted before the call
+// has finished. It polls with a yield-then-sleep backoff, summing the
+// queues' counts on every pass. Every count only grows, so two
+// successive passes with equal sums saw every count unchanged, and the
+// second read them all as they were at one instant. A single pass is
+// not enough: it reads the queues one after another, and a handler may
+// push a frame into a queue the pass has already read, then finish
+// before the pass reaches its own queue. The first drained pass since
+// the counts last moved is confirmed at once, not after a backoff.
+func flush(queues []queue) {
+	prev := ^uint64(0)
+	for spin := 0; ; spin++ {
+		acc, fin := sumCounts(queues)
+		if acc == fin && acc+fin != prev {
+			prev = acc + fin
+			acc, fin = sumCounts(queues)
+		}
+		if acc == fin && acc+fin == prev {
+			return
+		}
+		prev = acc + fin
 		if spin < 64 {
 			runtime.Gosched()
 		} else {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
+}
+
+// sumCounts sums the queues' accepted and finished counts, one queue
+// after another.
+func sumCounts(queues []queue) (accepted, finished uint64) {
+	for _, q := range queues {
+		a, f := q.counts()
+		accepted += a
+		finished += f
+	}
+	return accepted, finished
 }
 
 // New constructs a started Net.
@@ -176,9 +187,9 @@ func newNet(cfg Config, chaos ChaosConfig, obs Observer) (*Net, error) {
 	}
 	for to := range n.queues {
 		if cfg.FIFO && cfg.MaxDelay == 0 && chaos.ReorderRate == 0 {
-			n.queues[to] = newLane(&n.inflight, n.deliver)
+			n.queues[to] = newLane(n.deliver)
 		} else {
-			n.queues[to] = newDelayQueue(cfg.Seed+int64(to), cfg.MinDelay, cfg.MaxDelay, sources, &n.inflight, n.deliver)
+			n.queues[to] = newDelayQueue(cfg.Seed+int64(to), cfg.MinDelay, cfg.MaxDelay, sources, n.deliver)
 		}
 	}
 	return n, nil
@@ -192,19 +203,18 @@ func (n *Net) Register(id int, h Handler) {
 	n.handlers[id].Store(&h)
 }
 
-// Send implements Transport.
+// Send implements Transport. A Send racing Close may pass the closed
+// check after Close flipped it; the stopped queue then refuses the
+// frame, so it is neither counted nor delivered.
 func (n *Net) Send(m Message) {
 	if m.To < 0 || m.To >= n.cfg.Procs || m.From < 0 || m.From >= n.cfg.Procs || m.To == m.From {
 		panic(fmt.Sprintf("transport: bad route %d -> %d", m.From, m.To))
 	}
-	n.closeMu.RLock()
-	defer n.closeMu.RUnlock()
-	if n.closed {
+	if n.closed.Load() {
 		return
 	}
 	q := n.queues[m.To]
 	if n.faults == nil {
-		n.inflight.add(1)
 		q.push(m)
 		return
 	}
@@ -212,7 +222,6 @@ func (n *Net) Send(m Message) {
 	if copies == 0 {
 		return
 	}
-	n.inflight.add(copies)
 	if hold > 0 {
 		q.(*delayQueue).pushAfter(m, hold) // bursts always get a delayQueue
 	} else {
@@ -224,19 +233,13 @@ func (n *Net) Send(m Message) {
 }
 
 // Flush implements Transport.
-func (n *Net) Flush() {
-	n.inflight.wait()
-}
+func (n *Net) Flush() { flush(n.queues) }
 
 // Close implements Transport.
 func (n *Net) Close() error {
-	n.closeMu.Lock()
-	if n.closed {
-		n.closeMu.Unlock()
+	if !n.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	n.closed = true
-	n.closeMu.Unlock()
 	for _, q := range n.queues {
 		q.stop()
 	}
@@ -263,20 +266,17 @@ func (n *Net) deliver(m Message) {
 }
 
 // Broadcaster is an optional Transport fast path: SendAll enqueues one
-// update to every other process under a single accept (closed-check +
-// in-flight accounting) instead of one per destination.
+// update to every other process behind a single closed check instead
+// of one per destination.
 type Broadcaster interface {
 	SendAll(from int, u protocol.Update)
 }
 
 // SendAll implements Broadcaster for the standard Net.
 func (n *Net) SendAll(from int, u protocol.Update) {
-	n.closeMu.RLock()
-	defer n.closeMu.RUnlock()
-	if n.closed {
+	if n.closed.Load() {
 		return
 	}
-	n.inflight.add(n.cfg.Procs - 1)
 	for q, dq := range n.queues {
 		if q != from {
 			dq.push(Message{From: from, To: q, Update: u})
@@ -299,8 +299,8 @@ func Broadcast(t Transport, procs, from int, u protocol.Update) {
 }
 
 // Multicaster is the share-set-aware sibling of Broadcaster: SendTo
-// enqueues one update to an explicit destination set under a single
-// accept. PartialRep writes use it so an update costs |shareSet| − 1
+// enqueues one update to an explicit destination set behind a single
+// closed check. PartialRep writes use it so an update costs |shareSet| − 1
 // messages instead of P − 1.
 type Multicaster interface {
 	SendTo(from int, dests []int, u protocol.Update)
@@ -309,21 +309,9 @@ type Multicaster interface {
 // SendTo implements Multicaster for the standard Net. dests may include
 // from (it is skipped) and must be duplicate-free.
 func (n *Net) SendTo(from int, dests []int, u protocol.Update) {
-	n.closeMu.RLock()
-	defer n.closeMu.RUnlock()
-	if n.closed {
+	if n.closed.Load() {
 		return
 	}
-	count := 0
-	for _, q := range dests {
-		if q != from {
-			count++
-		}
-	}
-	if count == 0 {
-		return
-	}
-	n.inflight.add(count)
 	for _, q := range dests {
 		if q != from {
 			n.queues[q].push(Message{From: from, To: q, Update: u})
@@ -334,7 +322,7 @@ func (n *Net) SendTo(from int, dests []int, u protocol.Update) {
 // Multicast sends u from process `from` to every process in dests
 // except the sender, using the transport's batched path when it has
 // one. The per-destination fallback keeps the reliability and
-// metadata-codec wrappers — neither of which needs a batched accept —
+// metadata-codec wrappers — neither of which needs a batched send —
 // working unchanged.
 func Multicast(t Transport, from int, dests []int, u protocol.Update) {
 	if mc, ok := t.(Multicaster); ok {

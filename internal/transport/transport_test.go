@@ -184,10 +184,12 @@ func TestBroadcastHelper(t *testing.T) {
 // TestConcurrentSendFlushClose is the regression test for the
 // Send/Close race: a message used to be acceptable after `closed`
 // flipped but before the links closed, panicking on a closed channel
-// (FIFO) or leaking an inflight.Add that hung Flush. Send now holds
-// the close lock from the closed check through enqueue. TCPNet's Sends
-// are counted by the same Flush-safe counter: a sync.WaitGroup there
-// panics when a Send's Add races a Flush's Wait at zero.
+// (FIFO) or leaking an in-flight count that hung Flush. Now a Send that
+// passes the closed check as Close flips it reaches a stopped queue,
+// which refuses the frame: it is counted neither accepted nor finished,
+// so Flush cannot wait on it. TCPNet's Sends are counted by a
+// Flush-safe counter: a sync.WaitGroup there panics when a Send's Add
+// races a Flush's Wait at zero.
 func TestConcurrentSendFlushClose(t *testing.T) {
 	for _, stack := range []struct {
 		name  string
@@ -232,7 +234,7 @@ func TestConcurrentSendFlushClose(t *testing.T) {
 			}()
 			close(start)
 			wg.Wait()
-			// Flush after Close must return promptly (no leaked inflight).
+			// Flush after Close must return promptly (no leaked count).
 			done := make(chan struct{})
 			go func() { n.Flush(); close(done) }()
 			select {
