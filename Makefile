@@ -9,8 +9,9 @@ GO ?= go
 ## bytes (clocks, updates, the wire codecs, the frame reader, the WAL
 ## reader, the replica state decoder and the snapshot tail), the chaos
 ## conformance suite
-## (fault-injected session guarantees + exactly-once accounting), and
-## the nested benchmark module's own smoke run.
+## (fault-injected session guarantees + exactly-once accounting, and
+## twenty runs of the tracing join), and the nested benchmark module's
+## own smoke run.
 check: fmt-check vet varint-guard build test race transport-stress core-stress fuzz-smoke chaos-conformance bench-smoke
 
 ## ci: what .github/workflows/ci.yml runs — the full gate plus the
@@ -77,9 +78,13 @@ conformance:
 ## workload under three seeds of connection chaos (1% kill + stalls +
 ## truncation), requiring zero session-guarantee violations, zero
 ## duplicate writes, exactly-once frontier accounting, and every call
-## resolving. Race detector on; part of `make check`.
+## resolving; then the chaos tracing join (TestChaosTracingForensics)
+## twenty times, so a join that reads server records before every
+## handler has returned (reqtrace.Recorder's drain contract) fails
+## here, not once in thirty runs. Race detector on; part of `make check`.
 chaos-conformance:
 	$(GO) test -race -count=1 -run '^TestChaosConformance$$' ./internal/conformance
+	$(GO) test -race -count=20 -run '^TestChaosTracingForensics$$' ./internal/conformance
 
 ## vuln: govulncheck over the whole module; skipped quietly when the
 ## tool isn't installed (it is not vendored and CI may run offline).

@@ -89,6 +89,16 @@ func TestChaosTracingForensics(t *testing.T) {
 	wg.Wait()
 	auditChaosRun(t, ch)
 
+	// A server record is visible once its handler has returned, which is
+	// after its response went out (reqtrace.Recorder's drain contract):
+	// close the clients and drain the server before joining.
+	for _, c := range clients {
+		c.Close()
+	}
+	if err := ch.Server.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
 	// Server side retained traces.
 	srvRecs := ch.Server.Trace().Records()
 	if len(srvRecs) == 0 {

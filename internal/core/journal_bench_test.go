@@ -166,6 +166,9 @@ func TestSnapshotBytesLinear(t *testing.T) {
 // size — never earlier, never a record later.
 func TestSnapshotRule(t *testing.T) {
 	const maxRecord = 64 // more than any record journaled here
+	// Enough records for two default rotations: the second waits for
+	// minSnapshotLog more bytes after the first.
+	const records = 8000
 	for _, every := range []int{0, 7} {
 		cfg := Config{Processes: benchProcs, Variables: benchVars, FIFO: true, Seed: 1,
 			WALDir: t.TempDir(), SnapshotEvery: every}
@@ -176,7 +179,7 @@ func TestSnapshotRule(t *testing.T) {
 		n := c.Node(0)
 		src := protocol.New(protocol.OptP, 1, benchProcs, benchVars)
 		rotations := 0
-		for i, m := range remoteWrites(src, 5000, 0) {
+		for i, m := range remoteWrites(src, records, 0) {
 			entries, log, snap := n.wal.Entries(), n.wal.LogBytes(), n.wal.SnapBytes()
 			n.handle(m)
 			rotated := n.wal.Entries() == 0
@@ -198,7 +201,7 @@ func TestSnapshotRule(t *testing.T) {
 			}
 		}
 		if rotations < 2 {
-			t.Fatalf("SnapshotEvery=%d: %d rotations in 5000 records", every, rotations)
+			t.Fatalf("SnapshotEvery=%d: %d rotations in %d records", every, rotations, records)
 		}
 		c.Close()
 	}

@@ -40,7 +40,7 @@ import (
 )
 
 const (
-	magic      = "DSMWAL1\n"
+	magic      = "DSMWAL2\n"
 	segPattern = "seg-%08d.wal"
 	// maxRecord bounds a record's declared length so a corrupt header
 	// cannot trigger a giant allocation.

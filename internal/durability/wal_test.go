@@ -2,6 +2,7 @@ package durability
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -21,7 +22,7 @@ import (
 func sampleEntries() []Entry {
 	u := protocol.Update{
 		ID: history.WriteID{Proc: 1, Seq: 3}, Var: 2, Val: 77,
-		Clock: vclock.New(3), Round: 4, Slot: 1, BatchSize: 2,
+		Clock: vclock.New(3), Prev: history.WriteID{Proc: 2, Seq: 5},
 	}
 	u.Clock.Set(1, 3)
 	return []Entry{
@@ -48,7 +49,7 @@ func TestEntryRoundTrip(t *testing.T) {
 func sameEntry(a, b Entry) bool {
 	return a.Kind == b.Kind && a.Var == b.Var && a.Val == b.Val &&
 		a.Update.ID == b.Update.ID && a.Update.Val == b.Update.Val &&
-		a.Update.Round == b.Update.Round && a.Update.Clock.Equal(b.Update.Clock)
+		a.Update.Prev == b.Update.Prev && a.Update.Clock.Equal(b.Update.Clock)
 }
 
 // appendRecord frames payload onto dst, as the WAL does on disk.
@@ -503,11 +504,11 @@ func TestRecoverEveryCutPoint(t *testing.T) {
 }
 
 // TestGoldenSegment pins the on-disk format: testdata/golden holds a
-// segment written before appends were buffered. Its first three entry
-// records, one per kind, must recover as they always did, and the same
-// operations must still produce the same bytes, syncing or not. The
-// record after them is tagged 4, a retired kind: it fails to decode and
-// so ends the log, as a torn tail would.
+// segment of the current magic (TestGenerateSeedCorpus writes it). Its
+// first three entry records, one per kind, must recover as they always
+// did, and the same operations must still produce the same bytes,
+// syncing or not. The record after them is tagged 4, a retired kind: it
+// fails to decode and so ends the log, as a torn tail would.
 func TestGoldenSegment(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "seg-00000001.wal"))
 	if err != nil {
@@ -689,6 +690,49 @@ func FuzzRecoverSegment(f *testing.F) {
 		}
 		varinttest.Check(t, data, parse, image, same, ErrCorrupt)
 	})
+}
+
+// retiredTail is what follows the sample entries in the golden
+// segment: a record tagged 4 (a retired kind) over an apply's payload,
+// the apply of a WS-send marker, and a record tagged 5 (retired too).
+func retiredTail() []byte {
+	apply := appendEntry(nil, sampleEntries()[2])
+	apply[0] = 4
+	tail := appendRecord(nil, apply)
+	tail = appendRecord(tail, appendEntry(nil, Entry{Kind: EntryApply, Update: protocol.Marker(2, 9)}))
+	return appendRecord(tail, []byte{5, 0x22})
+}
+
+// TestGenerateSeedCorpus rewrites the golden segment and the committed
+// FuzzRecoverSegment corpus; see varinttest.SkipUnlessGenerating.
+func TestGenerateSeedCorpus(t *testing.T) {
+	varinttest.SkipUnlessGenerating(t)
+	golden := append(segmentImage([]byte("golden-snapshot"), sampleEntries()), retiredTail()...)
+	if err := os.WriteFile(filepath.Join("testdata", "golden", "seg-00000001.wal"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full := append(segmentImage([]byte("snapshot"), sampleEntries()), retiredTail()...)
+	crc := slices.Clone(full)
+	crc[len(crc)-1] ^= 0xFF
+	seeds := [][]byte{
+		full,
+		full[:len(full)-3], // torn tail
+		crc,                // corrupt CRC on the last record
+		[]byte(magic),
+		golden,
+		append([]byte(magic), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0), // oversized record
+		{},
+	}
+	// Entry payloads alone, which the fuzz target frames as a record.
+	for _, e := range sampleEntries() {
+		seeds = append(seeds, appendEntry(nil, e))
+	}
+	for tail := retiredTail(); len(tail) > 0; {
+		n := recordHeader + int(binary.LittleEndian.Uint32(tail))
+		seeds = append(seeds, tail[recordHeader:n])
+		tail = tail[n:]
+	}
+	varinttest.WriteCorpus(t, "FuzzRecoverSegment", varinttest.OneArg(seeds)...)
 }
 
 var benchErr error

@@ -51,6 +51,14 @@ type Config struct {
 // Recorder is one vantage point's tracing state: always-on per-stage
 // histograms plus the tail sampler. Begin/End are the request path;
 // everything else is scrape/export plumbing.
+//
+// Drain contract: a record is visible in Records once End has returned.
+// A server ends a request's trace after sending its response, so that
+// the record holds the respond stage; the record is therefore visible
+// once the request's handler has returned, not once the client has the
+// response. A joiner of client and server records (a test, an offline
+// join) drains the server first: service.Server.Shutdown returns only
+// after every handler has.
 type Recorder struct {
 	origin    string
 	threshold int64 // ns; <0 disables latency sampling

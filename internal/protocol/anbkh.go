@@ -57,7 +57,6 @@ func (r *anbkh) LocalWrite(x int, v int64) (Update, bool) {
 		Var:   x,
 		Val:   v,
 		Clock: r.vt.Clone(),
-		Prev:  r.writers[x],
 	}
 	r.vals[x] = v
 	r.writers[x] = u.ID

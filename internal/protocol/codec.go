@@ -12,28 +12,42 @@ import (
 
 // Wire format of an Update (all integers varint/uvarint):
 //
-//	proc, seq          — WriteID (seq is varint: markers use negatives)
+//	proc, seq          — WriteID (seq is varint: markers and forwarded
+//	                     reads use negatives)
 //	var, val           — location (varint; -1 for markers) and payload
 //	clock              — vclock wire encoding (may be empty/zero-dim)
-//	prevProc, prevSeq  — overwritten-predecessor WriteID
-//	round, slot, size  — token batch coordinates
-//	flags              — bit 0: marker, bit 1: read request,
-//	                     bit 2: read reply, bit 3: catch-up summary
+//	flags              — bit 0: read request, bit 1: read reply,
+//	                     bit 2: summary, bit 3: Prev follows
+//	prevProc, prevSeq  — Prev, present iff flag bit 3 is set
 //
-// The codec is used by the TCP transport; it allocates only the
-// destination buffer and round-trips every field exactly.
+// Flag bits above bit 3, and a Prev bit followed by ⊥, are malformed:
+// the encoder never writes them, so every update decodes to bytes that
+// encode back to themselves. The codec is used by the TCP transport; it
+// allocates only the destination buffer and round-trips every field
+// exactly.
 
 // ErrUpdateTruncated reports a buffer ending inside an encoded update,
 // or bytes that encode none: a varint overflowing 64 bits, an unknown
-// clock tag, a clock dimension above vclock.MaxDecodeDim. A link out of
-// sync is ErrClockResync, which does not match it.
+// clock tag, a clock dimension above vclock.MaxDecodeDim, an unknown
+// flag bit or a flagged ⊥ Prev. A link out of sync is ErrClockResync,
+// which does not match it.
 var ErrUpdateTruncated = errors.New("protocol: truncated update encoding")
 
+// The flag bits of an encoded update.
+const (
+	flagReadReq = 1 << iota
+	flagReadReply
+	flagSummary
+	flagPrev
+	flagsKnown = flagReadReq | flagReadReply | flagSummary | flagPrev
+)
+
 // MaxUpdateSize bounds one encoded update in every metadata codec mode:
-// ten integer fields, a clock header of at most four integers (tag,
-// checksum, dimension or count, floor), and at most two integers per
-// component of a clock no decoder accepts above vclock.MaxDecodeDim.
-const MaxUpdateSize = (10 + 4 + 2*vclock.MaxDecodeDim) * binary.MaxVarintLen64
+// seven integer fields (proc, seq, var, val, flags, prevProc, prevSeq),
+// a clock header of at most four integers (tag, checksum, dimension or
+// count, floor), and at most two integers per component of a clock no
+// decoder accepts above vclock.MaxDecodeDim.
+const MaxUpdateSize = (7 + 4 + 2*vclock.MaxDecodeDim) * binary.MaxVarintLen64
 
 // AppendBinary appends the wire encoding of u to dst.
 func (u Update) AppendBinary(dst []byte) []byte {
@@ -49,17 +63,16 @@ func (u Update) appendWith(dst []byte, encClock func(vclock.VC, []byte) []byte) 
 	dst = binary.AppendVarint(dst, int64(u.Var))
 	dst = binary.AppendVarint(dst, u.Val)
 	dst = encClock(u.Clock, dst)
-	dst = appendWriteID(dst, u.Prev)
-	dst = binary.AppendVarint(dst, int64(u.Round))
-	dst = binary.AppendVarint(dst, int64(u.Slot))
-	dst = binary.AppendVarint(dst, int64(u.BatchSize))
 	var flags uint64
-	for i, set := range [...]bool{u.Marker, u.ReadReq, u.ReadReply, u.Summary} {
+	for i, set := range [...]bool{u.ReadReq, u.ReadReply, u.Summary, !u.Prev.IsBottom()} {
 		if set {
 			flags |= 1 << i
 		}
 	}
 	dst = binary.AppendUvarint(dst, flags)
+	if flags&flagPrev != 0 {
+		dst = appendWriteID(dst, u.Prev)
+	}
 	return dst
 }
 
@@ -101,13 +114,18 @@ func readUpdate(r *varint.Reader, d *UpdateDecoder) Update {
 	if clock.Len() > 0 {
 		u.Clock = clock
 	}
-	u.Prev = readWriteID(r)
-	u.Round, u.Slot, u.BatchSize = int(r.Varint()), int(r.Varint()), int(r.Varint())
 	flags := r.Uvarint()
-	u.Marker = flags&1 != 0
-	u.ReadReq = flags&2 != 0
-	u.ReadReply = flags&4 != 0
-	u.Summary = flags&8 != 0
+	if flags&^flagsKnown != 0 {
+		r.Fail(fmt.Errorf("unknown update flags %#x", flags))
+	}
+	u.ReadReq = flags&flagReadReq != 0
+	u.ReadReply = flags&flagReadReply != 0
+	u.Summary = flags&flagSummary != 0
+	if flags&flagPrev != 0 {
+		if u.Prev = readWriteID(r); u.Prev.IsBottom() {
+			r.Fail(errors.New("flagged Prev is ⊥"))
+		}
+	}
 	return u
 }
 

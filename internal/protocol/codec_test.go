@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/history"
 	"repro/internal/vclock"
@@ -20,13 +22,13 @@ func TestUpdateRoundTrip(t *testing.T) {
 			Clock: vclock.VC{1, 0, 9},
 			Prev:  history.WriteID{Proc: 1, Seq: 3},
 		},
-		Marker(4, 7), // negative Seq, Var -1, Marker flag
+		Marker(4, 7), // negative Seq, Var -1, batch size 0
 		{
 			ID:  history.WriteID{Proc: 0, Seq: 1},
 			Var: 0, Val: 1 << 40,
-			Clock: vclock.New(8),
-			Round: 12, Slot: 3, BatchSize: 5,
+			Clock: tokenKey(12, 3, 5),
 		},
+		{ID: history.WriteID{Proc: 1}, Val: 2, Clock: vclock.VC{3, 0}, Summary: true},
 	}
 	for _, u := range cases {
 		data, err := u.MarshalBinary()
@@ -38,8 +40,8 @@ func TestUpdateRoundTrip(t *testing.T) {
 			t.Fatalf("unmarshal %v: %v", u, err)
 		}
 		if got.ID != u.ID || got.Var != u.Var || got.Val != u.Val ||
-			got.Prev != u.Prev || got.Round != u.Round || got.Slot != u.Slot ||
-			got.BatchSize != u.BatchSize || got.Marker != u.Marker {
+			got.Prev != u.Prev || got.ReadReq != u.ReadReq ||
+			got.ReadReply != u.ReadReply || got.Summary != u.Summary {
 			t.Fatalf("round trip: got %+v, want %+v", got, u)
 		}
 		if (u.Clock == nil) != (got.Clock == nil) && u.Clock.Len() > 0 {
@@ -91,22 +93,84 @@ func TestUpdateDecodeConsumed(t *testing.T) {
 }
 
 func TestQuickUpdateRoundTrip(t *testing.T) {
-	f := func(proc, seq uint8, vr uint8, val int64, c0, c1, c2 uint16, marker bool) bool {
+	f := func(proc, seq uint8, vr uint8, val int64, c0, c1, c2 uint16, prevProc, prevSeq int8) bool {
 		u := Update{
-			ID:     history.WriteID{Proc: int(proc), Seq: int(seq)},
-			Var:    int(vr),
-			Val:    val,
-			Clock:  vclock.VC{uint64(c0), uint64(c1), uint64(c2)},
-			Marker: marker,
+			ID:    history.WriteID{Proc: int(proc), Seq: int(seq)},
+			Var:   int(vr),
+			Val:   val,
+			Clock: vclock.VC{uint64(c0), uint64(c1), uint64(c2)},
+			Prev:  history.WriteID{Proc: int(prevProc), Seq: int(prevSeq)},
 		}
 		data := u.AppendBinary(nil)
 		got, n, err := DecodeUpdate(data)
 		return err == nil && n == len(data) &&
 			got.ID == u.ID && got.Var == u.Var && got.Val == u.Val &&
-			got.Marker == u.Marker && got.Clock.Equal(u.Clock)
+			got.Prev == u.Prev && got.Clock.Equal(u.Clock)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateMalformedFlags: unknown flag bits, and a Prev bit followed
+// by ⊥, are bytes the encoder never writes, so they fail to decode.
+func TestUpdateMalformedFlags(t *testing.T) {
+	body := Update{ID: history.WriteID{Proc: 1, Seq: 2}, Clock: vclock.VC{0, 2}}.AppendBinary(nil)
+	head := body[:len(body)-1] // every field before the flags
+	for name, tail := range map[string][]byte{
+		"unknown bit 4":   {1 << 4},
+		"unknown bit 7":   {0x80, 0x01},
+		"flagged ⊥ Prev":  {flagPrev, 0, 0},
+		"flagged ⊥ reply": {flagReadReply | flagPrev, 0, 0},
+	} {
+		data := append(head[:len(head):len(head)], tail...)
+		if _, _, err := DecodeUpdate(data); !errors.Is(err, ErrUpdateTruncated) {
+			t.Errorf("%s: %x decoded with %v, want ErrUpdateTruncated", name, data, err)
+		}
+	}
+}
+
+// TestMaxUpdateSizeFits encodes the largest legal update, every integer
+// at its widest and a clock at vclock.MaxDecodeDim, in every metadata
+// codec mode: it must fit MaxUpdateSize.
+func TestMaxUpdateSizeFits(t *testing.T) {
+	clock := vclock.New(vclock.MaxDecodeDim)
+	for i := range clock {
+		clock[i] = math.MaxUint64 - uint64(i)
+	}
+	u := Update{
+		ID:  history.WriteID{Proc: math.MinInt64, Seq: math.MinInt64},
+		Var: math.MinInt64, Val: math.MinInt64, Clock: clock,
+		Prev:    history.WriteID{Proc: math.MinInt64, Seq: math.MinInt64},
+		ReadReq: true, ReadReply: true, Summary: true,
+	}
+	for _, mode := range []MetaMode{MetaOff, MetaDelta, MetaStab, MetaAuto} {
+		enc := NewUpdateEncoder(mode)
+		for i := 0; i < 2; i++ { // the second frame may ride a delta
+			if buf, _ := enc.Append(nil, u); len(buf) > MaxUpdateSize {
+				t.Errorf("%v frame %d: %d bytes, MaxUpdateSize %d", mode, i, len(buf), MaxUpdateSize)
+			}
+		}
+	}
+}
+
+// TestUpdateLayout pins the update's size in memory and on the wire: it
+// is copied by value through transport and driver, and encoded into
+// every WAL entry, snapshot and frame. An OptP write at P = 8 ships a
+// variable, a value and Write_co, and nothing else: this one takes 14
+// bytes — ID 2, var 1, val 1, clock 9 (dimension and eight components)
+// and flags 1.
+func TestUpdateLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Update{}); size != 80 {
+		t.Errorf("an Update takes %d bytes, want 80", size)
+	}
+	p := NewOptP(3, 8, 4)
+	u, _ := p.LocalWrite(2, 9)
+	if !u.Prev.IsBottom() {
+		t.Errorf("OptP write carries Prev %v", u.Prev)
+	}
+	if n := len(u.AppendBinary(nil)); n != 14 {
+		t.Errorf("an OptP write at P = 8 encodes to %d bytes, want 14", n)
 	}
 }
 

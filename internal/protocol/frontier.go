@@ -2,34 +2,19 @@ package protocol
 
 import "repro/internal/vclock"
 
-// FrontierDominator is implemented by replicas that can answer
-// applied-frontier dominance queries in place, without the copy
+// FrontierDominator is implemented by the live kinds' replicas, which
+// answer applied-frontier dominance queries in place, without the copy
 // Introspector.ApplyClock makes. The serving tier polls this on every
 // token-carrying read, so the query must stay allocation-free.
-//
-// The frontier converges across replicas for every kind except
-// WSSend, whose sender-suppressed writes tick only the local apply
-// counter — a remote frontier can never dominate a token that counts
-// them, which is why the serving tier refuses WSSend clusters.
 type FrontierDominator interface {
 	// FrontierDominates reports whether the replica's applied frontier
 	// dominates t component-wise. t must have the replica's dimension.
 	FrontierDominates(t vclock.VC) bool
 }
 
-// FrontierDominates implements FrontierDominator. optpws inherits it
-// by embedding: the skip path still ticks apply for the skipped write.
+// FrontierDominates implements FrontierDominator.
 func (r *optp) FrontierDominates(t vclock.VC) bool { return r.apply.Dominates(t) }
 
 // FrontierDominates implements FrontierDominator; ANBKH's FM apply
 // clock is its frontier.
 func (r *anbkh) FrontierDominates(t vclock.VC) bool { return r.vt.Dominates(t) }
-
-// FrontierDominates implements FrontierDominator; discarded
-// (logically applied) writes count, matching ApplyClock.
-func (r *wsrecv) FrontierDominates(t vclock.VC) bool { return r.vt.Dominates(t) }
-
-// FrontierDominates implements FrontierDominator. Note the WSSend
-// caveat on the interface: suppressed writes make this frontier
-// non-convergent across replicas.
-func (r *wssend) FrontierDominates(t vclock.VC) bool { return r.applied.Dominates(t) }

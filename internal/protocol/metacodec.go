@@ -139,8 +139,8 @@ func (e *UpdateEncoder) Append(dst []byte, u Update) ([]byte, int) {
 // appendClock emits one tagged clock and advances the link base.
 func (e *UpdateEncoder) appendClock(dst []byte, c vclock.VC) []byte {
 	if len(c) == 0 {
-		// Empty clock (markers): a two-byte dense encoding, and the
-		// link base is left alone so the delta chain survives markers.
+		// An update with no timestamp: a two-byte dense encoding, and
+		// the link base is left alone so the delta chain survives it.
 		dst = binary.AppendUvarint(dst, clockTagDense)
 		return c.AppendBinary(dst)
 	}

@@ -13,15 +13,15 @@ import (
 
 // randomStream builds a plausible per-link update stream: clocks mostly
 // grow (the OptP shape) but occasionally regress component-wise (the
-// WS-send shape), with markers, nil clocks and a mid-stream dimension
-// change mixed in.
+// WS-send shape), with markers, nil clocks, Prev-carrying writes and a
+// mid-stream dimension change mixed in.
 func randomStream(rng *rand.Rand, length int) []Update {
 	n := 2 + rng.Intn(10)
 	clock := vclock.New(n)
 	var out []Update
 	for i := 0; i < length; i++ {
 		switch rng.Intn(20) {
-		case 0: // marker — empty clock
+		case 0: // marker — a three-component token key
 			out = append(out, Marker(rng.Intn(n), i))
 			continue
 		case 1: // nil-clock update
@@ -30,6 +30,10 @@ func randomStream(rng *rand.Rand, length int) []Update {
 		case 2: // dimension change mid-stream
 			n = 2 + rng.Intn(10)
 			clock = vclock.New(n)
+		case 3: // a write naming the write it overwrites
+			out = append(out, Update{ID: history.WriteID{Proc: rng.Intn(n), Seq: i + 1}, Clock: clock.Clone(),
+				Prev: history.WriteID{Proc: rng.Intn(n), Seq: 1 + rng.Intn(i+1)}})
+			continue
 		}
 		// Mutate a few components, mostly upward.
 		for k := 0; k < 1+rng.Intn(3); k++ {
@@ -52,8 +56,7 @@ func randomStream(rng *rand.Rand, length int) []Update {
 
 func updatesEqual(a, b Update) bool {
 	if a.ID != b.ID || a.Var != b.Var || a.Val != b.Val || a.Prev != b.Prev ||
-		a.Round != b.Round || a.Slot != b.Slot || a.BatchSize != b.BatchSize ||
-		a.Marker != b.Marker || a.ReadReq != b.ReadReq || a.ReadReply != b.ReadReply {
+		a.ReadReq != b.ReadReq || a.ReadReply != b.ReadReply || a.Summary != b.Summary {
 		return false
 	}
 	return a.Clock.Len() == b.Clock.Len() && (a.Clock.Len() == 0 || a.Clock.Equal(b.Clock))
@@ -107,8 +110,9 @@ func TestMetaOffByteIdentical(t *testing.T) {
 }
 
 func TestMetaDeltaChainSurvivesMarkers(t *testing.T) {
-	// Markers carry no clock; they must not reset the link base, so the
-	// update after a marker still delta-encodes.
+	// A marker's clock is a token key like any batch update's, and an
+	// update may carry no clock at all: neither may break the link's
+	// delta chain, so the update after them still delta-encodes.
 	enc := NewUpdateEncoder(MetaDelta)
 	dec := NewUpdateDecoder(MetaDelta)
 	send := func(u Update) Update {
@@ -123,7 +127,8 @@ func TestMetaDeltaChainSurvivesMarkers(t *testing.T) {
 	u1 := Update{ID: history.WriteID{Proc: 0, Seq: 1}, Clock: vclock.VC{1, 0, 0}}
 	send(u1)
 	send(Marker(1, 5))
-	u2 := Update{ID: history.WriteID{Proc: 0, Seq: 2}, Clock: vclock.VC{2, 0, 0}}
+	send(Update{ID: history.WriteID{Proc: 2, Seq: 1}})
+	u2 := Update{ID: history.WriteID{Proc: 0, Seq: 2}, Clock: vclock.VC{5, 1, 0}}
 	buf, meta := enc.Append(nil, u2)
 	// Delta of one incremented component: tag(1) + checksum(1) +
 	// count(1) + index(1) + zigzag delta(1) = 5 bytes, far below the

@@ -94,7 +94,6 @@ func (r *optp) LocalWrite(x int, v int64) (Update, bool) {
 		Var:   x,
 		Val:   v,
 		Clock: r.writeCo.Clone(),
-		Prev:  r.writers[x],
 	}
 	r.vals[x] = v
 	r.writers[x] = u.ID

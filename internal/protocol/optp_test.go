@@ -198,8 +198,8 @@ func TestOptPWriteIDSequencing(t *testing.T) {
 		if u.ID != (history.WriteID{Proc: 0, Seq: i}) {
 			t.Fatalf("write %d has ID %v", i, u.ID)
 		}
-		if u.ID.Seq >= 2 && u.Prev != (history.WriteID{Proc: 0, Seq: i - 1}) {
-			t.Fatalf("write %d has Prev %v", i, u.Prev)
+		if !u.Prev.IsBottom() {
+			t.Fatalf("write %d carries Prev %v; OptP ships m(x, v, Write_co) only", i, u.Prev)
 		}
 	}
 }

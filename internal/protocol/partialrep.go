@@ -137,7 +137,6 @@ func (r *partialrep) LocalWrite(x int, v int64) (Update, bool) {
 		Clock: r.mat.Clone(),
 	}
 	if lx := r.localIdx[x]; lx >= 0 {
-		u.Prev = r.writers[lx]
 		r.vals[lx] = v
 		r.writers[lx] = u.ID
 		r.lastOn[lx].CopyFrom(r.mat)

@@ -101,6 +101,12 @@ func TestPartialRepForwardedReadYourWrites(t *testing.T) {
 	if !reply.ReadReply || reply.ID.Seq != req.ID.Seq {
 		t.Fatalf("bad reply %v", reply)
 	}
+	// The reply reaches the reader through the codec: Prev, the write
+	// it returns, must survive it.
+	data, _ := reply.MarshalBinary()
+	if err := reply.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
 	v, w := rr.CompleteRead(reply)
 	if v != 42 || w != u.ID {
 		t.Fatalf("forwarded read = (%d, %v), want (42, %v)", v, w, u.ID)
@@ -186,7 +192,7 @@ func TestReadReqReplyCodecRoundTrip(t *testing.T) {
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		if got.ReadReq != u.ReadReq || got.ReadReply != u.ReadReply || got.ID != u.ID {
+		if got.ReadReq != u.ReadReq || got.ReadReply != u.ReadReply || got.ID != u.ID || got.Prev != u.Prev {
 			t.Fatalf("round trip %+v != %+v", got, u)
 		}
 	}

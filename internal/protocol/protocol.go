@@ -6,15 +6,17 @@
 //   - ANBKH    — the Ahamad–Neiger–Burns–Kohli–Hutto baseline [1]:
 //     causal broadcast ordered by Fidge–Mattern clocks over apply
 //     events, the protocol Section 3.6 proves non-optimal.
-//   - WSRecv   — receiver-side writing semantics ([2,14]): overwritten
-//     values may be skipped and their late messages discarded.
+//   - WSRecv   — receiver-side writing semantics ([2,14]) over ANBKH:
+//     overwritten values may be skipped and their late messages
+//     discarded.
 //   - WSSend   — sender-side writing semantics ([7]): a token ring where
 //     a holder releases only its last write per variable.
 //   - OptPNoReadMerge — ablation: OptP whose Write_co absorbs every
 //     applied update (not just read ones), reproducing ANBKH's false
 //     causality inside OptP's data structures.
 //   - OptPWS   — OptP extended with receiver-side writing semantics,
-//     the combination the paper's footnote 8 suggests.
+//     the combination the paper's footnote 8 suggests. WSRecv and
+//     OptPWS are one skip rule (ws.go) over two class-𝒫 bases.
 //
 // A Replica is a pure, single-threaded protocol state machine: it never
 // performs I/O. For the class-𝒫 kinds (OptP, ANBKH, OptP-noreadmerge,
@@ -24,6 +26,8 @@
 // live goroutine runtime), and own message transmission. The
 // writing-semantics kinds run only in the simulator, which also
 // discards their late updates through a Discard method of their own.
+// They add nothing to Update: WSSend's order key is its Clock, and
+// Prev, which WSRecv and OptPWS writes carry, is encoded only when set.
 package protocol
 
 import (
@@ -80,10 +84,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("protocol: unknown kind %q", s)
 }
 
-// Update is the message a write operation broadcasts. Its Clock field
-// is protocol-specific: OptP ships the write's Write_co vector, ANBKH
-// ships the sender's Fidge–Mattern apply clock, WSSend ships a
-// (round, slot) pair encoded in a 2-component vector.
+// Update is the message a write operation broadcasts: the paper's
+// m(x_h, v, Write_co) — a variable, a value and one timestamp. Its
+// Clock field is protocol-specific: OptP ships the write's Write_co
+// vector, ANBKH the sender's Fidge–Mattern apply clock, PartialRep its
+// edge matrix, and WSSend the token-order key (visit, slot, batch size).
 type Update struct {
 	// ID names the write: (issuing process, per-process sequence).
 	ID history.WriteID
@@ -92,18 +97,11 @@ type Update struct {
 	Val int64
 	// Clock is the protocol timestamp piggybacked on the message.
 	Clock vclock.VC
-	// Prev, used by WSRecv, names the write to the same variable that
-	// this write overwrites in the sender's view (Bottom if none).
+	// Prev is Bottom except where it is read: a WSRecv or OptPWS write
+	// names the write to the same variable it overwrites in the
+	// sender's view, and a PartialRep ReadReply names the write whose
+	// value it returns.
 	Prev history.WriteID
-	// Round and Slot, used by WSSend, order token batches totally:
-	// Round is the global token visit number, Slot the position within
-	// the visit's batch of BatchSize updates.
-	Round     int
-	Slot      int
-	BatchSize int
-	// Marker flags an empty-batch announcement (WSSend): it carries no
-	// write, only the (Round, holder) needed to advance receivers.
-	Marker bool
 	// ReadReq and ReadReply flag PartialRep read-forwarding messages:
 	// a request to read Var on behalf of ID.Proc (Seq is a negative
 	// per-requester token), and its answer carrying (Val, Prev, Clock).
@@ -191,8 +189,8 @@ type Replica interface {
 // this package implement it.
 type Introspector interface {
 	// ControlClock returns a copy of the replica's primary vector
-	// (Write_co for OptP, the FM apply clock for ANBKH and WSRecv,
-	// a round counter pair for WSSend).
+	// (Write_co for OptP and OptPWS, the FM apply clock for ANBKH and
+	// WSRecv, the next awaited token visit for WSSend).
 	ControlClock() vclock.VC
 	// ApplyClock returns a copy of the Apply vector: component j counts
 	// writes of p_j applied (or logically applied) here.

@@ -23,7 +23,9 @@ import (
 // possibly an empty marker — and every replica applies batches in visit
 // order, updates within a batch in slot order. Token order makes every
 // batch causally self-contained, so the only write delays are
-// batch-vs-batch network reorderings.
+// batch-vs-batch network reorderings. The order key is the update's
+// timestamp: Clock = (visit, slot, batch size), and a marker is the
+// batch of size 0.
 type wssend struct {
 	id int
 	n  int
@@ -70,10 +72,9 @@ func (r *wssend) Kind() Kind  { return WSSend }
 func (r *wssend) LocalWrite(x int, v int64) (Update, bool) {
 	r.issued++
 	u := Update{
-		ID:   history.WriteID{Proc: r.id, Seq: r.issued},
-		Var:  x,
-		Val:  v,
-		Prev: r.writers[x],
+		ID:  history.WriteID{Proc: r.id, Seq: r.issued},
+		Var: x,
+		Val: v,
 	}
 	r.vals[x] = v
 	r.writers[x] = u.ID
@@ -102,9 +103,7 @@ func (r *wssend) OnToken(visit int) []Update {
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Seq < batch[j].ID.Seq })
 	for slot := range batch {
-		batch[slot].Round = visit
-		batch[slot].Slot = slot
-		batch[slot].BatchSize = len(batch)
+		batch[slot].Clock = tokenKey(visit, slot, len(batch))
 	}
 	r.pending = make(map[int]Update)
 	r.selfVisits[visit] = true
@@ -112,18 +111,33 @@ func (r *wssend) OnToken(visit int) []Update {
 	return batch
 }
 
+// The components of WSSend's clock.
+const (
+	keyVisit = iota
+	keySlot
+	keySize
+)
+
+// tokenKey is the clock of slot slot in visit visit's batch of size
+// updates.
+func tokenKey(visit, slot, size int) vclock.VC {
+	return vclock.VC{keyVisit: uint64(visit), keySlot: uint64(slot), keySize: uint64(size)}
+}
+
 // Marker builds the empty-batch announcement for a visit; engines
 // broadcast it when OnToken returns no updates. The negative Seq keeps
 // marker IDs unique per visit and disjoint from real WriteIDs.
 func Marker(holder, visit int) Update {
 	return Update{
-		ID:     history.WriteID{Proc: holder, Seq: -(visit + 1)},
-		Marker: true,
-		Var:    -1,
-		Round:  visit,
-		Slot:   -1,
+		ID:    history.WriteID{Proc: holder, Seq: -(visit + 1)},
+		Var:   -1,
+		Clock: tokenKey(visit, 0, 0),
 	}
 }
+
+// IsMarker reports whether u is a Marker, the batch of size 0: the one
+// update that writes no variable.
+func IsMarker(u Update) bool { return u.Var < 0 }
 
 // advance consumes locally-produced visits so expectedVisit always
 // points at the next batch this replica actually awaits.
@@ -134,21 +148,13 @@ func (r *wssend) advance() {
 	}
 }
 
-// Status admits exactly the next (visit, slot) in token order.
+// Status admits exactly the next (visit, slot) in token order; a
+// marker is the whole of its visit.
 func (r *wssend) Status(u Update) Deliverability {
-	if u.Round != r.expectedVisit {
+	if int(u.Clock.Get(keyVisit)) != r.expectedVisit || int(u.Clock.Get(keySlot)) != r.nextSlot {
 		return Blocked
 	}
-	if u.Marker {
-		if r.nextSlot == 0 {
-			return Deliverable
-		}
-		return Blocked
-	}
-	if u.Slot == r.nextSlot {
-		return Deliverable
-	}
-	return Blocked
+	return Deliverable
 }
 
 // Apply installs the update (markers only advance the cursor).
@@ -156,20 +162,17 @@ func (r *wssend) Apply(u Update) {
 	if r.Status(u) != Deliverable {
 		panic(fmt.Sprintf("wssend: Apply of %v while blocked (visit=%d slot=%d)", u, r.expectedVisit, r.nextSlot))
 	}
-	if u.Marker {
-		r.expectedVisit++
-		r.advance()
-		return
+	if size := int(u.Clock.Get(keySize)); size > 0 {
+		r.vals[u.Var] = u.Val
+		r.writers[u.Var] = u.ID
+		r.applied.Tick(u.From())
+		if r.nextSlot++; r.nextSlot < size {
+			return
+		}
 	}
-	r.vals[u.Var] = u.Val
-	r.writers[u.Var] = u.ID
-	r.applied.Tick(u.From())
-	r.nextSlot++
-	if r.nextSlot >= u.BatchSize {
-		r.nextSlot = 0
-		r.expectedVisit++
-		r.advance()
-	}
+	r.nextSlot = 0
+	r.expectedVisit++
+	r.advance()
 }
 
 // Discard is never produced by Status for WSSend.

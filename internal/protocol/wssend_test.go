@@ -28,11 +28,15 @@ func TestWSSendSuppressesOverwrittenWrites(t *testing.T) {
 		t.Fatalf("batch = %v", batch)
 	}
 	// Variables in sorted order; only the last write of x0 survives.
-	if batch[0].Var != 0 || batch[0].Val != 2 || batch[0].Slot != 0 || batch[0].BatchSize != 2 {
+	// Each carries its (visit, slot, batch size) key as its clock.
+	if batch[0].Var != 0 || batch[0].Val != 2 || !batch[0].Clock.Equal(tokenKey(0, 0, 2)) {
 		t.Fatalf("batch[0] = %+v", batch[0])
 	}
-	if batch[1].Var != 1 || batch[1].Val != 3 || batch[1].Slot != 1 {
+	if batch[1].Var != 1 || batch[1].Val != 3 || !batch[1].Clock.Equal(tokenKey(0, 1, 2)) {
 		t.Fatalf("batch[1] = %+v", batch[1])
+	}
+	if IsMarker(batch[0]) || IsMarker(batch[1]) {
+		t.Fatal("a write taken for a marker")
 	}
 	if p0.PendingWrites() != 0 {
 		t.Fatal("pending not drained")
@@ -89,8 +93,8 @@ func TestWSSendMarkers(t *testing.T) {
 		t.Fatalf("batch = %v", batch)
 	}
 	m := Marker(0, 0)
-	if !m.Marker || m.Round != 0 {
-		t.Fatalf("marker = %+v", m)
+	if !IsMarker(m) || !m.Clock.Equal(tokenKey(0, 0, 0)) {
+		t.Fatalf("marker = %+v, want visit 0's batch of size 0", m)
 	}
 	// p1 writes on its turn (visit 1); p0's marker must be consumed
 	// first at any third party — here check p1 consumes it.

@@ -444,7 +444,7 @@ func (e *engine) broadcast(p int, u protocol.Update) {
 		Kind: trace.Send, Proc: p, Time: e.now,
 		Write: u.ID, Var: u.Var, Val: u.Val,
 	})
-	if !u.Marker && !e.shares.IsZero() {
+	if !e.shares.IsZero() {
 		for _, q := range e.shares.Replicas(u.Var) {
 			if q != p {
 				e.copies++

@@ -39,7 +39,7 @@ func (e *engine) wsReceive(p int, u protocol.Update) {
 	n := e.nodes[p]
 	st := n.replica.Status(u)
 	kind := trace.Receipt
-	if u.Marker {
+	if protocol.IsMarker(u) {
 		kind = trace.Token // a marker carries no write: never a write delay
 	}
 	e.log.Append(trace.Event{
@@ -70,7 +70,7 @@ func (e *engine) wsDeliver(p int, u protocol.Update, st protocol.Deliverability)
 			}
 		}
 		r.Apply(u)
-		if u.Marker {
+		if protocol.IsMarker(u) {
 			kind = trace.Token
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/history"
 	"repro/internal/protocol"
@@ -299,5 +300,14 @@ func TestMulticastDestinations(t *testing.T) {
 		}
 		// After close, SendTo must be a silent no-op.
 		n.SendTo(1, []int{0, 2}, protocol.Update{})
+	}
+}
+
+// TestMessageLayout pins a message's size in memory: lanes, delay
+// queues and handlers move it by value, so it carries the 80-byte
+// protocol.Update plus the route and the reliability fields.
+func TestMessageLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size != 112 {
+		t.Errorf("a Message takes %d bytes, want 112", size)
 	}
 }

@@ -204,7 +204,7 @@ func (a *Adaptive) DeltaSignedSize(v VC) int {
 // delta) pairs for every component where v differs from the base.
 // Signed deltas make the codec total — unlike AppendDelta it never
 // requires the base to be dominated, which matters for clocks that are
-// not monotone per link (WS-send's (round, slot) pairs). The base is
+// not monotone per link (WS-send's (visit, slot, size) keys). The base is
 // NOT advanced; callers commit with CopyFrom once the encoding is
 // chosen. Dimensions must agree.
 func (a *Adaptive) AppendDeltaSigned(dst []byte, v VC) []byte {
