@@ -4,7 +4,8 @@ GO ?= go
 
 ## check: the full gate — formatting, vet, the one-byte-reader guard,
 ## build, tests, a short race pass, twenty more of the transport's
-## scheduler tests and twenty of the live cluster's chaos and
+## scheduler tests and of the serving frame writer's, twenty of the
+## live cluster's chaos and
 ## crash/restart properties, a fuzz burst over every decoder of outside
 ## bytes (clocks, updates, the wire codecs, the frame reader, the WAL
 ## reader, the replica state decoder and the snapshot tail), the chaos
@@ -142,10 +143,14 @@ race:
 	$(GO) test -race -short ./internal/...
 
 ## transport-stress: the delivery-queue, Flush/Close and reliability
-## tests twenty times under the race detector — a scheduler race that
-## needs an unlucky interleaving must not hide behind one pass (~12 s).
+## tests twenty times under the race detector, then the frame writer
+## every serving connection shares (combining, per-sender order,
+## exactly-once, the sticky error) twenty times too —
+## a scheduler race that needs an unlucky interleaving must not hide
+## behind one pass (~20 s).
 transport-stress:
 	$(GO) test -race -count=20 ./internal/transport/
+	$(GO) test -race -count=20 -run 'FrameWriter' ./internal/protocol
 
 ## core-stress: the live cluster's chaos and crash/restart property
 ## tests twenty times under the race detector, every live protocol

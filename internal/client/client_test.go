@@ -365,6 +365,51 @@ func TestOverloadSheddingSurfacesErrOverloaded(t *testing.T) {
 	<-done
 }
 
+// Two sessions on one client number their writes apart: a write shed
+// and retried after a backoff reaches the exactly-once window late, and
+// must not find its floor pushed past it by the other session's writes.
+func TestSessionsNumberTheirOwnWrites(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := startServer(t,
+		core.Config{Processes: 2, Variables: 2},
+		service.Config{WaitTimeout: 300 * time.Millisecond, MaxInflight: 1, DedupWindow: 4, Metrics: reg})
+	blocker, err := client.Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer blocker.Close()
+	go blocker.Do(context.Background(), protocol.Request{
+		Kind: protocol.ReqRead, Proc: 0, Var: 0, Token: vclock.VC{1 << 20, 0},
+	})
+	waitFor(t, "blocker to park in waitFrontier", func() bool {
+		return metricValue(t, reg, "dsm_svc_requests_inflight") >= 1
+	})
+	c, err := client.DialConfig(client.Config{Addr: srv.Addr(), BackoffBase: 2 * time.Second, BackoffMax: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("DialConfig: %v", err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	late := make(chan error, 1)
+	go func() { late <- c.Session().Write(ctx, 0, 1) }()
+	waitFor(t, "the first write to be shed", func() bool {
+		return metricValue(t, reg, "dsm_svc_shed_total") >= 1
+	})
+	waitFor(t, "the blocker's wait to time out", func() bool {
+		return metricValue(t, reg, "dsm_svc_requests_inflight") == 0
+	})
+	// The shed write backs off for at least a second; these land first.
+	other := c.Session()
+	for i := 1; i <= 8; i++ {
+		if err := other.Write(ctx, 1, int64(i)); err != nil {
+			t.Fatalf("other session's write %d: %v", i, err)
+		}
+	}
+	if err := <-late; err != nil {
+		t.Fatalf("retried write: %v", err)
+	}
+}
+
 // S3: cancelling calls mid-pipeline drains the pending map, leaves the
 // connection usable, and leaks no goroutines.
 func TestCancellationMidPipelineDrainsPending(t *testing.T) {

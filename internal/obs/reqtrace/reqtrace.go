@@ -60,12 +60,14 @@ const (
 	// node.ReadMeta (reads) plus the frontier snapshot for the
 	// response token.
 	StageApply
-	// StageRespond is response encoding and the socket write.
+	// StageRespond is response encoding and queueing, plus the socket
+	// write of every queued response when this sender is the writer.
 	StageRespond
 
 	// StageBackoff is client-side: accumulated retry backoff sleeps.
 	StageBackoff
-	// StageSend is client-side: framing and writing request frames.
+	// StageSend is client-side: encoding and queueing the request, plus
+	// the socket write of every queued request when this sender writes.
 	StageSend
 	// StageAwait is client-side: waiting for the response frame —
 	// network, server time, and any reconnect/replay the call survived.

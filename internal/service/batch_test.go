@@ -3,6 +3,8 @@ package service
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/vclock"
 )
 
@@ -77,5 +79,24 @@ func TestCoalesceMixed(t *testing.T) {
 	}
 	if acks != len(batch) {
 		t.Fatalf("entries answer %d requests, want %d: every submitted write gets a reply", acks, len(batch))
+	}
+}
+
+// A write submitted to a stopped pump is answered with StatusShutdown,
+// also when its queue send wins the race against the stop signal after
+// the loop's last drain: nothing is left to reply to it then.
+func TestSubmitAfterStopAnswers(t *testing.T) {
+	cl, err := core.NewCluster(core.Config{Processes: 1, Variables: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	s := &Server{cfg: Config{Cluster: cl}.withDefaults(), met: newMetrics(nil, "OptP")}
+	p := newPump(s, 0)
+	p.stop()
+	for i := 0; i < 100; i++ {
+		if r := p.submit(nil, protocol.Request{Kind: protocol.ReqWrite}, nil); r.Status != protocol.StatusShutdown {
+			t.Fatalf("submit after stop: status %s, want shutdown", protocol.StatusString(r.Status))
+		}
 	}
 }
