@@ -193,8 +193,7 @@ func run(args []string, ready func(addr string)) error {
 		scfg.TraceSink = sink.Record
 	}
 	if chaos.Enabled() {
-		// Wrap manually instead of through netchaos.Wrapper so the chaos
-		// listener's fault counters land on the metrics registry.
+		// The chaos listener's fault counters land on the metrics registry.
 		scfg.WrapListener = func(ln net.Listener) net.Listener {
 			wrapped := netchaos.Wrap(ln, chaos)
 			if cl, ok := wrapped.(*netchaos.Listener); ok && reg != nil {

@@ -22,16 +22,6 @@ func (b bitset) or(o bitset) {
 	}
 }
 
-// intersects reports whether b ∩ o is non-empty.
-func (b bitset) intersects(o bitset) bool {
-	for i, w := range o {
-		if b[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // count returns the population count.
 func (b bitset) count() int {
 	n := 0
@@ -51,10 +41,4 @@ func (b bitset) members(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
 }

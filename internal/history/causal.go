@@ -209,13 +209,6 @@ func (c *Causality) Concurrent(i, j int) bool {
 	return i != j && !c.Before(i, j) && !c.Before(j, i)
 }
 
-// OpVector returns the operation-count vector of ops[i]: component p is
-// the number of p's operations in ↓(i, →co) ∪ {i}. The returned clock is
-// a view into the engine's slab and must not be modified.
-func (c *Causality) OpVector(i int) vclock.VC {
-	return vclock.VC(c.opvec[i*c.np : (i+1)*c.np])
-}
-
 // WriteVector returns the checker-side Write_co vector of ops[i]:
 // component p counts p's writes in ↓(i, →co) ∪ {i}, so for a write the
 // issuing component includes the write itself, matching Definition 6.

@@ -27,12 +27,10 @@ type History struct {
 // Errors reported while assembling or validating histories.
 var (
 	ErrUnknownWrite   = errors.New("history: read-from names an unknown write")
-	ErrKindMismatch   = errors.New("history: read-from source is not a write")
 	ErrVarMismatch    = errors.New("history: read returns a value written to a different variable")
 	ErrValMismatch    = errors.New("history: read returns a value different from its source write")
 	ErrDuplicateWrite = errors.New("history: duplicate WriteID")
 	ErrBadSeq         = errors.New("history: write Seq does not match process order")
-	ErrSelfRead       = errors.New("history: read-from points at a write that follows the read in process order")
 )
 
 // FromOps assembles a History from per-process operation slices. It

@@ -119,11 +119,6 @@ func Wrap(ln net.Listener, cfg Config) net.Listener {
 	}
 }
 
-// Wrapper curries Wrap for service.Config.WrapListener.
-func Wrapper(cfg Config) func(net.Listener) net.Listener {
-	return func(ln net.Listener) net.Listener { return Wrap(ln, cfg) }
-}
-
 // Stats snapshots the injected-fault counters.
 func (l *Listener) Stats() Stats {
 	l.mu.Lock()

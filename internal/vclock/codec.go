@@ -97,27 +97,27 @@ func (v *VC) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// AppendDelta appends a delta encoding of v relative to base. Both
-// clocks must have the same dimension and base must be ≤ v component-wise
-// (the common case on a FIFO link where clocks only grow); AppendDelta
-// panics otherwise, because emitting a wrong delta would silently corrupt
-// the receiver's clock.
+// AppendDelta appends a delta encoding of v relative to base (nil: the
+// zero clock). Both must have one dimension and base must be ≤ v
+// component-wise (the common case on a FIFO link where clocks only grow);
+// AppendDelta panics otherwise, because emitting a wrong delta would
+// silently corrupt the receiver's clock.
 func (v VC) AppendDelta(dst []byte, base VC) []byte {
-	if len(v) != len(base) {
+	if base != nil && len(v) != len(base) {
 		panic(fmt.Sprintf("vclock: delta dimension mismatch %d != %d", len(v), len(base)))
 	}
 	nz := 0
 	for i, x := range v {
-		if x < base[i] {
+		if x < base.Get(i) {
 			panic(fmt.Sprintf("vclock: delta base component %d exceeds value (%d > %d)", i, base[i], x))
 		}
-		if x != base[i] {
+		if x != base.Get(i) {
 			nz++
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(nz))
 	for i, x := range v {
-		if d := x - base[i]; d != 0 {
+		if d := x - base.Get(i); d != 0 {
 			dst = binary.AppendUvarint(dst, uint64(i))
 			dst = binary.AppendUvarint(dst, d)
 		}

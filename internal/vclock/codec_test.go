@@ -192,6 +192,20 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// A nil base is the zero clock of v's dimension, and encoding against
+// it allocates nothing beyond dst.
+func TestDeltaNilBase(t *testing.T) {
+	v := VC{0, 5, 0, 1 << 40}
+	want := v.AppendDelta(nil, New(len(v)))
+	if got := v.AppendDelta(nil, nil); !bytes.Equal(got, want) {
+		t.Fatalf("delta against nil = %v, against zero = %v", got, want)
+	}
+	dst := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { dst = v.AppendDelta(dst[:0], nil) }); n != 0 {
+		t.Fatalf("%v allocations per delta against nil, want 0", n)
+	}
+}
+
 func TestDeltaPanicsOnRegression(t *testing.T) {
 	defer func() {
 		if recover() == nil {
