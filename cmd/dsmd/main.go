@@ -3,14 +3,16 @@
 // protocol of internal/service. Clients (internal/client) connect,
 // multiplex sessions over one socket, and carry
 // their causal past in per-session tokens, so read-your-writes and
-// monotonic-reads hold across replica switches, reconnects and — with
-// -wal-dir — server restarts.
+// monotonic-reads hold across replica switches and reconnects. The
+// store lives as long as the process: -wal-dir journals every
+// operation, but a restarted daemon starts from empty state and
+// replaces the old journal.
 //
 // Usage:
 //
 //	dsmd -addr :7450 -procs 3 -vars 16
-//	dsmd -protocol ANBKH -batch-window 200us -max-batch 128
-//	dsmd -wal-dir /var/lib/dsmd                 # survive crash/restart
+//	dsmd -protocol ANBKH -max-pipeline 128
+//	dsmd -wal-dir /var/lib/dsmd                 # journal every op
 //	dsmd -meta-codec auto                       # compress clock metadata
 //	dsmd -debug-addr :6060                      # /metrics + pprof
 //	dsmd -trace-stream traces.jsonl             # tail-sampled request
@@ -78,11 +80,8 @@ func run(args []string, ready func(addr string)) error {
 	walDir := fs.String("wal-dir", "", "crash recovery: write-ahead log directory (one subdir per process)")
 	walSync := fs.Bool("wal-sync", false, "crash recovery: fsync the journal after every record")
 	waitTimeout := fs.Duration("wait-timeout", 5*time.Second, "bound on a request's frontier wait before Unavailable")
-	batchWindow := fs.Duration("batch-window", 0, "write pump linger: collect a batch for up to this long (0: no linger)")
-	maxBatch := fs.Int("max-batch", 64, "max writes per pump batch (1 disables batching)")
 	maxPipeline := fs.Int("max-pipeline", 256, "max concurrently-served requests per connection")
 	maxInflight := fs.Int("max-inflight", 0, "load shedding: fast-reject requests past this many in flight server-wide (0: default 4096)")
-	maxQueue := fs.Int("max-queue", 0, "load shedding: bound each replica's write admission queue (0: default 4096)")
 	dedupWindow := fs.Int("dedup-window", 0, "exactly-once retries: per-session dedup window in ops (0: default 512)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain at shutdown")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
@@ -114,7 +113,7 @@ func run(args []string, ready func(addr string)) error {
 	if *replFactor != 0 && *replFactor != *procs {
 		return usagef("-replication-factor %d: a session may read any variable at any replica, so the serving tier requires full replication — use 0 or %d, or run partial replication offline via dsmrun", *replFactor, *procs)
 	}
-	if *jitter < 0 || *waitTimeout < 0 || *batchWindow < 0 || *drainTimeout < 0 {
+	if *jitter < 0 || *waitTimeout < 0 || *drainTimeout < 0 {
 		return usagef("durations must not be negative")
 	}
 	meta, err := protocol.ParseMetaMode(*metaCodec)
@@ -161,11 +160,8 @@ func run(args []string, ready func(addr string)) error {
 		Cluster:        cluster,
 		Addr:           *addr,
 		WaitTimeout:    *waitTimeout,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *maxBatch,
 		MaxPipeline:    *maxPipeline,
 		MaxInflight:    *maxInflight,
-		MaxQueue:       *maxQueue,
 		DedupWindow:    *dedupWindow,
 		Metrics:        reg,
 		TraceThreshold: *traceThreshold,

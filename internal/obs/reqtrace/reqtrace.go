@@ -1,7 +1,7 @@
 // Package reqtrace is the end-to-end request tracing layer of the
 // serving tier: one trace covers a client call from the moment the
 // session issues it, through the server's admission, dedup lookup,
-// frontier wait, batch queue, core issue and response write, and —
+// frontier wait, core issue and response write, and —
 // via the write's (proc, seq) identity — links into the cluster's
 // causal-propagation spans (obs.Span), so a p99 outlier decomposes
 // into named stages instead of staying one opaque number.
@@ -53,10 +53,11 @@ const (
 	// StageFrontierWait is token admission: how long the request waited
 	// for the replica's applied frontier to dominate its session token.
 	StageFrontierWait
-	// StageBatchQueue is the time a write spent queued in the replica's
-	// batch pump before its batch was issued.
+	// StageBatchQueue is kept so its name still parses, but no server
+	// path marks it any more: a write is issued on its own request's
+	// goroutine, so its histogram stays empty.
 	StageBatchQueue
-	// StageApply is the core issue: node.Write (writes) or
+	// StageApply is the core issue: node.WriteMeta (writes) or
 	// node.ReadMeta (reads) plus the frontier snapshot for the
 	// response token.
 	StageApply
@@ -234,8 +235,7 @@ func (q *Req) reset() {
 
 // Mark attributes the time since the previous mark (or Begin) to
 // stage. Safe for use from the goroutine currently driving the
-// request; handoffs (e.g. into the batch pump) must happen-before the
-// next Mark, which channel sends/receives already guarantee.
+// request.
 func (q *Req) Mark(stage Stage) {
 	if q == nil {
 		return
@@ -243,20 +243,6 @@ func (q *Req) Mark(stage Stage) {
 	now := time.Now()
 	q.mu.Lock()
 	q.ns[stage] += now.Sub(q.last).Nanoseconds()
-	q.last = now
-	q.mu.Unlock()
-}
-
-// Skip advances the clock without attributing the elapsed time to any
-// stage — for gaps that are scheduler noise rather than a lifecycle
-// stage (e.g. the handoff between the pump's reply and the connection
-// goroutine resuming).
-func (q *Req) Skip() {
-	if q == nil {
-		return
-	}
-	now := time.Now()
-	q.mu.Lock()
 	q.last = now
 	q.mu.Unlock()
 }

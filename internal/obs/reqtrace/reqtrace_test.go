@@ -91,28 +91,9 @@ func TestReqMarkAttributesElapsed(t *testing.T) {
 	}
 }
 
-func TestReqSkipDoesNotAttribute(t *testing.T) {
-	r := NewRecorder(Config{Threshold: -time.Nanosecond})
-	q := r.Begin()
-	time.Sleep(2 * time.Millisecond)
-	q.Skip()
-	q.Mark(StageApply)
-	if d := q.StageDur(StageApply); d > (1 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("Skip leaked %dns into the next mark", d)
-	}
-	var total int64
-	for s := Stage(0); s < NumStages; s++ {
-		total += q.StageDur(s)
-	}
-	if total > (1 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("skipped time attributed somewhere: %dns total", total)
-	}
-}
-
 func TestReqNilSafe(t *testing.T) {
 	var q *Req
 	q.Mark(StageApply)
-	q.Skip()
 	q.Add(StageApply, time.Second)
 	if q.StageDur(StageApply) != 0 {
 		t.Fatal("nil Req returned nonzero duration")

@@ -126,9 +126,8 @@ const (
 	// travels instead); retrying it, with backoff, is safe and expected.
 	StatusRetry
 	// StatusOverloaded reports load shedding: the server's in-flight
-	// watermark or a write pump's admission queue is full, and the
-	// request was fast-rejected without being served. Retry with
-	// backoff.
+	// watermark is reached, and the request was fast-rejected without
+	// being served. Retry with backoff.
 	StatusOverloaded
 	statusCount // sentinel: number of response statuses
 )

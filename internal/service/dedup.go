@@ -9,8 +9,8 @@ import (
 // Exactly-once write admission. A retried write (same session ID, same
 // per-session op sequence) must apply once even when the first attempt
 // is still in flight when the retry arrives — the connection died after
-// the request reached the server, the write went through the pump, and
-// the client replayed it on a fresh connection before the first
+// the request reached the server, the write was issued, and the
+// client replayed it on a fresh connection before the first
 // attempt's response was computed. The table therefore works on claims,
 // not just results: the first arrival of an (SID, OpSeq) claims the
 // entry and executes; any later arrival waits for the claim to resolve

@@ -13,46 +13,35 @@ import (
 // configured every metric still exists (unregistered), so the serving
 // path never branches on observability.
 type metrics struct {
-	connsOpen       *obs.Gauge
-	connsTotal      *obs.Counter
-	inflight        *obs.Gauge
-	requests        [3]*obs.Counter // indexed by request kind
-	errsTotal       *obs.Counter
-	protoErrs       *obs.Counter
-	sendErrs        *obs.Counter
-	waitTimeouts    *obs.Counter
-	frontierWait    *obs.Histogram
-	batches         *obs.Counter
-	batchedWrites   *obs.Counter
-	coalescedWrites *obs.Counter
-	batchSize       *obs.Histogram
-	retries         *obs.Counter
-	shed            *obs.Counter
-	failovers       *obs.Counter
+	connsOpen    *obs.Gauge
+	connsTotal   *obs.Counter
+	inflight     *obs.Gauge
+	requests     [3]*obs.Counter // indexed by request kind
+	errsTotal    *obs.Counter
+	protoErrs    *obs.Counter
+	sendErrs     *obs.Counter
+	waitTimeouts *obs.Counter
+	frontierWait *obs.Histogram
+	retries      *obs.Counter
+	shed         *obs.Counter
+	failovers    *obs.Counter
 }
-
-// batchSizeBuckets spans the useful MaxBatch range.
-var batchSizeBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // newMetrics builds the metric set, registering on reg when non-nil.
 func newMetrics(reg *obs.Registry, proto string) *metrics {
 	if reg == nil {
 		m := &metrics{
-			connsOpen:       &obs.Gauge{},
-			connsTotal:      &obs.Counter{},
-			inflight:        &obs.Gauge{},
-			errsTotal:       &obs.Counter{},
-			protoErrs:       &obs.Counter{},
-			sendErrs:        &obs.Counter{},
-			waitTimeouts:    &obs.Counter{},
-			frontierWait:    obs.NewHistogram(nil),
-			batches:         &obs.Counter{},
-			batchedWrites:   &obs.Counter{},
-			coalescedWrites: &obs.Counter{},
-			batchSize:       obs.NewHistogram(batchSizeBuckets),
-			retries:         &obs.Counter{},
-			shed:            &obs.Counter{},
-			failovers:       &obs.Counter{},
+			connsOpen:    &obs.Gauge{},
+			connsTotal:   &obs.Counter{},
+			inflight:     &obs.Gauge{},
+			errsTotal:    &obs.Counter{},
+			protoErrs:    &obs.Counter{},
+			sendErrs:     &obs.Counter{},
+			waitTimeouts: &obs.Counter{},
+			frontierWait: obs.NewHistogram(nil),
+			retries:      &obs.Counter{},
+			shed:         &obs.Counter{},
+			failovers:    &obs.Counter{},
 		}
 		for i := range m.requests {
 			m.requests[i] = &obs.Counter{}
@@ -61,21 +50,17 @@ func newMetrics(reg *obs.Registry, proto string) *metrics {
 	}
 	pl := obs.L("protocol", proto)
 	m := &metrics{
-		connsOpen:       reg.Gauge("dsm_svc_connections_open", "client connections currently open", pl),
-		connsTotal:      reg.Counter("dsm_svc_connections_total", "client connections accepted", pl),
-		inflight:        reg.Gauge("dsm_svc_requests_inflight", "requests currently being served", pl),
-		errsTotal:       reg.Counter("dsm_svc_request_errors_total", "requests answered with a non-OK status", pl),
-		protoErrs:       reg.Counter("dsm_svc_protocol_errors_total", "connections dropped for malformed frames", pl),
-		sendErrs:        reg.Counter("dsm_svc_send_errors_total", "response writes that failed (dead peer)", pl),
-		waitTimeouts:    reg.Counter("dsm_svc_frontier_timeouts_total", "frontier waits that exceeded WaitTimeout", pl),
-		frontierWait:    reg.Histogram("dsm_svc_frontier_wait_ns", "time spent waiting for the applied frontier to dominate a session token", nil, pl),
-		batches:         reg.Counter("dsm_svc_write_batches_total", "write batches issued by the pumps", pl),
-		batchedWrites:   reg.Counter("dsm_svc_batched_writes_total", "writes that went through a pump batch", pl),
-		coalescedWrites: reg.Counter("dsm_svc_coalesced_writes_total", "writes collapsed into a same-session overwrite before issue", pl),
-		batchSize:       reg.Histogram("dsm_svc_batch_size", "writes per pump batch", batchSizeBuckets, pl),
-		retries:         reg.Counter("dsm_svc_retry_total", "retried writes absorbed by the exactly-once window", pl),
-		shed:            reg.Counter("dsm_svc_shed_total", "requests fast-rejected by load shedding", pl),
-		failovers:       reg.Counter("dsm_svc_failover_total", "reads failed over to a frontier-dominating replica", pl),
+		connsOpen:    reg.Gauge("dsm_svc_connections_open", "client connections currently open", pl),
+		connsTotal:   reg.Counter("dsm_svc_connections_total", "client connections accepted", pl),
+		inflight:     reg.Gauge("dsm_svc_requests_inflight", "requests currently being served", pl),
+		errsTotal:    reg.Counter("dsm_svc_request_errors_total", "requests answered with a non-OK status", pl),
+		protoErrs:    reg.Counter("dsm_svc_protocol_errors_total", "connections dropped for malformed frames", pl),
+		sendErrs:     reg.Counter("dsm_svc_send_errors_total", "response writes that failed (dead peer)", pl),
+		waitTimeouts: reg.Counter("dsm_svc_frontier_timeouts_total", "frontier waits that exceeded WaitTimeout", pl),
+		frontierWait: reg.Histogram("dsm_svc_frontier_wait_ns", "time spent waiting for the applied frontier to dominate a session token", nil, pl),
+		retries:      reg.Counter("dsm_svc_retry_total", "retried writes absorbed by the exactly-once window", pl),
+		shed:         reg.Counter("dsm_svc_shed_total", "requests fast-rejected by load shedding", pl),
+		failovers:    reg.Counter("dsm_svc_failover_total", "reads failed over to a frontier-dominating replica", pl),
 	}
 	kinds := [3]string{"ping", "read", "write"}
 	for i, k := range kinds {

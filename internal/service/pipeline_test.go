@@ -61,7 +61,7 @@ func TestPipelineManyConcurrent(t *testing.T) {
 	srv, _ := startServer(t,
 		core.Config{Processes: 3, Variables: vars,
 			MinDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond, Seed: 7},
-		service.Config{BatchWindow: 200 * time.Microsecond})
+		service.Config{})
 	c := dial(t, srv)
 	ctx := context.Background()
 
