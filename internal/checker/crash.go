@@ -49,7 +49,7 @@ func (r *Report) auditCrashes(log *trace.Log) {
 			down[e.Proc] = false
 			r.Recoveries++
 		case trace.Issue, trace.Send, trace.Receipt, trace.Apply,
-			trace.Discard, trace.Drop, trace.Return, trace.Token:
+			trace.Discard, trace.Drop, trace.Return, trace.Token, trace.Merge:
 			if down[e.Proc] {
 				r.CrashViolations = append(r.CrashViolations, CrashViolation{
 					Proc: e.Proc, Kind: e.Kind, Write: e.Write,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/protocol"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 // crashWorkload runs a deterministic write/read mix on the given
@@ -487,5 +488,54 @@ func TestHeartbeatSuspectAlive(t *testing.T) {
 			}
 			auditCrashRun(t, rep, 1)
 		})
+	}
+}
+
+// A past merged before a write is journaled: the restarted replica's
+// Write_co still holds it, and the next write carries it. A past the
+// replica has not applied is refused.
+func TestMergedPastSurvivesRestart(t *testing.T) {
+	c, err := NewCluster(Config{Processes: 3, Variables: 1, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w1, err := c.Node(0).WriteMeta(0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Node(1).WriteMeta(0, 2, vclock.VC{2, 0, 0}); err == nil {
+		t.Fatal("write after an unapplied past succeeded")
+	}
+	if _, err := c.Node(1).WriteMeta(0, 2, vclock.VC{uint64(w1.Seq), 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	want := vclock.VC{1, 1, 0}
+	if got := vclock.VC(c.Node(1).Clock()); !got.Equal(want) {
+		t.Fatalf("Write_co after the merged write = %v, want %v", got, want)
+	}
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := vclock.VC(c.Node(1).Clock()); !got.Equal(want) {
+		t.Fatalf("Write_co after restart = %v, want %v", got, want)
+	}
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Safe() || !rep.CausallyConsistent() || !rep.WriteDelayOptimal() {
+		t.Fatalf("audit: %s", rep)
 	}
 }

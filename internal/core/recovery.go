@@ -215,6 +215,12 @@ func (n *Node) replayLocked(e durability.Entry) error {
 		rr.NewReadReq(e.Var)
 	case e.Kind == durability.EntryRead:
 		r.Read(e.Var)
+	case e.Kind == durability.EntryMerge:
+		pm, ok := r.(protocol.PastMerger)
+		if !ok || len(e.Past) != n.c.cfg.Processes {
+			return fmt.Errorf("replaying a merge of %v into a %v replica", e.Past, r.Kind())
+		}
+		pm.MergePast(e.Past)
 	case e.Kind == durability.EntryApply && e.Update.ReadReply && rr != nil:
 		rr.CompleteRead(e.Update)
 	case e.Kind == durability.EntryApply:

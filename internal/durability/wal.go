@@ -6,8 +6,8 @@
 // segment begins with a magic header and a snapshot record — an opaque
 // encoding of the replica's complete protocol state at rotation time —
 // followed by one record per journaled operation (local write, state-
-// mutating read, remote apply). Recovery reads the newest intact
-// segment: restore the snapshot, replay the entries. A
+// mutating read, remote apply, merged session past). Recovery reads the
+// newest intact segment: restore the snapshot, replay the entries. A
 // torn tail (the record being written when the crash hit) is detected
 // by length/CRC framing and discarded; a segment whose snapshot itself
 // is torn is skipped in favor of its predecessor, which rotation keeps
@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/varint"
+	"repro/internal/vclock"
 )
 
 const (
@@ -72,6 +73,9 @@ const (
 	EntryRead
 	// EntryApply journals a remote update applied here.
 	EntryApply
+	// EntryMerge journals a session past merged into Write_co before
+	// a served write (protocol.PastMerger).
+	EntryMerge EntryKind = 6
 )
 
 // String implements fmt.Stringer.
@@ -83,6 +87,8 @@ func (k EntryKind) String() string {
 		return "read"
 	case EntryApply:
 		return "apply"
+	case EntryMerge:
+		return "merge"
 	default:
 		return fmt.Sprintf("EntryKind(%d)", int(k))
 	}
@@ -97,6 +103,8 @@ type Entry struct {
 	Val int64
 	// Update is the full remote update for EntryApply.
 	Update protocol.Update
+	// Past is the merged causal past for EntryMerge.
+	Past vclock.VC
 }
 
 // appendEntry appends e's payload encoding to dst.
@@ -110,6 +118,8 @@ func appendEntry(dst []byte, e Entry) []byte {
 		dst = binary.AppendVarint(dst, int64(e.Var))
 	case EntryApply:
 		dst = e.Update.AppendBinary(dst)
+	case EntryMerge:
+		dst = e.Past.AppendBinary(dst)
 	}
 	return dst
 }
@@ -128,6 +138,8 @@ func decodeEntry(buf []byte) (Entry, error) {
 		e.Var = int(r.Varint())
 	case EntryApply:
 		e.Update = protocol.ReadUpdate(&r)
+	case EntryMerge:
+		e.Past = vclock.ReadVC(&r)
 	default:
 		r.Fail(fmt.Errorf("unknown entry kind %d", e.Kind))
 	}

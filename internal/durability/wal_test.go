@@ -45,6 +45,20 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMergeEntryRoundTrip: a merge entry carries its past exactly, and
+// a truncated one is corrupt.
+func TestMergeEntryRoundTrip(t *testing.T) {
+	e := Entry{Kind: EntryMerge, Past: vclock.VC{3, 0, 1 << 33}}
+	buf := appendEntry(nil, e)
+	got, err := decodeEntry(buf)
+	if err != nil || got.Kind != EntryMerge || !got.Past.Equal(e.Past) {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, e)
+	}
+	if _, err := decodeEntry(buf[:len(buf)-1]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated merge entry: err = %v, want ErrCorrupt", err)
+	}
+}
+
 // sameEntry compares the fields the codec carries.
 func sameEntry(a, b Entry) bool {
 	return a.Kind == b.Kind && a.Var == b.Var && a.Val == b.Val &&
@@ -100,6 +114,7 @@ func TestEntryKindString(t *testing.T) {
 		EntryLocalWrite: "local-write",
 		EntryRead:       "read",
 		EntryApply:      "apply",
+		EntryMerge:      "merge",
 	}
 	for k, s := range want {
 		if k.String() != s {

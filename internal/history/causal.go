@@ -33,7 +33,8 @@ type CausalOrder interface {
 }
 
 // Causality is the computed →co relation of a History: the transitive
-// closure of process order ∪ read-from, per Section 2.
+// closure of process order ∪ read-from, per Section 2 (∪ the After
+// edges of merged pasts).
 //
 // Rather than materializing the closure as per-op bitsets (O(n²/64)
 // memory — see DenseCausality for that small-trace reference), it stores
@@ -75,7 +76,7 @@ type Causality struct {
 }
 
 // directEdges invokes fn(from, to) for every generator edge of →co:
-// consecutive process-order pairs and read-from pairs.
+// consecutive process-order pairs, read-from pairs and After pairs.
 func (h *History) directEdges(fn func(from, to int)) {
 	base := 0
 	for _, local := range h.Locals {
@@ -87,6 +88,9 @@ func (h *History) directEdges(fn func(from, to int)) {
 	for i, o := range h.ops {
 		if o.IsRead() && !o.From.IsBottom() {
 			fn(h.writeIdx[o.From], i)
+		}
+		for _, a := range o.After {
+			fn(h.writeIdx[a], i)
 		}
 	}
 }
@@ -103,9 +107,10 @@ func (h *History) Causality() (*Causality, error) {
 		c.base[p] = c.base[p-1] + len(h.Locals[p-1])
 	}
 
-	// CSR adjacency of the generator DAG: each op has at most two direct
-	// predecessors (previous local op, read-from source), so two O(n)
-	// passes beat per-node append slices at the million-op scale.
+	// CSR adjacency of the generator DAG: an op's direct predecessors
+	// are its previous local op, its read-from source and its rare After
+	// writes, so two O(n) passes beat per-node append slices at the
+	// million-op scale.
 	indeg := make([]int, n)
 	outdeg := make([]int, n)
 	h.directEdges(func(from, to int) {
@@ -149,10 +154,11 @@ func (h *History) Causality() (*Causality, error) {
 
 	// One pass in topological order computes both vectors: an op inherits
 	// its previous local op's vectors (global index i−1 under process-
-	// major flattening), merges its read-from source's, then ticks its
-	// own process component — to localIndex+1 for opvec, and to its Seq
-	// for wvec when it is a write (the inclusive Write_co convention of
-	// the paper: a write counts itself on the issuing component).
+	// major flattening), merges its read-from source's and its After
+	// writes', then ticks its own process component — to localIndex+1
+	// for opvec, and to its Seq for wvec when it is a write (the
+	// inclusive Write_co convention of the paper: a write counts itself
+	// on the issuing component).
 	c.opvec = make([]uint64, n*np)
 	c.wvec = make([]uint64, n*np)
 	for _, v := range c.topo {
@@ -166,6 +172,11 @@ func (h *History) Causality() (*Causality, error) {
 		o := h.ops[v]
 		if o.IsRead() && !o.From.IsBottom() {
 			s := h.writeIdx[o.From]
+			vclock.VC(ov).Merge(c.opvec[s*np : (s+1)*np])
+			vclock.VC(wv).Merge(c.wvec[s*np : (s+1)*np])
+		}
+		for _, a := range o.After {
+			s := h.writeIdx[a]
 			vclock.VC(ov).Merge(c.opvec[s*np : (s+1)*np])
 			vclock.VC(wv).Merge(c.wvec[s*np : (s+1)*np])
 		}

@@ -53,7 +53,7 @@ func TestPropertyFastDenseEquivalence(t *testing.T) {
 			}
 			fok, fv := fast.LegalRead(i)
 			dok, dv := dense.LegalRead(i)
-			if fok != dok || fv != dv {
+			if fok != dok || !reflect.DeepEqual(fv, dv) {
 				t.Fatalf("trial %d: LegalRead(%d): fast=(%v,%+v) dense=(%v,%+v)\n%v", trial, i, fok, fv, dok, dv, h)
 			}
 		}

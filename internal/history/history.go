@@ -36,8 +36,8 @@ var (
 // FromOps assembles a History from per-process operation slices. It
 // validates the structural rules of the read-from relation of Section 2:
 // every read's From either is ⊥ or names an existing write on the same
-// variable with the same value, and each process's writes carry
-// consecutive Seq numbers 1,2,3,…
+// variable with the same value, every After names an existing write,
+// and each process's writes carry consecutive Seq numbers 1,2,3,…
 func FromOps(locals [][]Op) (*History, error) {
 	h := &History{
 		Locals:   locals,
@@ -68,6 +68,11 @@ func FromOps(locals [][]Op) (*History, error) {
 		}
 	}
 	for _, o := range h.ops {
+		for _, a := range o.After {
+			if _, ok := h.writeIdx[a]; !ok {
+				return nil, fmt.Errorf("%w: %v after %v", ErrUnknownWrite, o, a)
+			}
+		}
 		if !o.IsRead() || o.From.IsBottom() {
 			continue
 		}

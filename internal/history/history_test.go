@@ -92,6 +92,12 @@ func TestFromOpsValidation(t *testing.T) {
 			t.Fatalf("err = %v, want ErrUnknownWrite", err)
 		}
 	})
+	t.Run("unknown after", func(t *testing.T) {
+		_, err := FromOps([][]Op{{w, {Kind: Write, Proc: 0, Var: 0, Val: 2, ID: WriteID{0, 2}, After: []WriteID{{1, 1}}}}})
+		if !errors.Is(err, ErrUnknownWrite) {
+			t.Fatalf("err = %v, want ErrUnknownWrite", err)
+		}
+	})
 	t.Run("var mismatch", func(t *testing.T) {
 		_, err := FromOps([][]Op{{w, {Kind: Read, Proc: 0, Var: 1, Val: 1, From: w.ID}}})
 		if !errors.Is(err, ErrVarMismatch) {
@@ -156,5 +162,36 @@ func TestOpString(t *testing.T) {
 	}
 	if Write.String() != "write" || Read.String() != "read" {
 		t.Fatal("Kind strings wrong")
+	}
+}
+
+// An After write precedes the op and, through process order, the rest
+// of its process, in both causality engines; without it the two
+// processes' writes are concurrent.
+func TestAfterEdges(t *testing.T) {
+	w1 := Op{Kind: Write, Proc: 0, Var: 0, Val: 1, ID: WriteID{0, 1}}
+	w2 := Op{Kind: Write, Proc: 1, Var: 0, Val: 2, ID: WriteID{1, 1}, After: []WriteID{w1.ID}}
+	r2 := Op{Kind: Read, Proc: 1, Var: 0, Val: 2, From: w2.ID}
+	for _, after := range []bool{true, false} {
+		if !after {
+			w2.After = nil
+		}
+		h, err := FromOps([][]Op{{w1}, {w2, r2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := h.Causality()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := h.DenseCausality()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []int{1, 2} {
+			if fast.Before(0, j) != after || dense.Before(0, j) != after {
+				t.Fatalf("after=%v: w1 before op %d: fast=%v dense=%v", after, j, fast.Before(0, j), dense.Before(0, j))
+			}
+		}
 	}
 }

@@ -65,6 +65,11 @@ type Op struct {
 	// From identifies, for a Read, the write whose value was returned;
 	// Bottom means the read returned the initial value ⊥.
 	From WriteID
+	// After names writes that precede the operation in →co without a
+	// read: its process merged them into its causal past (a session's
+	// token merged before a served write). Each is an edge like
+	// read-from; nil for nearly every operation.
+	After []WriteID
 }
 
 // IsWrite reports whether the operation is a write.

@@ -28,6 +28,7 @@ var kindFamilies = [trace.NumKinds]struct{ name, help string }{
 	trace.Alive:      {"dsm_alives_total", "failure-detector suspicions cleared"},
 	trace.ReadFwd:    {"dsm_read_fwds_total", "reads of non-replicated variables forwarded to a serving replica"},
 	trace.ReadServe:  {"dsm_read_serves_total", "forwarded reads answered by a serving replica"},
+	trace.Merge:      {"dsm_merges_total", "writes of a session's past merged into Write_co before a served write"},
 }
 
 // Span is one causal-propagation record: the write identified by

@@ -113,6 +113,19 @@ func (r *optp) Read(x int) (int64, history.WriteID) {
 	return r.vals[x], r.writers[x]
 }
 
+// MergePast implements PastMerger. (The ablated variant's Write_co
+// already dominates its Apply vector, so nothing is raised there.)
+func (r *optp) MergePast(t vclock.VC) []history.WriteID {
+	var raised []history.WriteID
+	for j, k := range t {
+		if k > r.writeCo.Get(j) {
+			r.writeCo.Set(j, k)
+			raised = append(raised, history.WriteID{Proc: j, Seq: int(k)})
+		}
+	}
+	return raised
+}
+
 // Status evaluates the wait condition of the synchronization thread
 // (line 2 of Figure 5): the update m(x_h, v, W_co) from p_u is
 // deliverable iff

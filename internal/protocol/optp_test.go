@@ -122,6 +122,37 @@ func TestOptPReadFromDependency(t *testing.T) {
 	p3.Apply(u2)
 }
 
+// A session's writes at two replicas: p2 applies w1 and merges the
+// session's token before issuing w2, which then carries w1 in its clock
+// and blocks at p3 until w1 arrives. MergePast names the write of each
+// component it raised, and a dominated past raises nothing.
+func TestOptPMergePastOrdersHoppedWrites(t *testing.T) {
+	p1 := NewOptP(0, 3, 1).(*optp)
+	p2 := NewOptP(1, 3, 1).(*optp)
+	p3 := NewOptP(2, 3, 1).(*optp)
+	w1, _ := p1.LocalWrite(0, 1)
+	p2.Apply(w1)
+	tok := w1.Clock.Clone()
+	if got := p2.MergePast(tok); len(got) != 1 || got[0] != w1.ID {
+		t.Fatalf("MergePast raised %v, want [%v]", got, w1.ID)
+	}
+	if got := p2.MergePast(tok); got != nil {
+		t.Fatalf("second MergePast raised %v, want nothing", got)
+	}
+	w2, _ := p2.LocalWrite(0, 2)
+	if !w2.Clock.Equal(vclock.VC{1, 1, 0}) {
+		t.Fatalf("w2 clock = %v, want [1 1 0]", w2.Clock)
+	}
+	if p3.Status(w2) != Blocked {
+		t.Fatal("the session's second write is deliverable before its first")
+	}
+	p3.Apply(w1)
+	p3.Apply(w2)
+	if v, _ := p3.Read(0); v != 2 {
+		t.Fatalf("p3 reads %d, want 2", v)
+	}
+}
+
 // Without the read, the same writes are concurrent and p3 need not wait.
 func TestOptPNoReadNoDependency(t *testing.T) {
 	p1 := NewOptP(0, 3, 2).(*optp)

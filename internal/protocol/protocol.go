@@ -200,6 +200,18 @@ type Introspector interface {
 	Value(x int) (int64, history.WriteID)
 }
 
+// PastMerger is implemented by replicas whose Write_co grows only
+// through the process's own operations (OptP). MergePast is the
+// read-merge of Figure 5 for a whole causal past t, which the caller
+// guarantees is already applied here: Write_co := max(Write_co, t). It
+// returns the write (j, t[j]) of every component it raised, nil when t
+// brought nothing new. The serving tier issues a session's write after
+// merging the session's token, so the write follows the session's past
+// in →co even when the session's earlier writes were issued elsewhere.
+type PastMerger interface {
+	MergePast(t vclock.VC) []history.WriteID
+}
+
 // New constructs a replica of the given kind for process p of n
 // processes over m variables.
 func New(kind Kind, p, n, m int) Replica {

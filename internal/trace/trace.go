@@ -53,6 +53,12 @@ type EventKind int
 // (Val carries the number of journal entries replayed). Suspect and
 // Alive are detector verdicts recorded at the observing process, with
 // Val naming the suspected/recovered peer.
+//
+// Merge is a read-from without a read: Proc's causal past absorbs the
+// write named by Write, which Proc has already applied. The serving
+// tier records one for every write of a session's past that raised
+// Write_co just before the session's next write (protocol.PastMerger);
+// the history makes the named write precede Proc's next operation.
 const (
 	Issue EventKind = iota
 	Send
@@ -71,6 +77,7 @@ const (
 	Alive
 	ReadFwd
 	ReadServe
+	Merge
 
 	// numEventKinds is the exhaustiveness sentinel: every kind above
 	// must have a name in eventKindNames (enforced by tests).
@@ -101,6 +108,7 @@ var eventKindNames = [numEventKinds]string{
 	Alive:      "alive",
 	ReadFwd:    "read-fwd",
 	ReadServe:  "read-serve",
+	Merge:      "merge",
 }
 
 // String implements fmt.Stringer.
@@ -264,20 +272,26 @@ func (l *Log) PerProc() [][]Event {
 // History reconstructs the global history Ĥ from the log: each
 // process's Issue events become its writes (in order) and Return events
 // its reads, with the read-from relation taken from the recorded From
-// fields.
+// fields. The writes a process's Merge events name become the After
+// set of its next operation.
 func (l *Log) History() (*history.History, error) {
 	locals := make([][]history.Op, l.NumProcs)
+	merged := make([][]history.WriteID, l.NumProcs)
 	for _, e := range l.Events {
+		var o history.Op
 		switch e.Kind {
 		case Issue:
-			locals[e.Proc] = append(locals[e.Proc], history.Op{
-				Kind: history.Write, Proc: e.Proc, Var: e.Var, Val: e.Val, ID: e.Write,
-			})
+			o = history.Op{Kind: history.Write, Proc: e.Proc, Var: e.Var, Val: e.Val, ID: e.Write}
 		case Return:
-			locals[e.Proc] = append(locals[e.Proc], history.Op{
-				Kind: history.Read, Proc: e.Proc, Var: e.Var, Val: e.Val, From: e.From,
-			})
+			o = history.Op{Kind: history.Read, Proc: e.Proc, Var: e.Var, Val: e.Val, From: e.From}
+		case Merge:
+			merged[e.Proc] = append(merged[e.Proc], e.Write)
+			continue
+		default:
+			continue
 		}
+		o.After, merged[e.Proc] = merged[e.Proc], nil
+		locals[e.Proc] = append(locals[e.Proc], o)
 	}
 	return history.FromOps(locals)
 }

@@ -72,6 +72,30 @@ func TestHistoryReconstruction(t *testing.T) {
 	}
 }
 
+// A process's Merge events become the After set of its next operation.
+func TestHistoryMergeEdges(t *testing.T) {
+	l := NewLog(2, 1)
+	l.Append(Event{Kind: Issue, Proc: 0, Write: w11, Var: 0, Val: 1})
+	l.Append(Event{Kind: Apply, Proc: 1, Write: w11, Var: 0, Val: 1})
+	l.Append(Event{Kind: Merge, Proc: 1, Write: w11})
+	l.Append(Event{Kind: Issue, Proc: 1, Write: w21, Var: 0, Val: 2})
+	h, err := l.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := h.Ops()
+	if len(ops) != 2 || len(ops[0].After) != 0 || len(ops[1].After) != 1 || ops[1].After[0] != w11 {
+		t.Fatalf("ops = %+v, want w21 after w11", ops)
+	}
+	c, err := h.Causality()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.WriteBefore(w11, w21) {
+		t.Fatal("merged write does not precede the next write in →co")
+	}
+}
+
 func TestDelayExtraction(t *testing.T) {
 	l := sampleLog()
 	if got := l.DelayCount(); got != 1 {
@@ -188,7 +212,7 @@ func TestEventKindStringExhaustive(t *testing.T) {
 		Discard: "discard", Drop: "drop", Return: "return", Token: "token",
 		NetDrop: "net-drop", Retransmit: "retransmit", DupDiscard: "dup-discard",
 		Crash: "crash", Recover: "recover", Suspect: "suspect", Alive: "alive",
-		ReadFwd: "read-fwd", ReadServe: "read-serve",
+		ReadFwd: "read-fwd", ReadServe: "read-serve", Merge: "merge",
 	}
 	if len(want) != int(numEventKinds) {
 		t.Fatalf("test table has %d kinds, sentinel says %d", len(want), int(numEventKinds))
