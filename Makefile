@@ -146,18 +146,22 @@ race:
 ## transport-stress: the delivery-queue, Flush/Close and reliability
 ## tests twenty times under the race detector, then the frame writer
 ## every serving connection shares (combining, per-sender order,
-## exactly-once, the sticky error) twenty times too, then the serving
-## tier's lifecycle tests (Shutdown's drain, Close, a write to a
-## crashed replica, sessions hopping replicas on one connection that
-## read their own writes, concurrent writes each answered with their
-## own write) twenty times, since every handler issues its writes
-## straight into the replica while Shutdown drains —
-## a scheduler race that needs an unlucky interleaving must not hide
-## behind one pass (~35 s).
+## exactly-once, the sticky error, queued frames leaving with a Flush or
+## a concurrent writer, a queue at its bound written by its own caller)
+## twenty times too, then the serving tier's lifecycle tests (Shutdown's
+## drain, Close, a write to a crashed replica, the pipeline tests:
+## out-of-order completion, sessions hopping replicas on one connection
+## that read their own writes, the cap on parked requests, a retry
+## parked behind its first attempt; responses flushed before the read
+## loop blocks, concurrent writes each answered with their own write)
+## twenty times, since the read loop serves and issues writes straight
+## into the replica while Shutdown drains and parked requests write
+## the same socket — a scheduler race that needs an unlucky
+## interleaving must not hide behind one pass (~35 s).
 transport-stress:
 	$(GO) test -race -count=20 ./internal/transport/
 	$(GO) test -race -count=20 -run 'FrameWriter' ./internal/protocol
-	$(GO) test -race -count=20 -run 'TestShutdown|TestCloseAbortsWaits|TestWriteToCrashedReplicaFails|TestPipelineManyConcurrent|TestWriteResponseNamesItsWrite' ./internal/service
+	$(GO) test -race -count=20 -run 'TestShutdown|TestCloseAbortsWaits|TestWriteToCrashedReplicaFails|TestPipeline|TestInlineResponsesFlushBeforeBlockingRead|TestWriteResponseNamesItsWrite' ./internal/service
 
 ## core-stress: the live cluster's chaos and crash/restart property
 ## tests twenty times under the race detector, every live protocol

@@ -80,7 +80,7 @@ func run(args []string, ready func(addr string)) error {
 	walDir := fs.String("wal-dir", "", "crash recovery: write-ahead log directory (one subdir per process)")
 	walSync := fs.Bool("wal-sync", false, "crash recovery: fsync the journal after every record")
 	waitTimeout := fs.Duration("wait-timeout", 5*time.Second, "bound on a request's frontier wait before Unavailable")
-	maxPipeline := fs.Int("max-pipeline", 256, "max concurrently-served requests per connection")
+	maxPipeline := fs.Int("max-pipeline", 256, "max parked requests per connection (waiting for a frontier, a first attempt or the disk)")
 	maxInflight := fs.Int("max-inflight", 0, "load shedding: fast-reject requests past this many in flight server-wide (0: default 4096)")
 	dedupWindow := fs.Int("dedup-window", 0, "exactly-once retries: per-session dedup window in ops (0: default 512)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain at shutdown")

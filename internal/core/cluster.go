@@ -360,6 +360,11 @@ func (c *Cluster) walPath(p int) string {
 // stale-duplicate filtering) is active.
 func (c *Cluster) recoveryEnabled() bool { return c.cfg.WALDir != "" }
 
+// SyncsWAL reports whether a journaled operation fsyncs its journal
+// before it returns (Config.WALSync with a WALDir): a write, and under
+// OptP a read, may then block on the disk.
+func (c *Cluster) SyncsWAL() bool { return c.recoveryEnabled() && c.cfg.WALSync }
+
 // closeWALs closes every node's journal (idempotent), returning the
 // errors of those whose buffered tail did not reach the disk, now or
 // when the node crash-stopped over it.

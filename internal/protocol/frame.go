@@ -92,13 +92,16 @@ func (f *FrameReader) Next() ([]byte, error) {
 }
 
 // FrameWriter writes AppendFrame frames onto a stream shared by
-// concurrent senders, as a group commit with no linger: a sender queues
-// its frame and, unless another sender is writing, becomes the writer:
-// it yields once, so the goroutines its caller woke can queue theirs,
-// then writes the whole queue per Write until it is empty, however long
-// others keep queueing. A sender finding MaxWireFrame bytes queued waits
-// for the writer to take them, so a peer that stops reading stops its
-// senders. A failed Write drops its batch and the queue, and is sticky.
+// concurrent senders, as a group commit with no linger. A sender either
+// queues its frame for later (QueueFrame) or sends it (WriteFrame):
+// unless another sender is writing, a WriteFrame becomes the writer: it
+// yields once, so the goroutines its caller woke can queue theirs, then
+// writes the whole queue per Write until it is empty, however long
+// others keep queueing. Flush does the same for what is queued already.
+// A sender finding MaxWireFrame bytes queued waits for the writer to
+// take them, so a peer that stops reading stops its senders; with no
+// writer it writes them itself. A failed Write drops its batch and the
+// queue, and is sticky.
 type FrameWriter struct {
 	w      io.Writer
 	mu     sync.Mutex
@@ -117,28 +120,85 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return f
 }
 
-// WriteFrame queues payload's frame; it does not keep payload. While
-// another sender writes it returns 0, nil: the frame leaves with that
-// sender's next Write. Otherwise n counts the frames it wrote or, with
-// an error, lost: its failed batch and everything queued behind it, or
-// its own frame after an earlier failure.
-func (f *FrameWriter) WriteFrame(payload []byte) (n int, err error) {
+// WriteFrame queues payload's frame and writes the queue; it does not
+// keep payload. While another sender writes it returns 0, nil: the
+// frame leaves with that sender's next Write. Otherwise n counts the
+// frames it wrote or, with an error, lost: its failed batch and
+// everything queued behind it, or its own frame after an earlier
+// failure.
+func (f *FrameWriter) WriteFrame(payload []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	n, err := f.queueLocked(payload)
+	if err != nil || f.busy {
+		return n, err
+	}
+	m, err := f.flushLocked()
+	if err != nil {
+		return m, err
+	}
+	return n + m, nil
+}
+
+// QueueFrame queues payload's frame without writing it; it does not
+// keep payload. The frame leaves with the next Flush, or with another
+// sender's Write, in queue order. Only when MaxWireFrame bytes are
+// queued and no sender is writing does it write them itself first, so
+// a caller that alone flushes cannot wait on itself; n counts those
+// frames, or with an error the frames lost, as for WriteFrame.
+func (f *FrameWriter) QueueFrame(payload []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.queueLocked(payload)
+}
+
+// Flush writes the queued frames as WriteFrame does, yielding once
+// first. While another sender writes, or with nothing queued, it
+// returns 0, nil; after an earlier failure, 0 and that failure.
+func (f *FrameWriter) Flush() (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil || f.busy || f.frames == 0 {
+		return 0, f.err
+	}
+	return f.flushLocked()
+}
+
+// queueLocked appends payload's frame to the queue once the queue is
+// under MaxWireFrame bytes: it waits for the writer to take them or,
+// with no writer, writes them itself.
+func (f *FrameWriter) queueLocked(payload []byte) (n int, err error) {
 	for len(f.queue) >= MaxWireFrame && f.err == nil {
-		f.room.Wait()
+		if f.busy {
+			f.room.Wait()
+			continue
+		}
+		f.busy = true
+		n, err = f.drainLocked()
 	}
 	if f.err != nil {
-		return 1, f.err
+		return n + 1, f.err
 	}
 	f.queue = AppendFrame(f.queue, payload)
-	if f.frames++; f.busy {
-		return 0, nil
-	}
+	f.frames++
+	return n, nil
+}
+
+// flushLocked becomes the writer, yields once, and writes the queue:
+// with few Ps, the senders its caller woke would each write alone.
+func (f *FrameWriter) flushLocked() (int, error) {
 	f.busy = true
 	f.mu.Unlock()
-	runtime.Gosched() // with few Ps, woken senders would each write alone
+	runtime.Gosched()
 	f.mu.Lock()
+	return f.drainLocked()
+}
+
+// drainLocked writes the whole queue per Write until it is empty or a
+// Write fails, then stops being the writer; the caller holds mu and has
+// set busy. n counts the frames written or, with an error, lost: the
+// failed batch and everything queued behind it.
+func (f *FrameWriter) drainLocked() (n int, err error) {
 	for f.frames > 0 && err == nil {
 		batch, k := f.queue, f.frames
 		f.queue, f.spare, f.frames = f.spare[:0], nil, 0

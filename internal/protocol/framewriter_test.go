@@ -233,6 +233,175 @@ func TestFrameWriterBoundsQueue(t *testing.T) {
 	}
 }
 
+// readFrames reads back every frame of a stream, one byte each.
+func readFrames(t *testing.T, r io.Reader) []byte {
+	t.Helper()
+	fr := NewFrameReader(r, MaxWireFrame)
+	var got []byte
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			return got
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, f[0])
+	}
+}
+
+// Queued frames are not written until a Flush, which writes all of
+// them in one Write and in queue order; a Flush with nothing queued
+// writes nothing.
+func TestFrameWriterQueueLeavesWithFlush(t *testing.T) {
+	g := newGateWriter(nil)
+	close(g.release)
+	w := NewFrameWriter(g)
+	for i := 0; i < 5; i++ {
+		if n, err := w.QueueFrame([]byte{byte(i)}); n != 0 || err != nil {
+			t.Fatalf("QueueFrame %d: (%d, %v), want (0, nil)", i, n, err)
+		}
+	}
+	if writes := g.state(); writes != 0 {
+		t.Fatalf("%d writes before the Flush, want 0", writes)
+	}
+	if n, err := w.Flush(); n != 5 || err != nil {
+		t.Fatalf("Flush: (%d, %v), want (5, nil)", n, err)
+	}
+	if n, err := w.Flush(); n != 0 || err != nil {
+		t.Fatalf("empty Flush: (%d, %v), want (0, nil)", n, err)
+	}
+	if writes := g.state(); writes != 1 {
+		t.Fatalf("%d writes, want 1", writes)
+	}
+	if got := readFrames(t, &g.buf); !bytes.Equal(got, []byte{0, 1, 2, 3, 4}) {
+		t.Fatalf("frames %v, want 0..4 in queue order", got)
+	}
+}
+
+// Frames queued while another sender writes leave with that sender's
+// next Write, in queue order, with no Flush; a Flush meanwhile returns
+// at once and leaves the queue to the writer.
+func TestFrameWriterQueueLeavesWithWriter(t *testing.T) {
+	g := newGateWriter(nil)
+	w := NewFrameWriter(g)
+	first := make(chan error, 1)
+	go func() {
+		n, err := w.WriteFrame([]byte{0})
+		if err == nil && n != 4 {
+			err = fmt.Errorf("writer wrote %d frames, want 4", n)
+		}
+		first <- err
+	}()
+	<-g.entered
+	for i := 1; i <= 3; i++ {
+		if n, err := w.QueueFrame([]byte{byte(i)}); n != 0 || err != nil {
+			t.Fatalf("QueueFrame %d: (%d, %v), want (0, nil)", i, n, err)
+		}
+	}
+	if n, err := w.Flush(); n != 0 || err != nil {
+		t.Fatalf("Flush behind a blocked writer: (%d, %v), want (0, nil)", n, err)
+	}
+	close(g.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if writes := g.state(); writes != 2 {
+		t.Fatalf("%d writes, want 2: the blocked one and the queue", writes)
+	}
+	if got := readFrames(t, &g.buf); !bytes.Equal(got, []byte{0, 1, 2, 3}) {
+		t.Fatalf("frames %v, want 0..3 in queue order", got)
+	}
+}
+
+// A caller that alone flushes its queue cannot wait for a writer to
+// take it: a QueueFrame that finds MaxWireFrame bytes queued and no
+// writer writes them itself, then queues its own frame.
+func TestFrameWriterQueueAtBoundWrites(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewFrameWriter(&buf)
+	payload := make([]byte, 1024)
+	const frames = 3 * MaxWireFrame / 1024
+	done := make(chan int, 1)
+	go func() {
+		written := 0
+		for i := 0; i < frames; i++ {
+			payload[0] = byte(i)
+			n, err := w.QueueFrame(payload)
+			if err != nil {
+				t.Error(err)
+			}
+			written += n
+		}
+		done <- written
+	}()
+	var written int
+	select {
+	case written = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("QueueFrame at the bound with no writer is still blocked after 5 s")
+	}
+	if written == 0 || buf.Len() == 0 {
+		t.Fatalf("%d frames queued past the bound and none written", frames)
+	}
+	n, err := w.Flush()
+	if err != nil || written+n != frames {
+		t.Fatalf("wrote %d at the bound and flushed (%d, %v), want %d in all", written, n, err, frames)
+	}
+	got := readFrames(t, &buf)
+	if len(got) != frames {
+		t.Fatalf("read back %d frames, want %d", len(got), frames)
+	}
+	for i, b := range got {
+		if b != byte(i) {
+			t.Fatalf("frame %d carries %d: out of queue order", i, b)
+		}
+	}
+}
+
+// A failed Flush counts the frames it lost, its queue and those queued
+// behind it during the failed Write, and the failure is sticky: every
+// later QueueFrame, Flush and WriteFrame returns it without a Write.
+func TestFrameWriterFlushStickyError(t *testing.T) {
+	boom := errors.New("boom")
+	g := newGateWriter(boom)
+	w := NewFrameWriter(g)
+	for i := 0; i < 3; i++ {
+		if _, err := w.QueueFrame([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan int, 1)
+	go func() {
+		n, err := w.Flush()
+		if !errors.Is(err, boom) {
+			t.Errorf("failed Flush returned %v, want %v", err, boom)
+		}
+		flushed <- n
+	}()
+	<-g.entered
+	for i := 3; i < 5; i++ {
+		if n, err := w.QueueFrame([]byte{byte(i)}); n != 0 || err != nil {
+			t.Fatalf("QueueFrame behind the failing Flush: (%d, %v), want (0, nil)", n, err)
+		}
+	}
+	close(g.release)
+	if n := <-flushed; n != 5 {
+		t.Fatalf("failed Flush lost %d frames, want 5 (its three and the two queued behind)", n)
+	}
+	if n, err := w.QueueFrame([]byte{9}); n != 1 || !errors.Is(err, boom) {
+		t.Fatalf("QueueFrame after the failure: (%d, %v), want (1, %v)", n, err, boom)
+	}
+	if n, err := w.Flush(); n != 0 || !errors.Is(err, boom) {
+		t.Fatalf("Flush after the failure: (%d, %v), want (0, %v)", n, err, boom)
+	}
+	if n, err := w.WriteFrame([]byte{9}); n != 1 || !errors.Is(err, boom) {
+		t.Fatalf("WriteFrame after the failure: (%d, %v), want (1, %v)", n, err, boom)
+	}
+	if writes := g.state(); writes != 1 {
+		t.Fatalf("%d writes after a failure, want 1", writes)
+	}
+}
+
 // countingWriter counts Write calls and discards the bytes.
 type countingWriter struct{ writes atomic.Int64 }
 

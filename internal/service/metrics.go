@@ -16,6 +16,7 @@ type metrics struct {
 	connsOpen    *obs.Gauge
 	connsTotal   *obs.Counter
 	inflight     *obs.Gauge
+	parked       *obs.Counter
 	requests     [3]*obs.Counter // indexed by request kind
 	errsTotal    *obs.Counter
 	protoErrs    *obs.Counter
@@ -34,6 +35,7 @@ func newMetrics(reg *obs.Registry, proto string) *metrics {
 			connsOpen:    &obs.Gauge{},
 			connsTotal:   &obs.Counter{},
 			inflight:     &obs.Gauge{},
+			parked:       &obs.Counter{},
 			errsTotal:    &obs.Counter{},
 			protoErrs:    &obs.Counter{},
 			sendErrs:     &obs.Counter{},
@@ -53,6 +55,7 @@ func newMetrics(reg *obs.Registry, proto string) *metrics {
 		connsOpen:    reg.Gauge("dsm_svc_connections_open", "client connections currently open", pl),
 		connsTotal:   reg.Counter("dsm_svc_connections_total", "client connections accepted", pl),
 		inflight:     reg.Gauge("dsm_svc_requests_inflight", "requests currently being served", pl),
+		parked:       reg.Counter("dsm_svc_requests_parked_total", "requests that would block, handed off the read loop to a goroutine of their own", pl),
 		errsTotal:    reg.Counter("dsm_svc_request_errors_total", "requests answered with a non-OK status", pl),
 		protoErrs:    reg.Counter("dsm_svc_protocol_errors_total", "connections dropped for malformed frames", pl),
 		sendErrs:     reg.Counter("dsm_svc_send_errors_total", "response writes that failed (dead peer)", pl),

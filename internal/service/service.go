@@ -22,13 +22,18 @@
 // other kinds — so the guarantee is transitive and tokens can be handed
 // between clients to carry causal dependencies.
 //
-// Connections are multiplexed and pipelined: requests carry tags,
-// each is served concurrently, and responses complete out of order (a
-// read blocked on a lagging frontier never stalls the pings behind
-// it). A write is served like a read, on its request's own goroutine:
-// admitted at a replica, issued straight into core (the paper's local,
-// wait-free w_p(x)v) and answered with the identity of the write it
-// issued.
+// Connections are multiplexed and pipelined: requests carry tags and
+// responses complete out of order. Each request is served to completion
+// on its connection's read loop unless it would block: a read or write
+// whose replica has not yet applied its token, a retry waiting on its
+// in-flight first attempt, and any store operation of a cluster that
+// fsyncs its journal. Only such a request parks on a goroutine of its
+// own, so a read blocked on a lagging frontier never stalls the pings
+// behind it. A write is served like a read: admitted at a replica,
+// issued straight into core (the paper's local, wait-free w_p(x)v) and
+// answered with the identity of the write it issued. The read loop
+// queues the responses it computes and flushes them in one write just
+// before it would block reading the socket.
 package service
 
 import (
@@ -73,7 +78,9 @@ type Config struct {
 	// StatusUnavailable. 0 defaults to 5s.
 	WaitTimeout time.Duration
 
-	// MaxPipeline caps a connection's concurrently-served requests;
+	// MaxPipeline caps a connection's parked requests: those waiting
+	// on their own goroutine for a frontier, an in-flight first attempt
+	// or the disk. With that many parked, the read loop stops and
 	// further frames queue in the socket. 0 defaults to 256.
 	MaxPipeline int
 
@@ -146,6 +153,7 @@ type Server struct {
 	dedup   *dedupTable
 	gate    drainGate
 	next    atomic.Uint64 // round-robin replica cursor
+	syncWAL bool          // a store operation may fsync: never serve one inline
 	closed  atomic.Bool
 	aborted atomic.Bool // Close (vs Shutdown): abort in-flight waits
 	abortCh chan struct{}
@@ -191,6 +199,7 @@ func New(cfg Config) (*Server, error) {
 			Sink:      cfg.TraceSink,
 		}),
 		dedup:   newDedupTable(cfg.DedupWindow, maxDedupSessions),
+		syncWAL: cfg.Cluster.SyncsWAL(),
 		abortCh: make(chan struct{}),
 		conns:   map[net.Conn]struct{}{},
 	}
@@ -224,9 +233,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("service: shutdown: %w", ctx.Err())
 	}
-	// A read loop still writing a refusal flushes the responses queued
-	// behind it before it reads again: end each read loop at its next
-	// read, which closes its connection, or every connection past ctx.
+	// A read loop flushes the responses queued on its connection before
+	// it reads again: end each read loop at its next read, which closes
+	// its connection, or every connection past ctx.
 	closed := make(chan struct{})
 	go func() { s.connWG.Wait(); close(closed) }()
 	s.mu.Lock()
@@ -301,8 +310,9 @@ func (s *Server) dropConn(conn net.Conn) {
 	s.met.connsOpen.Add(-1)
 }
 
-// srvConn is the response side of one connection: concurrently
-// completing requests queue whole frames on its one writer.
+// srvConn is the response side of one connection: the read loop and
+// the goroutines of parked requests queue whole frames on its one
+// writer.
 type srvConn struct {
 	s    *Server
 	conn net.Conn
@@ -310,27 +320,64 @@ type srvConn struct {
 }
 
 // send encodes one response, delta-encoding its token against base
-// (the request's token), and queues it on the connection's writer. A
-// failed write closes the connection and counts every frame it lost.
-func (c *srvConn) send(r protocol.Response, base vclock.VC) {
+// (the request's token). The read loop queues it for its next flush; a
+// parked request's goroutine writes it.
+func (c *srvConn) send(r protocol.Response, base vclock.VC, queue bool) {
 	var scratch [64]byte
-	if n, err := c.w.WriteFrame(r.AppendBinary(scratch[:0], base)); err != nil {
+	p := r.AppendBinary(scratch[:0], base)
+	if queue {
+		c.check(c.w.QueueFrame(p))
+	} else {
+		c.check(c.w.WriteFrame(p))
+	}
+}
+
+// flush writes the responses the read loop queued.
+func (c *srvConn) flush() { c.check(c.w.Flush()) }
+
+// check closes the connection after a failed write and counts every
+// frame it lost.
+func (c *srvConn) check(n int, err error) {
+	if err != nil {
 		c.s.met.sendErrs.Add(uint64(n))
 		c.conn.Close()
 	}
 }
 
-// serveConn reads frames off one connection, dispatching each request
-// to its own goroutine so responses complete out of order. A decode
-// failure is a protocol error and drops the connection.
+// Read is the read loop's view of the socket: the frame reader calls it
+// only when its buffer cannot yield the next frame, just before it
+// would block in read(2), so the responses queued behind the frames
+// already served leave first — also when half a frame is buffered.
+func (c *srvConn) Read(p []byte) (int, error) {
+	c.flush()
+	return c.conn.Read(p)
+}
+
+// call is one request being served and how far it got: the read loop
+// serves it until it would block, and a parked request's goroutine
+// resumes it from there.
+type call struct {
+	req    protocol.Request
+	q      *reqtrace.Req
+	proc   int  // the replica serving it
+	pinned bool // proc was the client's choice, not the server's
+	retry  bool // counted as a retry of a write in the dedup window
+	owned  bool // holds the dedup claim of (SID, OpSeq)
+}
+
+// serveConn reads frames off one connection and serves each request on
+// the read loop until it would block; such a request parks on its own
+// goroutine, so responses complete out of order. A decode failure is a
+// protocol error and drops the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWG.Done()
 	defer s.dropConn(conn)
 	c := &srvConn{s: s, conn: conn, w: protocol.NewFrameWriter(conn)}
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
+	defer c.flush()
 	sem := make(chan struct{}, s.cfg.MaxPipeline)
-	fr := protocol.NewFrameReader(conn, protocol.MaxWireFrame)
+	fr := protocol.NewFrameReader(c, protocol.MaxWireFrame)
 	for {
 		frame, err := fr.Next()
 		if err != nil {
@@ -342,8 +389,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		// The stage clock starts here: everything from decode to the
-		// first Mark is admission time (including the pipeline-slot and
-		// goroutine-spawn wait below).
+		// first Mark is admission time.
 		q := s.beginTrace(req)
 		if !s.gate.enter() {
 			s.refuse(c, q, req, protocol.Response{
@@ -365,12 +411,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.met.inflight.Add(1)
-		sem <- struct{}{}
+		o := call{req: req, q: q}
+		if resp, done := s.respond(&o, false); done {
+			s.finish(c, &o, resp, true)
+			continue
+		}
+		// The request would block: park it. The time until its goroutine
+		// resumes it is charged to the stage it parked in.
+		s.met.parked.Inc()
+		select {
+		case sem <- struct{}{}:
+		default:
+			c.flush() // the read loop blocks: answer what it served first
+			sem <- struct{}{}
+		}
 		reqWG.Add(1)
+		p := o
 		go func() {
-			defer func() { <-sem; reqWG.Done(); s.gate.exit() }()
-			s.handle(c, req, q)
-			s.met.inflight.Add(-1)
+			defer func() { <-sem; reqWG.Done() }()
+			resp, _ := s.respond(&p, true)
+			s.finish(c, &p, resp, false)
 		}()
 	}
 }
@@ -421,47 +481,47 @@ func stampEcho(q *reqtrace.Req, resp *protocol.Response) {
 func (s *Server) refuse(c *srvConn, q *reqtrace.Req, req protocol.Request, resp protocol.Response) {
 	q.Mark(reqtrace.StageAdmission)
 	stampEcho(q, &resp)
-	c.send(resp, req.Token)
+	c.send(resp, req.Token, true)
 	q.Mark(reqtrace.StageRespond)
 	s.endTrace(q, req, resp)
 }
 
-// handle serves one request end to end and sends its response.
-func (s *Server) handle(c *srvConn, req protocol.Request, q *reqtrace.Req) {
-	resp := s.respond(req, q)
-	resp.Tag = req.Tag
+// finish answers a served request and retires it: queued for the read
+// loop's next flush, or written by a parked request's goroutine.
+func (s *Server) finish(c *srvConn, o *call, resp protocol.Response, queue bool) {
+	resp.Tag = o.req.Tag
 	if resp.Status != protocol.StatusOK {
 		s.met.errsTotal.Inc()
 	}
-	stampEcho(q, &resp)
-	c.send(resp, req.Token)
-	q.Mark(reqtrace.StageRespond)
-	s.endTrace(q, req, resp)
+	stampEcho(o.q, &resp)
+	c.send(resp, o.req.Token, queue)
+	o.q.Mark(reqtrace.StageRespond)
+	s.endTrace(o.q, o.req, resp)
+	s.met.inflight.Add(-1)
+	s.gate.exit()
 }
 
-// respond computes the response for one request. Writes carrying an op
-// ID pass through the exactly-once window before touching the store.
-func (s *Server) respond(req protocol.Request, q *reqtrace.Req) protocol.Response {
-	s.met.reqKind(req.Kind).Inc()
-	if req.Kind == protocol.ReqPing {
+// respond computes the response for one request. On the read loop
+// (parked false) it stops where it would first block and reports false;
+// the parked request's goroutine then calls it again, and it resumes
+// there. Writes carrying an op ID pass through the exactly-once window
+// before touching the store.
+func (s *Server) respond(o *call, parked bool) (protocol.Response, bool) {
+	req, q := &o.req, o.q
+	if !parked {
+		s.met.reqKind(req.Kind).Inc()
+		resp, done := s.validate(req)
 		q.Mark(reqtrace.StageAdmission)
-		return protocol.Response{Status: protocol.StatusOK, Proc: -1}
+		if done {
+			return resp, true
+		}
+		o.proc, o.pinned = req.Proc, req.Proc >= 0
+		if !o.pinned {
+			o.proc = s.pick()
+		}
 	}
-	if req.Var < 0 || req.Var >= s.vars {
-		q.Mark(reqtrace.StageAdmission)
-		return badRequest(fmt.Sprintf("variable %d of %d", req.Var, s.vars))
-	}
-	if req.Proc < -1 || req.Proc >= s.procs {
-		q.Mark(reqtrace.StageAdmission)
-		return badRequest(fmt.Sprintf("replica %d of %d", req.Proc, s.procs))
-	}
-	if req.Token != nil && len(req.Token) != s.procs {
-		q.Mark(reqtrace.StageAdmission)
-		return badRequest(fmt.Sprintf("token dimension %d, cluster has %d processes", len(req.Token), s.procs))
-	}
-	q.Mark(reqtrace.StageAdmission)
 	if req.Kind != protocol.ReqWrite || req.SID == 0 {
-		return s.serve(req, q)
+		return s.serve(o, parked)
 	}
 	// Exactly-once admission: the first arrival of (SID, OpSeq) claims
 	// the op and executes; a retry returns the cached applied response,
@@ -469,37 +529,59 @@ func (s *Server) respond(req protocol.Request, q *reqtrace.Req) protocol.Respons
 	// claiming the op itself only if that attempt failed to apply.
 	// Everything from here to the claim resolution — including a wait
 	// for an in-flight first attempt — is dedup time on the stage clock.
-	counted := false
-	for {
+	for !o.owned {
 		cl := s.dedup.claim(req.SID, req.OpSeq)
 		switch {
 		case cl.tooOld:
 			q.Mark(reqtrace.StageDedup)
-			return badRequest(fmt.Sprintf("write op %d below the session's dedup window", req.OpSeq))
+			return badRequest(fmt.Sprintf("write op %d below the session's dedup window", req.OpSeq)), true
 		case cl.cached:
-			if !counted {
+			if !o.retry {
 				s.met.retries.Inc()
 			}
 			q.Mark(reqtrace.StageDedup)
-			return cachedResponse(cl.resp, req.Token)
+			return cachedResponse(cl.resp, req.Token), true
 		case cl.wait != nil:
-			if !counted {
+			if !o.retry {
 				s.met.retries.Inc()
-				counted = true
+				o.retry = true
+			}
+			if !parked {
+				return protocol.Response{}, false
 			}
 			select {
 			case <-cl.wait:
 			case <-s.abortCh:
 				q.Mark(reqtrace.StageDedup)
-				return protocol.Response{Status: protocol.StatusShutdown, Proc: -1, Err: "server closing"}
+				return protocol.Response{Status: protocol.StatusShutdown, Proc: -1, Err: "server closing"}, true
 			}
 		default:
+			o.owned = true
 			q.Mark(reqtrace.StageDedup)
-			resp := s.serve(req, q)
-			s.dedup.complete(req.SID, req.OpSeq, resp)
-			return resp
 		}
 	}
+	resp, done := s.serve(o, parked)
+	if done {
+		s.dedup.complete(req.SID, req.OpSeq, resp)
+	}
+	return resp, done
+}
+
+// validate answers a ping, and refuses a request naming a variable,
+// replica or token dimension the cluster does not have; done is false
+// when the request goes on to the store.
+func (s *Server) validate(req *protocol.Request) (resp protocol.Response, done bool) {
+	switch {
+	case req.Kind == protocol.ReqPing:
+		return protocol.Response{Status: protocol.StatusOK, Proc: -1}, true
+	case req.Var < 0 || req.Var >= s.vars:
+		return badRequest(fmt.Sprintf("variable %d of %d", req.Var, s.vars)), true
+	case req.Proc < -1 || req.Proc >= s.procs:
+		return badRequest(fmt.Sprintf("replica %d of %d", req.Proc, s.procs)), true
+	case req.Token != nil && len(req.Token) != s.procs:
+		return badRequest(fmt.Sprintf("token dimension %d, cluster has %d processes", len(req.Token), s.procs)), true
+	}
+	return protocol.Response{}, false
 }
 
 // cachedResponse adapts a dedup-cached response to a retry: its token
@@ -516,19 +598,26 @@ func cachedResponse(r protocol.Response, reqTok vclock.VC) protocol.Response {
 	return r
 }
 
-// serve routes one validated request to a replica and executes it.
-func (s *Server) serve(req protocol.Request, q *reqtrace.Req) protocol.Response {
-	proc, pinned := req.Proc, req.Proc >= 0
-	if !pinned {
-		proc = s.pick()
-	}
+// serve executes one validated, routed request at its replica. On the
+// read loop (parked false) it reports false instead of waiting: for a
+// frontier behind the token, or for the disk when every store operation
+// may fsync.
+func (s *Server) serve(o *call, parked bool) (protocol.Response, bool) {
+	req, q, proc := &o.req, o.q, o.proc
 	node := s.cfg.Cluster.Node(proc)
 	// Token admission: wait until the replica's applied frontier
 	// dominates the session's past. Writes wait too, so a session's
 	// write is issued on a replica that already holds everything the
 	// session observed, and WriteMeta merges that past before it.
-	st, detail := s.waitFrontier(node, proc, req.Token, req.NoWait)
-	if st == protocol.StatusUnavailable && !pinned && !req.NoWait {
+	st, detail := uint8(protocol.StatusOK), ""
+	if parked {
+		st, detail = s.waitFrontier(node, proc, req.Token, req.NoWait)
+	} else if s.syncWAL || !node.FrontierDominates(req.Token) {
+		return protocol.Response{}, false
+	} else if len(req.Token) > 0 {
+		s.met.frontierWait.Observe(0)
+	}
+	if st == protocol.StatusUnavailable && !o.pinned && !req.NoWait {
 		// The picked replica timed out or died under the wait. The pin
 		// was the server's own choice, so fail the operation over to a
 		// replica that already holds the session's past; with none
@@ -544,7 +633,7 @@ func (s *Server) serve(req protocol.Request, q *reqtrace.Req) protocol.Response 
 	}
 	q.Mark(reqtrace.StageFrontierWait)
 	if st != protocol.StatusOK {
-		return protocol.Response{Status: st, Proc: proc, Err: detail}
+		return protocol.Response{Status: st, Proc: proc, Err: detail}, true
 	}
 	v := req.Val
 	var from history.WriteID
@@ -556,11 +645,11 @@ func (s *Server) serve(req protocol.Request, q *reqtrace.Req) protocol.Response 
 		from, err = node.WriteMeta(req.Var, v, req.Token)
 	default:
 		q.Mark(reqtrace.StageApply)
-		return badRequest(fmt.Sprintf("kind %d", req.Kind))
+		return badRequest(fmt.Sprintf("kind %d", req.Kind)), true
 	}
 	if err != nil {
 		q.Mark(reqtrace.StageApply)
-		return errResponse(proc, err)
+		return errResponse(proc, err), true
 	}
 	resp := protocol.Response{
 		Status: protocol.StatusOK, Proc: proc, Val: v, From: from,
@@ -571,7 +660,7 @@ func (s *Server) serve(req protocol.Request, q *reqtrace.Req) protocol.Response 
 	// (proc, seq).
 	q.WriteProc, q.WriteSeq = from.Proc, from.Seq
 	q.Mark(reqtrace.StageApply)
-	return resp
+	return resp, true
 }
 
 // dominatingReplica finds a live replica other than not whose applied
