@@ -144,8 +144,13 @@ race:
 	$(GO) test -race -short ./internal/...
 
 ## transport-stress: the delivery-queue, Flush/Close and reliability
-## tests twenty times under the race detector, then the frame writer
-## every serving connection shares (combining, per-sender order,
+## tests twenty times under the race detector (among them the lane
+## runner's contract: Close and Flush wait for a handler that Inline's
+## SendAll runs on its caller's goroutine, a Send from that handler
+## queues, and frames sent meanwhile follow it in order —
+## TestCloseWaitsForInlineRunner, TestFlushWaitsForInlineRunner,
+## TestInlineHandlerSendQueues, TestInlineRunnerHandsOffInOrder), then
+## the frame writer every serving connection shares (combining, per-sender order,
 ## exactly-once, the sticky error, queued frames leaving with a Flush or
 ## a concurrent writer, a queue at its bound written by its own caller)
 ## twenty times too, then the serving tier's lifecycle tests (Shutdown's

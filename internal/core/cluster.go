@@ -52,6 +52,10 @@ type Cluster struct {
 	det   *detector // nil unless cfg.HeartbeatInterval > 0
 	start time.Time
 
+	// served is what a served write broadcasts through (Node.WriteMeta):
+	// Inline(tr), or tr where a peer's handler fsyncs each apply.
+	served transport.Transport
+
 	// shares is the partial-replication assignment; the zero value means
 	// full replication everywhere. readAbort unblocks forwarded reads
 	// parked in Node.readRemote when the cluster closes.
@@ -268,6 +272,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		tr = c.codec
 	}
 	c.tr = tr
+	c.served = tr
+	if !c.SyncsWAL() {
+		c.served = transport.Inline(tr)
+	}
 	for p := 0; p < cfg.Processes; p++ {
 		c.crashed[p] = make(chan struct{})
 		n := &Node{c: c, id: p, readWaiters: make(map[int]chan readReply)}

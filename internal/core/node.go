@@ -61,7 +61,9 @@ type Node struct {
 	// holding mu; handle sends them after unlocking, so a Send that
 	// blocks (TCPNet's socket write, when the peer's receive buffer is
 	// full) can never stall a lock holder a delivery goroutine is waiting
-	// on. Guarded by mu.
+	// on. handle may run on a served writer's goroutine (WriteMeta); it
+	// sends only through Send, which queues, so handlers never nest.
+	// Guarded by mu.
 	outbox []outMsg
 }
 
@@ -83,7 +85,7 @@ func (n *Node) ID() int { return n.id }
 // Write performs w_p(x)v: it applies locally (wait-free) and broadcasts
 // the update asynchronously. On a crash-stopped node it returns ErrDown.
 func (n *Node) Write(x int, v int64) error {
-	_, err := n.WriteMeta(x, v, nil)
+	_, err := n.write(x, v, nil, n.c.tr)
 	return err
 }
 
@@ -94,7 +96,16 @@ func (n *Node) Write(x int, v int64) error {
 // read merges the clock of the write it returns (protocol.PastMerger),
 // and traces a Merge for every write it adds to the process's past.
 // WriteMeta fails when the applied frontier does not dominate past.
+// Unlike Write, it may apply the update at idle peers on the caller's
+// goroutine (Cluster.served): a served call's round trip hides those
+// applies, while at 8 processes they more than doubled an embedded
+// Write's latency (EXPERIMENTS.md E-runner).
 func (n *Node) WriteMeta(x int, v int64, past vclock.VC) (history.WriteID, error) {
+	return n.write(x, v, past, n.c.served)
+}
+
+// write is WriteMeta broadcasting through tr.
+func (n *Node) write(x int, v int64, past vclock.VC, tr transport.Transport) (history.WriteID, error) {
 	if err := n.check(x); err != nil {
 		return history.Bottom, err
 	}
@@ -142,12 +153,13 @@ func (n *Node) WriteMeta(x int, v int64, past vclock.VC) (history.WriteID, error
 	n.mu.Unlock()
 	// Broadcast outside the node lock: a blocking Send (TCPNet's socket
 	// write) must never stall a holder of n.mu that a delivery goroutine
-	// is waiting for.
+	// is waiting for, and tr may run a peer's handle, which takes the
+	// peer's n.mu, right here (WriteMeta).
 	// Under partial replication only the share-set gets the update.
 	if n.c.shares.IsZero() {
-		transport.Broadcast(n.c.tr, n.c.cfg.Processes, n.id, u)
+		transport.Broadcast(tr, n.c.cfg.Processes, n.id, u)
 	} else {
-		transport.Multicast(n.c.tr, n.id, n.c.shares.Replicas(x), u)
+		transport.Multicast(tr, n.id, n.c.shares.Replicas(x), u)
 	}
 	return u.ID, nil
 }

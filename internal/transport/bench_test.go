@@ -115,3 +115,29 @@ func BenchmarkReliableSend(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSendAllIdle is the rung a served write's visibility sits
+// on: the served write's SendAll (Inline's) from p0 to p1's idle lane,
+// timed until p1's handler has run. b.N counts frames.
+func BenchmarkSendAllIdle(b *testing.B) {
+	n, err := New(Config{Procs: 2, FIFO: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var delivered atomic.Int64
+	n.Register(0, func(Message) {})
+	n.Register(1, func(Message) { delivered.Add(1) })
+	send := Inline(n).(Broadcaster)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		send.SendAll(0, upd(0, i))
+		for delivered.Load() < int64(i) {
+			runtime.Gosched()
+		}
+	}
+	b.StopTimer()
+	if err := n.Close(); err != nil {
+		b.Fatal(err)
+	}
+}

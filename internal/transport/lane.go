@@ -9,14 +9,19 @@ import "sync"
 // leave in the order they arrived, so the frames of each source keep
 // their send order without any per-source bookkeeping. It keeps Net's
 // queue contract, like delayQueue.
+//
+// Frames are run by whoever holds the lane's runner role: the goroutine,
+// or a runOrPush caller (Inline's SendAll) that found the lane idle
+// and empty. One runner at a time takes frames in arrival order, so
+// that order argument still holds.
 type lane struct {
 	sink func(Message)
-	wake chan struct{} // cap 1: a push found the goroutine idle, or stop
+	wake chan struct{} // cap 1: hands the runner role to the goroutine, or stop
 	done chan struct{} // closed when run has returned
 
 	mu                 sync.Mutex
 	frames             []Message
-	idle               bool // run is waiting on wake
+	idle               bool // nobody holds the runner role; run is waiting on wake
 	stopped            bool
 	accepted, finished uint64
 }
@@ -26,6 +31,7 @@ func newLane(sink func(Message)) *lane {
 		sink: sink,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
+		idle: true,
 	}
 	go l.run()
 	return l
@@ -47,6 +53,30 @@ func (l *lane) push(m Message) {
 	}
 }
 
+// runOrPush runs m's handler on the caller's goroutine, holding the
+// runner role, when the lane is idle and empty, and pushes m otherwise.
+// Frames pushed meanwhile wake the goroutine when the handler returns.
+func (l *lane) runOrPush(m Message) {
+	l.mu.Lock()
+	if !l.idle || l.stopped {
+		l.mu.Unlock()
+		l.push(m)
+		return
+	}
+	l.idle = false
+	l.accepted++
+	l.mu.Unlock()
+	l.sink(m)
+	l.mu.Lock()
+	l.finished++
+	handoff := len(l.frames) > 0 || l.stopped
+	l.idle = !handoff
+	l.mu.Unlock()
+	if handoff {
+		l.signal()
+	}
+}
+
 func (l *lane) signal() {
 	select {
 	case l.wake <- struct{}{}:
@@ -54,13 +84,15 @@ func (l *lane) signal() {
 	}
 }
 
-// run is the lane's goroutine. The two slices trade places on every
+// run is the lane's goroutine. It holds the runner role from a wake
+// until it finds the lane empty. The two slices trade places on every
 // batch, so a steady state allocates nothing. A batch counts as
 // finished when run next takes the lock, after its last handler has
 // returned.
 func (l *lane) run() {
 	defer close(l.done)
 	var batch []Message
+	<-l.wake
 	for {
 		clear(batch)
 		l.mu.Lock()
@@ -84,13 +116,18 @@ func (l *lane) run() {
 	}
 }
 
+// stop wakes the goroutine only when nobody holds the runner role; a
+// runOrPush caller hands it over once its handler returns.
 func (l *lane) stop() {
 	l.mu.Lock()
 	l.stopped = true
 	l.finished += uint64(len(l.frames))
 	l.frames = nil
+	idle := l.idle
 	l.mu.Unlock()
-	l.signal()
+	if idle {
+		l.signal()
+	}
 	<-l.done
 }
 

@@ -36,9 +36,11 @@ type Message struct {
 
 // Handler consumes delivered messages at a destination process. It is
 // invoked from the transport's long-lived delivery goroutines (Net runs
-// one per destination, never one per link or per message), so messages
-// for different destinations can arrive concurrently; implementations
-// synchronize internally. A handler may call Send.
+// one per destination, never one per link or per message), or on the
+// goroutine of a caller of Inline's SendAll, so messages for
+// different destinations can arrive concurrently; implementations
+// synchronize internally. A handler may call Send, which never runs a
+// handler itself, and must not take a lock that such a caller holds.
 type Handler func(Message)
 
 // Transport moves messages between processes.
@@ -86,9 +88,10 @@ func (c Config) Validate() error {
 // Net is the standard Transport implementation: one queue and one
 // delivery goroutine per destination, in one of two shapes fixed at
 // construction. Immediate FIFO links (FIFO set, no delay, no reorder
-// bursts) are a lane: frames leave in arrival order. Every other mode —
-// delayed, reordering, bursty, or any mix — is a delayQueue. Send never
-// blocks in either.
+// bursts) are a lane: frames leave in arrival order, and Inline's
+// SendAll may run an idle lane's handler on its caller's goroutine.
+// Every other mode — delayed, reordering, bursty, or any mix — is a
+// delayQueue. Send never blocks in either, and never runs a handler.
 //
 // A Net built by NewFaulty also decides each frame's fate at Send: it
 // may cut, lose, duplicate or hold the frame back (see faults). The
@@ -332,6 +335,35 @@ func Multicast(t Transport, from int, dests []int, u protocol.Update) {
 	for _, q := range dests {
 		if q != from {
 			t.Send(Message{From: from, To: q, Update: u})
+		}
+	}
+}
+
+// Inline returns t with a SendAll that delivers at once where it can.
+// On a Net of lanes, it runs the handler of each destination whose lane
+// is idle and empty on the caller's goroutine, one after another,
+// instead of waking the lane's goroutine; frames for a busy lane queue
+// as usual, and Send and SendTo stay asynchronous. So a caller of
+// SendAll must hold no lock a handler takes, and waits for the handlers
+// it runs. Any other transport is returned as it is.
+func Inline(t Transport) Transport {
+	if n, ok := t.(*Net); ok {
+		if _, lanes := n.queues[0].(*lane); lanes {
+			return inlineNet{n}
+		}
+	}
+	return t
+}
+
+type inlineNet struct{ *Net }
+
+func (n inlineNet) SendAll(from int, u protocol.Update) {
+	if n.closed.Load() {
+		return
+	}
+	for q, dq := range n.queues {
+		if q != from {
+			dq.(*lane).runOrPush(Message{From: from, To: q, Update: u})
 		}
 	}
 }
