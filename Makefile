@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci build test vet fmt-check varint-guard race transport-stress core-stress bench bench-smoke smoke audit-bench metadata-bench replication-bench conformance chaos-conformance fuzz fuzz-smoke vuln clean
+.PHONY: check ci build test vet fmt-check varint-guard race transport-stress core-stress bench bench-smoke smoke audit-bench metadata-bench replication-bench conformance chaos-conformance flake-census fuzz fuzz-smoke vuln clean
 
 ## check: the full gate — formatting, vet, the one-byte-reader guard,
 ## build, tests, a short race pass, twenty more of the transport's
@@ -11,7 +11,7 @@ GO ?= go
 ## bytes (clocks, updates, the wire codecs, the frame reader, the WAL
 ## reader, the replica state decoder and the snapshot tail), the chaos
 ## conformance suite
-## (fault-injected session guarantees + exactly-once accounting, and
+## (the fault-injected session audit + exactly-once accounting, and
 ## twenty runs of the tracing join), and the nested benchmark module's
 ## own smoke run.
 check: fmt-check vet varint-guard build test race transport-stress core-stress fuzz-smoke chaos-conformance bench-smoke
@@ -70,23 +70,55 @@ replication-bench:
 	$(GO) run ./cmd/dsmbench -exp partial \
 		-baseline BENCH_replication.json -json replication-scorecard.json
 
-## conformance: the session-guarantee suite over real client
-## connections, under the race detector — includes the negative case
-## that proves the suite catches a token-less (guarantee-less) session.
+## conformance: the session suite over real client connections, under
+## the race detector: what each session saw is audited as a causal-
+## memory history with one process per session — includes the negative
+## case that proves the audit catches a token-less (guarantee-less)
+## session.
 conformance:
 	$(GO) test -race -count=1 ./internal/conformance
 
 ## chaos-conformance: the fault-injection gate — the conformance
-## workload under three seeds of connection chaos (1% kill + stalls +
-## truncation), requiring zero session-guarantee violations, zero
-## duplicate writes, exactly-once frontier accounting, and every call
-## resolving; then the chaos tracing join (TestChaosTracingForensics)
+## workload (two writer sessions per variable) under three seeds of
+## connection chaos (1% kill + stalls + truncation), requiring a
+## causally consistent session history with no write completed twice,
+## exactly-once frontier accounting, and every call resolving; then the chaos tracing join (TestChaosTracingForensics)
 ## twenty times, so a join that reads server records before every
 ## handler has returned (reqtrace.Recorder's drain contract) fails
 ## here, not once in thirty runs. Race detector on; part of `make check`.
 chaos-conformance:
 	$(GO) test -race -count=1 -run '^TestChaosConformance$$' ./internal/conformance
 	$(GO) test -race -count=20 -run '^TestChaosTracingForensics$$' ./internal/conformance
+
+## flake-census: builds each package's test binary once, runs it
+## twenty times (-test.count=20) with two busy loops competing for the
+## CPUs, and prints every test that failed at least once with its
+## failure count, plus any binary that died before its twenty runs
+## (a panic or a timeout). The loops are killed on exit or interrupt.
+## Not part of check or ci: it takes tens of minutes on 2 CPUs.
+flake-census:
+	@dir=$$(mktemp -d); b1=; b2=; \
+	trap 'kill $$b1 $$b2 2>/dev/null; rm -rf "$$dir"' EXIT; trap 'exit 130' INT TERM; \
+	$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... > "$$dir/pkgs" || exit 1; \
+	while read -r d pkg; do \
+		$(GO) test -c -o "$$dir/$$(echo "$$pkg" | tr / _).test" "$$pkg" < /dev/null > /dev/null || exit 1; \
+	done < "$$dir/pkgs"; \
+	sh -c 'while :; do :; done' & b1=$$!; \
+	sh -c 'while :; do :; done' & b2=$$!; \
+	while read -r d pkg; do \
+		bin="$$dir/$$(echo "$$pkg" | tr / _).test"; [ -x "$$bin" ] || continue; \
+		echo "flake-census: $$pkg" >&2; \
+		(cd "$$d" && "$$bin" -test.count=20 -test.timeout=60m < /dev/null > "$$dir/log" 2>&1); st=$$?; \
+		grep -o -- '--- FAIL: [^ ]*' "$$dir/log" | sed "s|--- FAIL: |$$pkg:|" >> "$$dir/fails"; \
+		if [ $$st -ne 0 ] && ! grep -q -- '--- FAIL:' "$$dir/log"; then \
+			echo "$$pkg: binary exited $$st before its twenty runs:"; tail -n 5 "$$dir/log"; \
+		fi; \
+	done < "$$dir/pkgs"; \
+	if [ -s "$$dir/fails" ]; then \
+		sort "$$dir/fails" | uniq -c | sort -rn | awk '{printf "%2d/20  %s\n", $$1, $$2}'; \
+	else \
+		echo "flake-census: no test failed"; \
+	fi
 
 ## vuln: govulncheck over the whole module; skipped quietly when the
 ## tool isn't installed (it is not vendored and CI may run offline).

@@ -775,13 +775,20 @@ func (s *Session) ReadMeta(ctx context.Context, x int) (int64, history.WriteID, 
 // already holding the session's past, and the advanced token makes it
 // part of that past for every later operation.
 func (s *Session) Write(ctx context.Context, x int, v int64) error {
+	_, err := s.WriteMeta(ctx, x, v)
+	return err
+}
+
+// WriteMeta is Write plus the identity of the write it issued (for
+// audit trails).
+func (s *Session) WriteMeta(ctx context.Context, x int, v int64) (history.WriteID, error) {
 	tok, proc := s.begin()
 	resp, err := s.c.do(ctx, protocol.Request{
 		Kind: protocol.ReqWrite, Proc: proc, Var: x, Val: v, Token: tok,
 	}, s.sid, &s.opSeq)
 	if err != nil {
-		return err
+		return history.WriteID{}, err
 	}
 	s.finish(resp)
-	return nil
+	return resp.From, nil
 }

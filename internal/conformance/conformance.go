@@ -1,188 +1,107 @@
-// Package conformance is the session-guarantee conformance suite of
-// the serving tier: it drives real client connections against a real
-// dsmd-style server (internal/service over a core.Cluster), records
-// every session operation, and checks the trace against the two
-// guarantees the session tokens promise — read-your-writes and
-// monotonic-reads (Terry et al.'s session guarantees, the client-side
-// face of causal consistency).
+// Package conformance is the conformance suite of the serving tier: it
+// drives real client connections against a real dsmd-style server
+// (internal/service over a core.Cluster), records what each tracked
+// session saw, and audits that record as a history of the paper's
+// model with one process per session.
 //
-// The check leans on a workload discipline the harness enforces: each
-// variable has a single writer session, and that writer's values are
-// strictly increasing. Staleness is then decidable per read — a read
-// of variable x returning v is older than a read returning v' iff
-// v < v' — so the suite can state the guarantees exactly:
+// Every successful write enters the history with the write its response
+// names, and every successful read with the write it returned (From).
+// Audit then decides Definition 2 with the repo's own checker
+// (history.Causality): every read must be legal under →co, where →co is
+// built from session order and read-from. Causal consistency with
+// sessions as processes implies all four of Terry et al.'s session
+// guarantees — read-your-writes, monotonic reads, monotonic writes and
+// writes-follow-reads — on any workload, shared variables included.
 //
-//   - read-your-writes: a session's read of x never returns less than
-//     the last value the session itself wrote to x;
-//   - monotonic-reads: a session's read of x never returns less than
-//     any earlier read of x by the same session.
-//
-// The suite must also catch the absence of the mechanism: a session
-// in no-token mode (client.NoTokenSession) carries no causal past, and
-// on a cluster with real propagation delay the checker is expected to
-// report violations for it. A conformance suite that cannot detect
-// the deliberately-broken mode proves nothing about the working one.
+// The suite must also catch the absence of the mechanism: a session in
+// no-token mode (client.NoTokenSession) carries no causal past, and on a
+// cluster with real propagation delay Audit is expected to report
+// violations for it. A conformance suite that cannot detect the
+// deliberately-broken mode proves nothing about the working one.
 package conformance
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/service"
 )
 
-// OpKind classifies a recorded session operation.
-type OpKind uint8
-
-const (
-	// OpWrite records Session.Write.
-	OpWrite OpKind = iota
-	// OpRead records Session.Read.
-	OpRead
+// Errors Audit reports for a record it cannot turn into a history.
+var (
+	// ErrUnrecordedWrite: a read returned a write that no recorded
+	// operation issued (say, a write whose call failed).
+	ErrUnrecordedWrite = errors.New("conformance: read of a write no recorded operation issued")
+	// ErrDuplicateWrite: two recorded writes name one served write, so
+	// one write completed twice.
+	ErrDuplicateWrite = errors.New("conformance: two writes name one served write")
 )
 
-// Op is one recorded session operation, in the session's issue order.
-type Op struct {
-	// Session names the session that issued the operation.
-	Session string
-	// Seq is the operation's global record order (per harness).
-	Seq int
-	// Kind, Var, Val describe the operation; Val is the value written
-	// or the value the read returned.
-	Kind OpKind
-	Var  int
-	Val  int64
-	// Err is the operation's error, if any. Failed operations are
-	// recorded but exempt from the guarantees (they returned nothing).
-	Err error
-}
-
-// Violation is one session-guarantee breach.
-type Violation struct {
-	// Guarantee is "read-your-writes" or "monotonic-reads".
-	Guarantee string
-	// Session is the violated session; Var the variable.
-	Session string
-	Var     int
-	// Got is the stale value read; Floor the newest value the session
-	// was already entitled to (own write or earlier read).
-	Got, Floor int64
-	// Seq is the violating read's record order.
-	Seq int
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("%s: session %s read x%d=%d after observing %d (op %d)",
-		v.Guarantee, v.Session, v.Var, v.Got, v.Floor, v.Seq)
-}
-
-// Check audits a recorded operation trace for session-guarantee
-// violations. It assumes the harness's workload discipline (per-var
-// single writer, strictly increasing values).
-func Check(ops []Op) []Violation {
-	sorted := make([]Op, len(ops))
-	copy(sorted, ops)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-
-	type key struct {
-		session string
-		v       int
-	}
-	lastWrite := map[key]int64{} // newest value the session wrote to var
-	lastRead := map[key]int64{}  // newest value the session read from var
-	var out []Violation
-	for _, op := range sorted {
-		if op.Err != nil {
-			continue
-		}
-		k := key{op.Session, op.Var}
-		switch op.Kind {
-		case OpWrite:
-			if op.Val > lastWrite[k] {
-				lastWrite[k] = op.Val
+// Audit decides whether the recorded sessions form a causally consistent
+// history with session p as process p. sessions[p] holds session p's
+// successful operations in issue order; a write's ID and a read's From
+// are the served write IDs the responses named, and Audit renames them
+// to session-side ones (the k-th write of session p is w_p#k). It
+// returns the illegal reads, none when the history is causally
+// consistent.
+func Audit(sessions [][]history.Op) ([]history.Violation, error) {
+	local := map[history.WriteID]history.WriteID{}
+	for p, ops := range sessions {
+		seq := 0
+		for _, o := range ops {
+			if !o.IsWrite() {
+				continue
 			}
-		case OpRead:
-			if floor, ok := lastWrite[k]; ok && op.Val < floor {
-				out = append(out, Violation{
-					Guarantee: "read-your-writes", Session: op.Session,
-					Var: op.Var, Got: op.Val, Floor: floor, Seq: op.Seq,
-				})
+			if _, dup := local[o.ID]; dup {
+				return nil, fmt.Errorf("%w: %v (session %d)", ErrDuplicateWrite, o.ID, p)
 			}
-			if floor, ok := lastRead[k]; ok && op.Val < floor {
-				out = append(out, Violation{
-					Guarantee: "monotonic-reads", Session: op.Session,
-					Var: op.Var, Got: op.Val, Floor: floor, Seq: op.Seq,
-				})
-			}
-			if op.Val > lastRead[k] {
-				lastRead[k] = op.Val
-			}
+			seq++
+			local[o.ID] = history.WriteID{Proc: p, Seq: seq}
 		}
 	}
-	return out
-}
-
-// DuplicateWrite is one write the trace shows applied (or surfaced)
-// more than once.
-type DuplicateWrite struct {
-	// Session, Var, Val identify the duplicated write.
-	Session string
-	Var     int
-	Val     int64
-	// Seqs are the record orders of every occurrence.
-	Seqs []int
-}
-
-func (d DuplicateWrite) String() string {
-	return fmt.Sprintf("duplicate write: session %s wrote x%d=%d %d times (ops %v)",
-		d.Session, d.Var, d.Val, len(d.Seqs), d.Seqs)
-}
-
-// CheckDuplicateWrites audits the trace for writes that completed
-// successfully more than once. Under the workload discipline (single
-// writer per variable, strictly increasing values) every successful
-// (session, var, val) triple is unique; a repeat means a retry leaked
-// through the exactly-once window as a second completion.
-func CheckDuplicateWrites(ops []Op) []DuplicateWrite {
-	type key struct {
-		session string
-		v       int
-		val     int64
-	}
-	seqs := map[key][]int{}
-	for _, op := range ops {
-		if op.Kind != OpWrite || op.Err != nil {
-			continue
-		}
-		k := key{op.Session, op.Var, op.Val}
-		seqs[k] = append(seqs[k], op.Seq)
-	}
-	var out []DuplicateWrite
-	for k, s := range seqs {
-		if len(s) > 1 {
-			sort.Ints(s)
-			out = append(out, DuplicateWrite{Session: k.session, Var: k.v, Val: k.val, Seqs: s})
+	locals := make([][]history.Op, len(sessions))
+	for p, ops := range sessions {
+		for _, o := range ops {
+			o.Proc = p
+			if o.IsWrite() {
+				o.ID = local[o.ID]
+			} else if !o.From.IsBottom() {
+				from, ok := local[o.From]
+				if !ok {
+					return nil, fmt.Errorf("%w: session %d read x%d=%d from %v", ErrUnrecordedWrite, p, o.Var, o.Val, o.From)
+				}
+				o.From = from
+			}
+			locals[p] = append(locals[p], o)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seqs[0] < out[j].Seqs[0] })
-	return out
+	h, err := history.FromOps(locals)
+	if err != nil {
+		return nil, err
+	}
+	c, err := h.Causality()
+	if err != nil {
+		return nil, err
+	}
+	return c.CheckCausallyConsistent(), nil
 }
 
-// Harness runs one cluster + server and records every tracked session
-// operation for Check.
+// Harness runs one cluster + server and records every tracked session's
+// successful operations for Audit.
 type Harness struct {
 	T       *testing.T
 	Cluster *core.Cluster
 	Server  *service.Server
 
-	mu  sync.Mutex
-	seq int
-	ops []Op
+	mu       sync.Mutex
+	names    []string       // names[p] is tracked session p's name
+	sessions [][]history.Op // sessions[p] is its record, in issue order
 }
 
 // New builds a cluster and a server over it; teardown is wired into t.
@@ -216,33 +135,35 @@ func (h *Harness) Dial() *client.Client {
 	return c
 }
 
-// record appends one operation to the trace.
-func (h *Harness) record(op Op) {
-	h.mu.Lock()
-	op.Seq = h.seq
-	h.seq++
-	h.ops = append(h.ops, op)
-	h.mu.Unlock()
-}
-
-// Ops snapshots the recorded trace.
-func (h *Harness) Ops() []Op {
+// Sessions snapshots the record for Audit: one slice per tracked
+// session, in Track order, so a violation's Op.Proc indexes Track calls.
+func (h *Harness) Sessions() [][]history.Op {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]Op(nil), h.ops...)
+	out := make([][]history.Op, len(h.sessions))
+	for p, ops := range h.sessions {
+		out[p] = append([]history.Op(nil), ops...)
+	}
+	return out
 }
 
-// Track wraps a session so its operations land in the harness trace.
+// Track wraps a session so its operations land in the harness record as
+// one process. The session is a process, so its calls must not overlap:
+// issue order is the order in which they return.
 func (h *Harness) Track(name string, s *client.Session) *TrackedSession {
-	return &TrackedSession{h: h, name: name, s: s}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.names = append(h.names, name)
+	h.sessions = append(h.sessions, nil)
+	return &TrackedSession{h: h, p: len(h.sessions) - 1, s: s}
 }
 
-// TrackedSession records a session's operations for Check. Methods
-// mirror client.Session.
+// TrackedSession records a session's successful operations for Audit.
+// Methods mirror client.Session.
 type TrackedSession struct {
-	h    *Harness
-	name string
-	s    *client.Session
+	h *Harness
+	p int
+	s *client.Session
 }
 
 // Use pins the underlying session to replica p.
@@ -254,26 +175,27 @@ func (ts *TrackedSession) Use(p int) *TrackedSession {
 // Session exposes the wrapped session (for Token/Resume).
 func (ts *TrackedSession) Session() *client.Session { return ts.s }
 
-// Write records a tracked write.
+// record appends one successful operation to the session's record.
+func (ts *TrackedSession) record(o history.Op) {
+	ts.h.mu.Lock()
+	ts.h.sessions[ts.p] = append(ts.h.sessions[ts.p], o)
+	ts.h.mu.Unlock()
+}
+
+// Write records a tracked write with the write its response named.
 func (ts *TrackedSession) Write(ctx context.Context, x int, v int64) error {
-	err := ts.s.Write(ctx, x, v)
-	ts.h.record(Op{Session: ts.name, Kind: OpWrite, Var: x, Val: v, Err: err})
+	id, err := ts.s.WriteMeta(ctx, x, v)
+	if err == nil {
+		ts.record(history.Op{Kind: history.Write, Var: x, Val: v, ID: id})
+	}
 	return err
 }
 
-// Read records a tracked read.
+// Read records a tracked read with the write it returned.
 func (ts *TrackedSession) Read(ctx context.Context, x int) (int64, error) {
-	v, err := ts.s.Read(ctx, x)
-	ts.h.record(Op{Session: ts.name, Kind: OpRead, Var: x, Val: v, Err: err})
-	return v, err
-}
-
-// MustCheck fails the test on any violation in the recorded trace.
-func (h *Harness) MustCheck() {
-	h.T.Helper()
-	if vs := Check(h.Ops()); len(vs) > 0 {
-		for _, v := range vs {
-			h.T.Errorf("conformance: %s", v)
-		}
+	v, from, err := ts.s.ReadMeta(ctx, x)
+	if err == nil {
+		ts.record(history.Op{Kind: history.Read, Var: x, Val: v, From: from})
 	}
+	return v, err
 }

@@ -339,9 +339,11 @@ func (n *Node) check(x int) error {
 
 // handle is the transport delivery callback. Every summary counts as
 // heard by the failure detector; a liveness summary does nothing else.
+// A crash-stopped node drops every message, and any node drops an
+// update naming a variable the cluster does not have.
 func (n *Node) handle(m transport.Message) {
-	if n.down.Load() {
-		return // crash-stop: in-flight messages are dropped
+	if n.down.Load() || m.Update.Var < 0 || m.Update.Var >= n.c.cfg.Variables {
+		return
 	}
 	if m.Update.Summary {
 		if n.c.det != nil {

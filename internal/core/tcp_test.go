@@ -1,15 +1,19 @@
 package core
 
 import (
+	"io"
 	"math/rand"
+	"net"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/checker"
+	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 // A live cluster over real TCP loopback sockets: the full stack —
@@ -171,4 +175,51 @@ func TestClusterOverTCPHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditCrashRun(t, rep, 1)
+}
+
+// Any local process can connect to a mesh listener, so a forged frame
+// must cost at most its own connection: one naming a sender outside the
+// cluster, one whose update names a variable the cluster does not have,
+// and one that does not decode. The mesh then still delivers a write.
+func TestForgedMeshFramesAreDropped(t *testing.T) {
+	tn, err := transport.NewTCP(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(Config{Processes: 2, Variables: 2, Transport: tn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := func(from byte, u protocol.Update) []byte {
+		payload, _ := protocol.NewUpdateEncoder(protocol.MetaOff).Append([]byte{from}, u)
+		return protocol.AppendFrame(nil, payload)
+	}
+	// Each connection ends in a frame that closes it, so reading EOF
+	// proves every frame before it was handled.
+	for _, frames := range [][]byte{
+		frame(200, protocol.Update{ID: history.WriteID{Proc: 1}, Val: 1, Clock: vclock.VC{0, 0}, Summary: true}),
+		append(frame(1, protocol.Update{ID: history.WriteID{Proc: 1, Seq: 1}, Var: 99, Val: 5, Clock: vclock.VC{0, 1}}),
+			protocol.AppendFrame(nil, []byte{1, 0xff})...),
+	} {
+		conn, err := net.Dial("tcp", tn.Addr(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("forged frames left the connection open: read = %v", err)
+		}
+		conn.Close()
+	}
+	if err := c.Node(1).Write(0, 42); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, c)
+	if v, err := c.Node(0).Read(0); err != nil || v != 42 {
+		t.Fatalf("read after forged frames = %d, %v; want 42", v, err)
+	}
 }

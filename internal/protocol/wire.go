@@ -224,7 +224,8 @@ type Response struct {
 	Proc int
 	// Val is the read result (reads) or the echoed payload (writes).
 	Val int64
-	// From identifies the write that produced Val (reads).
+	// From identifies the write that produced Val (reads) or that the
+	// request issued (writes).
 	From history.WriteID
 	// Token is the advanced session token; nil means "unchanged".
 	Token vclock.VC

@@ -113,9 +113,8 @@ func (t *TCPNet) Register(id int, h Handler) {
 }
 
 // Send implements Transport: it frames and writes the message on the
-// (lazily dialed) from→to connection. Writes to one link are serialized
-// by a per-link mutex embedded in conn access; TCP preserves their
-// order.
+// (lazily dialed) from→to connection. One mutex, t.mu, serializes every
+// link's encode and write; TCP preserves each link's order.
 func (t *TCPNet) Send(m Message) {
 	if m.To < 0 || m.To >= t.procs || m.From < 0 || m.From >= t.procs || m.To == m.From {
 		panic(fmt.Sprintf("transport: bad route %d -> %d", m.From, m.To))
@@ -191,7 +190,8 @@ func (t *TCPNet) acceptLoop(p int, ln net.Listener) {
 const maxTCPFrame = 1 + protocol.MaxUpdateSize
 
 // readLoop decodes frames from one inbound connection and dispatches
-// them to p's handler.
+// them to p's handler. Any local process can connect, so a frame naming
+// no peer of p, or one that does not decode, closes the connection.
 func (t *TCPNet) readLoop(p int, conn net.Conn) {
 	defer conn.Close()
 	r := protocol.NewFrameReader(conn, maxTCPFrame)
@@ -202,14 +202,11 @@ func (t *TCPNet) readLoop(p int, conn net.Conn) {
 	dec := protocol.NewUpdateDecoder(t.mode)
 	for {
 		buf, err := r.Next()
-		if err != nil || len(buf) < 1 {
+		if err != nil || len(buf) < 1 || int(buf[0]) >= t.procs || int(buf[0]) == p {
 			return
 		}
 		m := Message{From: int(buf[0]), To: p}
 		if m.Update, _, _, err = dec.Decode(buf[1:]); err != nil {
-			if !t.closed.Load() {
-				panic(fmt.Sprintf("transport: decode frame for p%d: %v", p+1, err))
-			}
 			return
 		}
 		hp := t.handlers[p].Load()
