@@ -107,3 +107,27 @@ func TestAudit(t *testing.T) {
 		})
 	}
 }
+
+// A clean trace: a session reads its own writes, and a second session
+// reads ⊥ before it has observed anything, then the newer write twice.
+func TestCheckCleanTrace(t *testing.T) {
+	vs, err := Audit([][]history.Op{
+		{w(0, 1, 0, 1), r(0, 1, 0, 1), w(0, 2, 0, 2)},
+		{r(0, 0, 0, 0), r(0, 2, 0, 2), r(0, 2, 0, 2)},
+	})
+	if err != nil || len(vs) != 0 {
+		t.Fatalf("clean trace flagged: %v, %v", vs, err)
+	}
+}
+
+// The guarantees bind a session to its own past only: another session
+// may read ⊥ after the write, and so may the writer on another variable.
+func TestCheckScopesPerSessionAndVar(t *testing.T) {
+	vs, err := Audit([][]history.Op{
+		{w(0, 9, 0, 1), r(1, 0, 0, 0)},
+		{r(0, 0, 0, 0)},
+	})
+	if err != nil || len(vs) != 0 {
+		t.Fatalf("cross-session/cross-var reads flagged: %v, %v", vs, err)
+	}
+}
