@@ -4,9 +4,9 @@ GO ?= go
 
 ## check: the full gate — formatting, vet, the one-byte-reader guard,
 ## build, tests, a short race pass, twenty more of the transport's
-## scheduler tests, of the serving frame writer's and of the serving
-## tier's lifecycle tests, twenty of the
-## live cluster's chaos and
+## scheduler tests, of the serving frame writer's, of the serving
+## tier's lifecycle tests, of the client's deadline guards and of the
+## stage clock, twenty of the live cluster's chaos and
 ## crash/restart properties, a fuzz burst over every decoder of outside
 ## bytes (clocks, updates, the wire codecs, the frame reader, the WAL
 ## reader, the replica state decoder and the snapshot tail), the chaos
@@ -194,11 +194,19 @@ race:
 ## twenty times, since the read loop serves and issues writes straight
 ## into the replica while Shutdown drains and parked requests write
 ## the same socket — a scheduler race that needs an unlucky
-## interleaving must not hide behind one pass (~35 s).
+## interleaving must not hide behind one pass; then the client's
+## deadline and call-reuse guards (a silent server times a call out
+## and leaves nothing pending, an abandoned call's late response
+## reaches no later call, Close leaves no client goroutine), since one
+## timer per client and its read loop race to deliver a call's
+## verdict, and the lock-free stage clock's own tests, twenty times
+## each (~50 s).
 transport-stress:
 	$(GO) test -race -count=20 ./internal/transport/
 	$(GO) test -race -count=20 -run 'FrameWriter' ./internal/protocol
 	$(GO) test -race -count=20 -run 'TestShutdown|TestCloseAbortsWaits|TestWriteToCrashedReplicaFails|TestPipeline|TestInlineResponsesFlushBeforeBlockingRead|TestWriteResponseNamesItsWrite' ./internal/service
+	$(GO) test -race -count=20 -run 'TestSilentServerCallTimesOut|TestAbandonedResponseReachesNoOtherCall|TestCloseLeavesNoClientGoroutine' ./internal/client
+	$(GO) test -race -count=20 ./internal/obs/reqtrace
 
 ## core-stress: the live cluster's chaos and crash/restart property
 ## tests twenty times under the race detector, every live protocol

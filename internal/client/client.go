@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	mrand "math/rand"
 	"net"
 	"sort"
@@ -82,9 +83,11 @@ type Config struct {
 	// errors, and no per-call deadline is imposed.
 	DisableRetry bool
 
-	// CallTimeout bounds one call end to end, including reconnects and
-	// status retries; past it the call returns its last typed error.
-	// 0 defaults to 15s. The context still applies on top.
+	// CallTimeout bounds one call end to end, from the start of Do,
+	// including reconnects, status retries and their backoff: one timer
+	// per Client fails each call at its deadline. Past it the call
+	// returns its last typed error, or context.DeadlineExceeded if it
+	// had none. 0 defaults to 15s. The context still applies on top.
 	CallTimeout time.Duration
 
 	// ReconnectWindow bounds how long the client keeps redialing a dead
@@ -99,7 +102,7 @@ type Config struct {
 
 	// Metrics, when set, receives the client-side metrics on the shared
 	// registry: dsm_cli_retries_total, dsm_cli_reconnects_total, the
-	// dsm_cli_call_ns latency histogram, and the per-stage
+	// dsm_cli_request_ns call latency histogram, and the per-stage
 	// dsm_cli_stage_ns decomposition (backoff / send / await).
 	Metrics *obs.Registry
 
@@ -141,14 +144,22 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// call is one in-flight request: the response lands on ch, req is kept
-// for replay after a reconnect, and base is the request token the
-// server delta-encoded the response token against.
+// call is one in-flight request: its verdict lands on ch, req is kept
+// for replay after a reconnect, base is the request token the server
+// delta-encoded the response token against, and deadline (zero: none)
+// is when the client's timer fails it. Whoever removes a call from
+// pending delivers its one verdict: a response, or expired set.
 type call struct {
-	req  protocol.Request
-	base vclock.VC
-	ch   chan protocol.Response
+	req      protocol.Request
+	base     vclock.VC
+	deadline time.Time
+	expired  bool
+	ch       chan protocol.Response
 }
+
+// calls recycles calls with their channels. A call goes back only once
+// its verdict was received: an abandoned one may still get a late one.
+var calls = sync.Pool{New: func() any { return &call{ch: make(chan protocol.Response, 1)} }}
 
 // cliMetrics is the client's registered metric set; with no registry
 // the handles are unregistered but still live, so the hot path never
@@ -156,28 +167,15 @@ type call struct {
 type cliMetrics struct {
 	retries    *obs.Counter
 	reconnects *obs.Counter
-	callNs     *obs.Histogram
-}
-
-// callBuckets spans loopback microseconds to multi-second retry storms.
-var callBuckets = []int64{
-	10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000,
-	5_000_000, 10_000_000, 25_000_000, 50_000_000, 100_000_000,
-	250_000_000, 1_000_000_000, 5_000_000_000, 15_000_000_000,
 }
 
 func newCliMetrics(reg *obs.Registry) *cliMetrics {
 	if reg == nil {
-		return &cliMetrics{
-			retries:    &obs.Counter{},
-			reconnects: &obs.Counter{},
-			callNs:     obs.NewHistogram(callBuckets),
-		}
+		return &cliMetrics{retries: &obs.Counter{}, reconnects: &obs.Counter{}}
 	}
 	return &cliMetrics{
 		retries:    reg.Counter("dsm_cli_retries_total", "calls retried after a retryable server verdict"),
 		reconnects: reg.Counter("dsm_cli_reconnects_total", "successful redials of a lost connection"),
-		callNs:     reg.Histogram("dsm_cli_call_ns", "end-to-end call latency including retries and backoff", callBuckets),
 	}
 }
 
@@ -196,7 +194,9 @@ type Client struct {
 	w            *protocol.FrameWriter // conn's writer, made with it
 	next         uint64
 	pending      map[uint64]*call
-	err          error // terminal error, set once
+	timer        *time.Timer // runs expire
+	armed        time.Time   // when timer fires; zero while it is idle
+	err          error       // terminal error, set once
 	closed       bool
 	reconnecting bool
 	done         chan struct{} // closed on terminal failure/Close
@@ -231,6 +231,7 @@ func DialConfig(cfg Config) (*Client, error) {
 		pending: map[uint64]*call{},
 		done:    make(chan struct{}),
 	}
+	c.timer = time.AfterFunc(math.MaxInt64, c.expire) // track arms it
 	go c.readLoop(conn)
 	return c, nil
 }
@@ -260,12 +261,8 @@ func (c *Client) Close() error {
 	var err error
 	if conn != nil {
 		err = conn.Close()
-		c.fail(ErrClosed)
-	} else {
-		// Mid-reconnect: the reconnect loop observes closed and fails
-		// the client terminally; wait for it.
-		c.fail(ErrClosed)
 	}
+	c.fail(ErrClosed)
 	<-c.done
 	return err
 }
@@ -280,6 +277,7 @@ func (c *Client) fail(err error) {
 	}
 	c.err = err
 	c.pending = map[uint64]*call{}
+	c.timer.Stop()
 	if c.conn != nil {
 		c.conn.Close()
 	}
@@ -299,7 +297,8 @@ func (c *Client) Pending() int {
 // is assigned by the client; a non-OK status is returned as both the
 // response and a mapped error. With retry enabled (the default) the
 // call transparently survives connection loss and retries retryable
-// statuses under the per-call deadline.
+// statuses until its deadline, CallTimeout after Do began; ctx can end
+// it sooner.
 //
 // Every Do opens a call span on the trace recorder: the per-stage
 // histograms (backoff / send / await) are always on, and a sampled
@@ -323,8 +322,8 @@ func (c *Client) do(outer context.Context, req protocol.Request, sid uint64, opS
 	return resp, err
 }
 
-// endTrace closes a call span: the latency histogram, the stage
-// decomposition, the span linkage to the write the call touched, and —
+// endTrace closes a call span: the stage decomposition, the span
+// linkage to the write the call touched, and —
 // for sampled/slow/failed calls — the retained record with the
 // server's echoed stage timeline folded in.
 func (c *Client) endTrace(q *reqtrace.Req, req protocol.Request, resp protocol.Response, err error) {
@@ -345,14 +344,9 @@ func (c *Client) endTrace(q *reqtrace.Req, req protocol.Request, resp protocol.R
 		q.WriteProc, q.WriteSeq = resp.From.Proc, resp.From.Seq
 	}
 	if q.TraceID != 0 && resp.TraceID == q.TraceID {
-		for _, sn := range resp.TraceStages {
-			m.ServerStages = append(m.ServerStages, reqtrace.StageNs{
-				Stage: reqtrace.Stage(sn[0]).String(), Ns: int64(sn[1]),
-			})
-		}
+		m.ServerStages = resp.TraceStages
 	}
-	total, _ := c.trace.End(q, m)
-	c.met.callNs.Observe(total)
+	c.trace.End(q, m)
 }
 
 // errClass labels a call outcome for trace records.
@@ -383,10 +377,9 @@ func errClass(err error) string {
 // doTraced is Do's body with the span threaded through.
 func (c *Client) doTraced(outer context.Context, req protocol.Request, sid uint64, opSeq *atomic.Uint64, q *reqtrace.Req) (protocol.Response, error) {
 	if c.cfg.DisableRetry {
-		return c.doOnce(outer, req, true, q)
+		return c.doOnce(outer, req, true, time.Time{}, q)
 	}
-	ctx, cancel := context.WithTimeout(outer, c.cfg.CallTimeout)
-	defer cancel()
+	deadline := q.Start().Add(c.cfg.CallTimeout)
 	// Stamp writes with the session op ID so server-side dedup makes
 	// every replay and retry of this call apply at most once.
 	if req.Kind == protocol.ReqWrite && req.SID == 0 {
@@ -396,10 +389,10 @@ func (c *Client) doTraced(outer context.Context, req protocol.Request, sid uint6
 	var lastResp protocol.Response
 	var lastErr error
 	for {
-		resp, err := c.doOnce(ctx, req, false, q)
+		resp, err := c.doOnce(outer, req, false, deadline, q)
 		retryable := errors.Is(err, ErrRetryable) || errors.Is(err, ErrOverloaded)
 		if !retryable {
-			// When the per-call deadline (not the caller's context) fires
+			// When the call's deadline (not the caller's context) fires
 			// mid-attempt, the server's last verdict is the real answer.
 			if errors.Is(err, context.DeadlineExceeded) && outer.Err() == nil && lastErr != nil {
 				return lastResp, lastErr
@@ -408,17 +401,22 @@ func (c *Client) doTraced(outer context.Context, req protocol.Request, sid uint6
 		}
 		lastResp, lastErr = resp, err
 		c.met.retries.Inc()
-		// Back off before the retry; the deadline still bounds the call.
+		// Back off before the retry, but not past the deadline.
+		wait, stop := jitter(backoff), false
+		if left := time.Until(deadline); left <= wait {
+			wait, stop = left, true
+		}
 		select {
-		case <-time.After(jitter(backoff)):
-		case <-ctx.Done():
-			q.Mark(reqtrace.StageBackoff)
-			return resp, err // the typed retryable error, not ctx.Err()
+		case <-time.After(wait):
+		case <-outer.Done():
+			stop = true
 		case <-c.done:
-			q.Mark(reqtrace.StageBackoff)
-			return resp, err
+			stop = true
 		}
 		q.Mark(reqtrace.StageBackoff)
+		if stop {
+			return resp, err // the typed retryable error, not ctx.Err()
+		}
 		if backoff *= 2; backoff > c.cfg.BackoffMax {
 			backoff = c.cfg.BackoffMax
 		}
@@ -429,7 +427,7 @@ func (c *Client) doTraced(outer context.Context, req protocol.Request, sid uint6
 // the replay after reconnect sends it), await. failFast selects the
 // legacy error contract. The span's send stage covers register+frame+
 // write; everything after lands in await.
-func (c *Client) doOnce(ctx context.Context, req protocol.Request, failFast bool, q *reqtrace.Req) (protocol.Response, error) {
+func (c *Client) doOnce(ctx context.Context, req protocol.Request, failFast bool, deadline time.Time, q *reqtrace.Req) (protocol.Response, error) {
 	q.Attempts++
 	c.mu.Lock()
 	if c.err != nil {
@@ -440,8 +438,9 @@ func (c *Client) doOnce(ctx context.Context, req protocol.Request, failFast bool
 	}
 	c.next++
 	req.Tag = c.next
-	cl := &call{req: req, base: req.Token, ch: make(chan protocol.Response, 1)}
-	c.pending[req.Tag] = cl
+	cl := calls.Get().(*call)
+	cl.req, cl.base, cl.deadline = req, req.Token, deadline
+	c.track(cl)
 	conn, w := c.conn, c.w
 	c.mu.Unlock()
 
@@ -459,28 +458,74 @@ func (c *Client) doOnce(ctx context.Context, req protocol.Request, failFast bool
 	}
 	q.Mark(reqtrace.StageSend)
 
+	var resp protocol.Response
+	var err error
 	select {
-	case resp := <-cl.ch:
-		q.Mark(reqtrace.StageAwait)
-		return resp, statusErr(resp)
+	case resp = <-cl.ch:
+		resp, err = verdict(cl, resp)
 	case <-c.done:
 		// Drain the race: the response may have landed between the
 		// connection dying and this select firing.
 		select {
-		case resp := <-cl.ch:
-			q.Mark(reqtrace.StageAwait)
-			return resp, statusErr(resp)
+		case resp = <-cl.ch:
+			resp, err = verdict(cl, resp)
 		default:
+			c.mu.Lock()
+			err = c.err
+			c.mu.Unlock()
 		}
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		q.Mark(reqtrace.StageAwait)
-		return protocol.Response{}, err
 	case <-ctx.Done():
 		c.forget(req.Tag)
-		q.Mark(reqtrace.StageAwait)
-		return protocol.Response{}, ctx.Err()
+		err = ctx.Err()
+	}
+	q.Mark(reqtrace.StageAwait)
+	return resp, err
+}
+
+// verdict maps the verdict a call received to the attempt's result and
+// recycles the call: its deliverer took it out of pending, so nothing
+// else holds it.
+func verdict(cl *call, resp protocol.Response) (protocol.Response, error) {
+	expired := cl.expired
+	*cl = call{ch: cl.ch}
+	calls.Put(cl)
+	if expired {
+		return protocol.Response{}, context.DeadlineExceeded
+	}
+	return resp, statusErr(resp)
+}
+
+// track registers cl as pending and arms the timer for its deadline if
+// that comes before the armed one. Caller holds c.mu.
+func (c *Client) track(cl *call) {
+	c.pending[cl.req.Tag] = cl
+	if cl.deadline.IsZero() || !c.armed.IsZero() && !cl.deadline.Before(c.armed) {
+		return
+	}
+	c.armed = cl.deadline
+	c.timer.Reset(time.Until(cl.deadline))
+}
+
+// expire fails every pending call past its deadline and re-arms the
+// timer for the earliest deadline left.
+func (c *Client) expire() {
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = time.Time{}
+	for tag, cl := range c.pending {
+		switch {
+		case cl.deadline.IsZero():
+		case !now.Before(cl.deadline):
+			delete(c.pending, tag)
+			cl.expired = true
+			cl.ch <- protocol.Response{}
+		case c.armed.IsZero() || cl.deadline.Before(c.armed):
+			c.armed = cl.deadline
+		}
+	}
+	if !c.armed.IsZero() {
+		c.timer.Reset(c.armed.Sub(now))
 	}
 }
 
@@ -528,11 +573,16 @@ func (c *Client) readLoop(conn net.Conn) {
 		delete(c.pending, tag)
 		c.mu.Unlock()
 		if !ok {
-			// Response for an abandoned call; nothing to deliver.
+			// Response for an abandoned or expired call; nothing to
+			// deliver.
 			continue
 		}
 		resp, n, derr := protocol.DecodeResponse(frame, cl.base)
 		if derr != nil || n != len(frame) {
+			// The call stays pending: it is replayed, or expires.
+			c.mu.Lock()
+			c.track(cl)
+			c.mu.Unlock()
 			err = fmt.Errorf("client: corrupt response frame: %w", derr)
 			break
 		}
@@ -619,16 +669,17 @@ func (c *Client) install(conn net.Conn) bool {
 	c.conn, c.w = conn, protocol.NewFrameWriter(conn)
 	c.reconnecting = false
 	c.met.reconnects.Inc()
-	replay := make([]*call, 0, len(c.pending))
+	// The requests are copied: a call answered meanwhile is recycled.
+	replay := make([]protocol.Request, 0, len(c.pending))
 	for _, cl := range c.pending {
-		replay = append(replay, cl)
+		replay = append(replay, cl.req)
 	}
 	w := c.w
 	c.mu.Unlock()
-	sort.Slice(replay, func(i, j int) bool { return replay[i].req.Tag < replay[j].req.Tag })
+	sort.Slice(replay, func(i, j int) bool { return replay[i].Tag < replay[j].Tag })
 	go c.readLoop(conn)
-	for _, cl := range replay {
-		if err := c.send(w, cl.req); err != nil {
+	for _, req := range replay {
+		if err := c.send(w, req); err != nil {
 			// The fresh conn died mid-replay; the new readLoop (or the
 			// failed send's connLost) restarts recovery, and the calls
 			// not yet replayed are still pending.

@@ -180,7 +180,8 @@ func TestClusterOverTCPHeartbeat(t *testing.T) {
 // Any local process can connect to a mesh listener, so a forged frame
 // must cost at most its own connection: one naming a sender outside the
 // cluster, one whose update names a variable the cluster does not have,
-// and one that does not decode. The mesh then still delivers a write.
+// a clock of another dimension or a writer that is no process, and one
+// that does not decode. The mesh then still delivers a write.
 func TestForgedMeshFramesAreDropped(t *testing.T) {
 	tn, err := transport.NewTCP(2)
 	if err != nil {
@@ -200,6 +201,11 @@ func TestForgedMeshFramesAreDropped(t *testing.T) {
 	for _, frames := range [][]byte{
 		frame(200, protocol.Update{ID: history.WriteID{Proc: 1}, Val: 1, Clock: vclock.VC{0, 0}, Summary: true}),
 		append(frame(1, protocol.Update{ID: history.WriteID{Proc: 1, Seq: 1}, Var: 99, Val: 5, Clock: vclock.VC{0, 1}}),
+			protocol.AppendFrame(nil, []byte{1, 0xff})...),
+		// A clock of another dimension, and a writer that is no process.
+		append(frame(1, protocol.Update{ID: history.WriteID{Proc: 1, Seq: 1}, Var: 0, Val: 5, Clock: vclock.VC{0, 1, 0, 0, 0}}),
+			protocol.AppendFrame(nil, []byte{1, 0xff})...),
+		append(frame(1, protocol.Update{ID: history.WriteID{Proc: 7, Seq: 1}, Var: 0, Val: 5, Clock: vclock.VC{0, 1}}),
 			protocol.AppendFrame(nil, []byte{1, 0xff})...),
 	} {
 		conn, err := net.Dial("tcp", tn.Addr(0))

@@ -43,6 +43,7 @@ type Driver struct {
 	host    Host
 	replica protocol.Replica
 	id      int
+	dim     int // the replica's clock dimension, which every message carries
 	pending *pendingSet
 	// recovery turns on the stale-duplicate filter and the purge of
 	// buffered copies the replica no longer lacks (res, the replica as a
@@ -54,11 +55,12 @@ type Driver struct {
 	stopped  bool // Host.Applied failed
 }
 
-// New returns a driver for replica r of a procs-process system. With
-// recovery, r must be a protocol.Resumer.
+// New returns a driver for replica r, a protocol.Introspector, of a
+// procs-process system. With recovery, r must be a protocol.Resumer.
 func New(host Host, r protocol.Replica, procs int, recovery bool) *Driver {
 	res, _ := r.(protocol.Resumer)
-	return &Driver{host: host, replica: r, id: r.ProcID(), pending: newPendingSet(procs), recovery: recovery, res: res}
+	dim := len(r.(protocol.Introspector).ControlClock())
+	return &Driver{host: host, replica: r, id: r.ProcID(), dim: dim, pending: newPendingSet(procs), recovery: recovery, res: res}
 }
 
 // Replica returns the driven replica, for the engine's local operations.
@@ -81,8 +83,10 @@ func (d *Driver) Pending() []protocol.Update { return d.pending.flatten() }
 func (d *Driver) Restore(u protocol.Update) { d.pending.add(u) }
 
 // Receive runs the receipt state machine for one inbound message.
+// A message no process of this system could have sent (its writer out
+// of range, or its clock of another dimension) is dropped.
 func (d *Driver) Receive(u protocol.Update) {
-	if d.stopped {
+	if from := u.From(); d.stopped || from < 0 || from >= len(d.pending.byOrigin) || len(u.Clock) != d.dim {
 		return
 	}
 	if u.ReadReq || u.ReadReply {

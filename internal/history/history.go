@@ -143,10 +143,15 @@ func (h *History) Writes() []int {
 type Builder struct {
 	locals   [][]Op
 	writeSeq []int
-	// lastWriter[var][val] is the ID of the write that wrote val to var.
+	// valWriter[var][val] is the ID of the write that wrote val to var,
+	// or ambiguous when more than one did.
 	valWriter map[int]map[int64]WriteID
 	err       error
 }
+
+// ambiguous marks a value written more than once to one variable: a
+// read of it must name its source with ReadFrom.
+var ambiguous = WriteID{Proc: -1}
 
 // NewBuilder returns a Builder for n processes.
 func NewBuilder(n int) *Builder {
@@ -171,21 +176,26 @@ func (b *Builder) Write(p, x int, v int64) WriteID {
 		b.valWriter[x] = m
 	}
 	if _, dup := m[v]; dup {
-		b.err = fmt.Errorf("history: value %d written twice to x%d; read-from inference needs unique values (use ReadFrom)", v, x+1)
-		return id
+		m[v] = ambiguous
+	} else {
+		m[v] = id
 	}
-	m[v] = id
 	return id
 }
 
 // Read appends r_{p}(x)v, inferring the source write from the value. A
 // read of a never-written value is recorded as reading ⊥ only when v is
-// 0; any other unmatched value is an error surfaced by Finish.
+// 0; any other unmatched value, and a value written more than once to
+// x, is an error surfaced by Finish.
 func (b *Builder) Read(p, x int, v int64) {
 	if b.err != nil {
 		return
 	}
 	from, ok := b.valWriter[x][v]
+	if from == ambiguous {
+		b.err = fmt.Errorf("history: value %d written twice to x%d; read-from inference needs unique values (use ReadFrom)", v, x+1)
+		return
+	}
 	if !ok {
 		if v != 0 {
 			b.err = fmt.Errorf("history: r%d(x%d)%d reads a value never written", p+1, x+1, v)

@@ -43,12 +43,30 @@ func TestBuilderInfersReadFrom(t *testing.T) {
 	}
 }
 
+// A value written twice to one variable fails only a read that infers
+// its source from the value.
 func TestBuilderDuplicateValue(t *testing.T) {
 	b := NewBuilder(2)
 	b.Write(0, 0, 5)
 	b.Write(1, 0, 5)
+	b.Read(0, 0, 5)
 	if _, err := b.Finish(); err == nil {
 		t.Fatal("expected duplicate-value error")
+	}
+}
+
+// Reads that name their source make a value written twice harmless.
+func TestBuilderDuplicateValueReadFrom(t *testing.T) {
+	b := NewBuilder(2)
+	b.Write(0, 0, 1)
+	w1 := b.Write(1, 0, 1)
+	b.ReadFrom(0, 0, 1, w1)
+	h, err := b.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if op := h.Ops()[1]; !op.IsRead() || op.From != w1 {
+		t.Fatalf("read = %+v, want From=%v", op, w1)
 	}
 }
 

@@ -52,11 +52,10 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram of int64 samples (nanoseconds
 // by convention). Observation is lock-free: one atomic add on the
-// matching bucket plus count and sum.
+// matching bucket plus the sum. The count is the buckets' total.
 type Histogram struct {
 	bounds  []int64 // inclusive upper bounds, strictly increasing
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Int64
 }
 
@@ -90,12 +89,18 @@ func (h *Histogram) Observe(v int64) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of samples observed: the sum of the
+// buckets, so it always equals the +Inf bucket of a Snapshot.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -119,7 +124,7 @@ func (h *Histogram) Bounds() []int64 { return h.bounds }
 // interpolation inside the matching bucket. It returns 0 on an empty
 // histogram; samples beyond the last bound clamp to it.
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}

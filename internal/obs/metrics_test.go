@@ -168,3 +168,40 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	r.PublishExpvar("dsm_test_pe")
 	NewRegistry().PublishExpvar("dsm_test_pe")
 }
+
+// A scrape's _count is its +Inf bucket, even while samples land.
+func TestHistogramScrapeCountIsInfBucket(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h_ns", "h", []int64{10})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(5)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 200; i++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, l := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(l, `h_ns_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(l, "h_ns_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("scrape %d: +Inf bucket %q, _count %q", i, inf, count)
+		}
+	}
+}

@@ -52,7 +52,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				if err := writeSeries(w, f.name+"_sum", m.labels, "", float64(m.hist.Sum())); err != nil {
 					return err
 				}
-				if err := writeSeries(w, f.name+"_count", m.labels, "", float64(m.hist.Count())); err != nil {
+				if err := writeSeries(w, f.name+"_count", m.labels, "", float64(cum[len(cum)-1])); err != nil {
 					return err
 				}
 			}

@@ -125,11 +125,11 @@ func (r *Recorder) Origin() string { return r.origin }
 // (negative: latency sampling disabled).
 func (r *Recorder) Threshold() int64 { return r.threshold }
 
-// Begin checks a pooled Req out and starts its clock. The caller must
-// End it exactly once.
+// Begin checks a pooled Req out and starts its clock: the request's
+// only wall-clock read. The caller must End it exactly once.
 func (r *Recorder) Begin() *Req {
 	q := r.pool.Get().(*Req)
-	q.reset()
+	*q = Req{start: time.Now()}
 	return q
 }
 
@@ -144,8 +144,9 @@ type Meta struct {
 	// Err is the response's error detail (non-OK only).
 	Err string
 	// ServerStages, on a client-side End, is the server's echoed stage
-	// timeline, folded into the retained record.
-	ServerStages []StageNs
+	// timeline as the response carried it, folded into the retained
+	// record.
+	ServerStages [][2]uint64
 }
 
 // End closes the request: total latency measured from Begin, every
@@ -154,13 +155,11 @@ type Meta struct {
 // returns the total nanoseconds and whether the request was sampled,
 // then recycles q: the caller must not touch q afterwards.
 func (r *Recorder) End(q *Req, m Meta) (total int64, retained bool) {
+	// The clock is read first, so the total covers every mark.
 	total = time.Since(q.start).Nanoseconds()
 	r.total.Observe(total)
-	for s := Stage(0); s < NumStages; s++ {
-		// ns is quiescent by End: every Mark has happened-before the
-		// caller's End (channel handoffs), so reading without q.mu is
-		// safe — but take it anyway; it is uncontended and free of doubt.
-		d := q.StageDur(s)
+	for s := range q.ns {
+		d := q.ns[s]
 		if d == 0 {
 			continue
 		}
@@ -172,20 +171,22 @@ func (r *Recorder) End(q *Req, m Meta) (total int64, retained bool) {
 	retained = q.Sampled || !m.OK || (r.threshold >= 0 && total >= r.threshold)
 	if retained {
 		rec := Record{
-			TraceID:      q.TraceID,
-			Origin:       r.origin,
-			Kind:         m.Kind,
-			Status:       m.Status,
-			Proc:         m.Proc,
-			Var:          m.Var,
-			StartUnixNs:  q.startUnix,
-			TotalNs:      total,
-			Stages:       q.Stages(nil),
-			WriteProc:    q.WriteProc,
-			WriteSeq:     q.WriteSeq,
-			Attempts:     q.Attempts,
-			ServerStages: m.ServerStages,
-			Err:          m.Err,
+			TraceID:     q.TraceID,
+			Origin:      r.origin,
+			Kind:        m.Kind,
+			Status:      m.Status,
+			Proc:        m.Proc,
+			Var:         m.Var,
+			StartUnixNs: q.start.UnixNano(),
+			TotalNs:     total,
+			Stages:      q.Stages(nil),
+			WriteProc:   q.WriteProc,
+			WriteSeq:    q.WriteSeq,
+			Attempts:    q.Attempts,
+			Err:         m.Err,
+		}
+		for _, sn := range m.ServerStages {
+			rec.ServerStages = append(rec.ServerStages, StageNs{Stage: Stage(sn[0]).String(), Ns: int64(sn[1])})
 		}
 		r.retain(rec)
 		r.sampledC.Inc()

@@ -32,7 +32,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	mrand "math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -207,6 +206,10 @@ func (r Record) ServerStageSum() int64 {
 // Req is one in-flight request's trace state: identity, the stage
 // clock, and the metadata End folds into histograms and Records. Reqs
 // are pooled by the Recorder; callers must not retain one past End.
+//
+// A Req takes no lock: only the goroutine currently driving the request
+// touches it, and every hand-off of a request between goroutines (a
+// go statement, a channel) orders the marks before and after it.
 type Req struct {
 	// TraceID and Sampled mirror the wire trace context.
 	TraceID uint64
@@ -218,33 +221,23 @@ type Req struct {
 	// Attempts counts wire attempts (client side).
 	Attempts int
 
-	start     time.Time
-	startUnix int64
-	last      time.Time
-	ns        [NumStages]int64
-
-	mu sync.Mutex // guards last+ns: client marks race with the read loop
+	start time.Time     // the one wall-clock read, with its monotonic reading
+	last  time.Duration // monotonic time since start at the previous mark
+	ns    [NumStages]int64
 }
 
-// reset rearms a pooled Req.
-func (q *Req) reset() {
-	*q = Req{start: time.Now()}
-	q.startUnix = q.start.UnixNano()
-	q.last = q.start
-}
+// Start returns the time Begin read: the request's start.
+func (q *Req) Start() time.Time { return q.start }
 
 // Mark attributes the time since the previous mark (or Begin) to
-// stage. Safe for use from the goroutine currently driving the
-// request.
+// stage. It reads only the monotonic clock.
 func (q *Req) Mark(stage Stage) {
 	if q == nil {
 		return
 	}
-	now := time.Now()
-	q.mu.Lock()
-	q.ns[stage] += now.Sub(q.last).Nanoseconds()
+	now := time.Since(q.start)
+	q.ns[stage] += int64(now - q.last)
 	q.last = now
-	q.mu.Unlock()
 }
 
 // Add attributes d to stage directly, without moving the clock —
@@ -253,9 +246,7 @@ func (q *Req) Add(stage Stage, d time.Duration) {
 	if q == nil {
 		return
 	}
-	q.mu.Lock()
 	q.ns[stage] += d.Nanoseconds()
-	q.mu.Unlock()
 }
 
 // StageDur returns the nanoseconds attributed to stage so far.
@@ -263,15 +254,11 @@ func (q *Req) StageDur(stage Stage) int64 {
 	if q == nil {
 		return 0
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.ns[stage]
 }
 
 // Stages renders the nonzero stages in enum order, appending to dst.
 func (q *Req) Stages(dst []StageNs) []StageNs {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for s := Stage(0); s < NumStages; s++ {
 		if q.ns[s] > 0 {
 			dst = append(dst, StageNs{Stage: s.String(), Ns: q.ns[s]})
@@ -283,8 +270,6 @@ func (q *Req) Stages(dst []StageNs) []StageNs {
 // ServerStages renders the nonzero server-side stages as the wire's
 // (stage, ns) pairs for the response trace field.
 func (q *Req) ServerStages(dst [][2]uint64) [][2]uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for s := Stage(0); s < NumServerStages; s++ {
 		if q.ns[s] > 0 {
 			dst = append(dst, [2]uint64{uint64(s), uint64(q.ns[s])})
